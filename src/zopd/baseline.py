@@ -4,7 +4,7 @@ Each round every agent averages with its neighbors through a
 Metropolis-Hastings mixing matrix and subtracts a single-sample two-point
 gradient estimate scaled by step_scale / sqrt(round):
 
-    x_i+ = sum_j W_ij x_j - (step_scale / sqrt(r)) g_i
+    x_i+ = proj_box_i( sum_j W_ij x_j - (step_scale / sqrt(r)) g_i )
 
 This is a qualitative comparison method; its trace reuses the primal-dual
 gap and potential functionals evaluated at a zero dual, so the two methods'
@@ -12,7 +12,6 @@ CSV traces overlay directly.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,11 @@ from .engine import (
     ROLE_BASELINE_STEP,
     AlgoParams,
     RunResult,
+    _drive,
     _prepare,
-    _record_row,
     substream,
 )
-from .graph import NetworkMatrices, Topology
+from .graph import NetworkMatrices, Topology, incidence_list, scatter_add
 from .objectives import LocalObjective
 from .szo import SmoothingParams, estimate_gradient
 
@@ -56,16 +55,11 @@ class RGFParams:
 def build_mixing(topo: Topology) -> np.ndarray:
     """Metropolis-Hastings weights: W_ij = 1 / (1 + max(d_i, d_j)) on edges,
     diagonal filled to make rows sum to one. Symmetric, doubly stochastic."""
-    n = topo.num_nodes
     deg = topo.degrees()
-    w = np.zeros((n, n))
-    for i, j in topo.edges:
-        a, b = i - 1, j - 1
-        val = 1.0 / (1.0 + max(deg[a], deg[b]))
-        w[a, b] = val
-        w[b, a] = val
-    for a in range(n):
-        w[a, a] = 1.0 - float(np.sum(w[a])) + w[a, a]
+    node, _, nbr, _ = incidence_list(topo)
+    w = np.zeros((topo.num_nodes, topo.num_nodes))
+    w[node, nbr] = 1.0 / (1.0 + np.maximum(deg[node], deg[nbr]))
+    w[np.diag_indices_from(w)] = 1.0 - w.sum(axis=1)
     return w
 
 
@@ -74,16 +68,12 @@ def apply_mixing(weights: np.ndarray, topo: Topology, blocks: np.ndarray) -> np.
 
     Equal to W x row by row, but consensual inputs are fixed points exactly
     (every difference vanishes), which the dense product cannot guarantee in
-    floating point.
+    floating point. The terms are added per node in edge order through the
+    same scatter_add as the primal-dual engines.
     """
-    out = blocks.copy()
-    for i, j in topo.edges:
-        a, b = i - 1, j - 1
-        coupling = weights[a, b]
-        diff_ab = blocks[b] - blocks[a]
-        out[a] = out[a] + coupling * diff_ab
-        out[b] = out[b] - coupling * diff_ab
-    return out
+    node, _, nbr, _ = incidence_list(topo)
+    coupling = weights[node, nbr][:, None]
+    return scatter_add(blocks, node, coupling * (blocks[nbr] - blocks[node]))
 
 
 def rgf_step(
@@ -110,29 +100,18 @@ def run_rgf(
     mats: NetworkMatrices | None = None,
 ) -> RunResult:
     """Baseline trial sharing the algorithm's init stream (same x^0) but its
-    own estimator substreams. The dual is identically zero in every record."""
+    own estimator substreams. Each round ends by projecting every agent onto
+    its domain box. The dual is identically zero in every record."""
     ctx = _prepare(topo, objectives, params, trial, mats, ROLE_BASELINE_METER)
-    t0 = time.perf_counter()
-    n, m = topo.num_nodes, topo.block_dim
     weights = build_mixing(topo)
     single = SmoothingParams(mu=rgf.mu, samples=1)
-    zero_lam = np.zeros(ctx.mats.edge_dim)
+    lo = np.array([o.box.lo for o in objectives])
+    hi = np.array([o.box.hi for o in objectives])
 
-    blocks = ctx.stacked.blocks(ctx.x0).copy()
-    xs = [blocks.reshape(-1).copy()]
-    lams = [zero_lam.copy()]
-    gs = []
-    records = []
-    prev_stacked = None
-
-    for r in range(rgf.total_iters):
-        x_stk = blocks.reshape(-1).copy()
-        if r > 0:
-            records.append(
-                _record_row(ctx, params, r, x_stk, prev_stacked, zero_lam, zero_lam, t0)
-            )
+    def step(x, lam, r):
+        blocks = ctx.stacked.blocks(x)
         grads = np.empty_like(blocks)
-        for i in range(n):
+        for i in range(topo.num_nodes):
             grads[i] = estimate_gradient(
                 ctx.step_oracles[i],
                 blocks[i],
@@ -140,27 +119,7 @@ def run_rgf(
                 substream(params.seed, trial, ROLE_BASELINE_STEP, i, r),
                 params.retry_cap,
             )
-        blocks = rgf_step(blocks, grads, weights, topo, rgf.step_scale, r + 1)
-        prev_stacked = x_stk
-        xs.append(blocks.reshape(-1).copy())
-        lams.append(zero_lam.copy())
-        gs.append(grads.reshape(-1).copy())
+        mixed = rgf_step(blocks, grads, weights, topo, rgf.step_scale, r + 1)
+        return np.clip(mixed, lo, hi).reshape(-1), lam, grads.reshape(-1)
 
-    records.append(
-        _record_row(
-            ctx, params, rgf.total_iters, blocks.reshape(-1), prev_stacked, zero_lam, zero_lam, t0
-        )
-    )
-
-    return RunResult(
-        method="rgf",
-        trial=trial,
-        records=records,
-        states_x=np.asarray(xs),
-        states_lam=np.asarray(lams),
-        states_grad=np.asarray(gs),
-        output_iteration=None,
-        output_x=None,
-        output_lam=None,
-        constants=ctx.consts,
-    )
+    return _drive(ctx, params, trial, step, "rgf", rgf.total_iters, None)

@@ -11,23 +11,26 @@ The primal closed form comes from the first-order condition of the proximal
 subproblem g + A' lam + rho A'A x + 2 rho D (x+ - x) = 0.
 
 Randomness is hierarchical: every draw comes from a substream keyed by
-(seed, trial, role, agent, iteration), so the centralized matrix-form run and
-the distributed message-passing run consume identical streams, and a resumed
-run reproduces the remaining iterations bit for bit.
+(seed, trial, role, agent, iteration), so the centralized run and the
+distributed message-passing run consume identical streams, and a resumed run
+reproduces the remaining iterations bit for bit. Both runs apply the consensus
+operators through graph.scatter_add in one fixed order, so they also agree bit
+for bit.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import NetworkMatrices, Topology, build_matrices
+from .graph import NetworkMatrices, Topology, build_matrices, scatter_add
 from .metrics import (
     AnalysisConstants,
     MetricRecord,
     constraint_violation,
+    default_potential_weight,
     derive_constants,
     potential,
     stationarity_gap,
@@ -152,6 +155,16 @@ class RunResult:
         )
 
 
+def _primal_update(x, neighbor_sum, dual_pressure, grad, degree, rho):
+    """(rho (d x + sum_nbr x) - g - A'lam) / (2 rho d), blockwise.
+
+    The one primal formula: the centralized step applies it to all (N, M)
+    blocks at once, each agent to its own block, on operands that the same
+    scatter_add accumulated in the same order, so the two agree bit for bit.
+    """
+    return (rho * (degree * x + neighbor_sum) - grad - dual_pressure) / (2.0 * rho * degree)
+
+
 def primal_step(
     x: np.ndarray,
     lam: np.ndarray,
@@ -162,8 +175,16 @@ def primal_step(
     """Minimizer of the linearized degree-weighted proximal subproblem."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    numer = rho * (mats.lplus @ x) - grad - mats.incidence.T @ lam
-    return numer / (2.0 * rho * mats.degrees_vector)
+    xb = mats.node_blocks(x)
+    x_new = _primal_update(
+        xb,
+        mats.neighbor_sum(xb),
+        mats.dual_pressure(lam),
+        mats.node_blocks(grad),
+        mats.degree[:, None],
+        rho,
+    )
+    return x_new.reshape(-1)
 
 
 def dual_step(
@@ -172,7 +193,7 @@ def dual_step(
     """Ascent on the edge constraints: lam + rho A x+."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    return lam + rho * (mats.incidence @ x_new)
+    return lam + rho * mats.incidence(x_new)
 
 
 class _TraceMeter:
@@ -184,59 +205,37 @@ class _TraceMeter:
     """
 
     def __init__(
-        self,
-        stacked: StackedObjective,
-        oracles: Sequence[SZOracle],
-        smoothing: SmoothingParams,
-        mode: str,
-        mc_samples: int,
-        seed: int,
-        trial: int,
-        role: int,
-        retry_cap: int,
+        self, stacked: StackedObjective, params: AlgoParams, trial: int, role: int
     ):
+        mode = params.gap_gradient
         if mode == "auto":
             mode = "closed_form" if stacked.has_smoothed_closed_form else "estimator"
         if mode == "closed_form" and not stacked.has_smoothed_closed_form:
             raise ValueError("gap_gradient=closed_form but the objective has no closed form")
         self.stacked = stacked
-        self.oracles = oracles
-        self.smoothing = smoothing
+        self.oracles = [SZOracle(o, params.noise) for o in stacked.locals_]
+        self.params = params
         self.mode = mode
-        self.mc_samples = mc_samples
-        self.seed = seed
         self.trial = trial
         self.role = role
-        self.retry_cap = retry_cap
 
     def measure(self, x: np.ndarray, iteration: int) -> tuple[np.ndarray, float]:
-        st = self.stacked
+        st, p = self.stacked, self.params
+        mu = p.smoothing.mu
         if self.mode == "closed_form":
-            return (
-                st.smoothed_gradient_stacked(x, self.smoothing.mu),
-                st.smoothed_value_stacked(x, self.smoothing.mu),
-            )
+            return st.smoothed_gradient_stacked(x, mu), st.smoothed_value_stacked(x, mu)
         xb = st.blocks(x)
         grads = []
         total = 0.0
-        if self.mode == "estimator":
-            for i, oracle in enumerate(self.oracles):
-                rng = substream(self.seed, self.trial, self.role, i, iteration)
-                g, v = measure_gradient_and_value(
-                    oracle, xb[i], self.smoothing, rng, self.retry_cap
-                )
-                grads.append(g)
-                total += v
-        else:  # mc
-            for i, oracle in enumerate(self.oracles):
-                rng = substream(self.seed, self.trial, self.role, i, iteration)
-                g, _ = smoothed_gradient_mc(
-                    oracle.objective, xb[i], self.smoothing.mu, self.mc_samples, rng
-                )
-                grads.append(g)
-                total += smoothed_value(
-                    oracle, xb[i], self.smoothing.mu, self.mc_samples, rng
-                )
+        for i, oracle in enumerate(self.oracles):
+            rng = substream(p.seed, self.trial, self.role, i, iteration)
+            if self.mode == "estimator":
+                g, v = measure_gradient_and_value(oracle, xb[i], p.smoothing, rng, p.retry_cap)
+            else:  # mc
+                g, _ = smoothed_gradient_mc(oracle.objective, xb[i], mu, p.mc_gap_samples, rng)
+                v = smoothed_value(oracle, xb[i], mu, p.mc_gap_samples, rng)
+            grads.append(g)
+            total += v
         return np.concatenate(grads), total
 
 
@@ -277,22 +276,11 @@ def _prepare(
         raise ValueError("gradient_mode=reference needs closed-form smoothed gradients")
 
     step_oracles = [SZOracle(o, params.noise) for o in objectives]
-    meter_oracles = [SZOracle(o, params.noise) for o in objectives]
-    meter = _TraceMeter(
-        stacked,
-        meter_oracles,
-        params.smoothing,
-        params.gap_gradient,
-        params.mc_gap_samples,
-        params.seed,
-        trial,
-        meter_role,
-        params.retry_cap,
-    )
+    meter = _TraceMeter(stacked, params, trial, meter_role)
 
     c = params.potential_weight
     if c is None:
-        c = 1.1 * 6.0 * mats.lplus_norm / mats.sigma_min
+        c = default_potential_weight(mats)
     consts = derive_constants(
         stacked.lipschitz_l0, params.smoothing.mu, stacked.total_dim, mats, c, params.rho
     )
@@ -308,67 +296,49 @@ def _prepare(
 
 
 def _step_gradient(
-    ctx: _RunContext, params: AlgoParams, trial: int, x: np.ndarray, iteration: int, role: int
+    ctx: _RunContext, params: AlgoParams, trial: int, i: int, xi: np.ndarray, iteration: int
 ) -> np.ndarray:
+    """Agent i's step gradient at its block xi; both engines call this."""
     if params.gradient_mode == "reference":
-        return ctx.stacked.smoothed_gradient_stacked(x, params.smoothing.mu)
-    xb = ctx.stacked.blocks(x)
-    parts = [
-        estimate_gradient(
-            ctx.step_oracles[i],
-            xb[i],
-            params.smoothing,
-            substream(params.seed, trial, role, i, iteration),
-            params.retry_cap,
-        )
-        for i in range(ctx.topo.num_nodes)
-    ]
-    return np.concatenate(parts)
-
-
-def _record_row(
-    ctx: _RunContext,
-    params: AlgoParams,
-    iteration: int,
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    lam: np.ndarray,
-    lam_prev: np.ndarray,
-    t0: float,
-) -> MetricRecord:
-    grad_gap, f_mu = ctx.meter.measure(x, iteration)
-    return MetricRecord(
-        iteration=iteration,
-        stationarity_gap=stationarity_gap(x, lam_prev, grad_gap, ctx.mats, params.rho),
-        constraint_violation=constraint_violation(x, ctx.mats),
-        potential=potential(x, x_prev, lam, ctx.mats, ctx.consts, f_mu),
-        objective=ctx.stacked.value(x),
-        wall_time=time.perf_counter() - t0,
+        return ctx.stacked.locals_[i].smoothed_gradient(xi, params.smoothing.mu)
+    return estimate_gradient(
+        ctx.step_oracles[i],
+        xi,
+        params.smoothing,
+        substream(params.seed, trial, ROLE_STEP, i, iteration),
+        params.retry_cap,
     )
 
 
-def run_centralized(
-    topo: Topology,
-    objectives: Sequence[LocalObjective],
+_Step = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _drive(
+    ctx: _RunContext,
     params: AlgoParams,
-    trial: int = 0,
-    mats: NetworkMatrices | None = None,
+    trial: int,
+    step: _Step,
+    method: str,
+    horizon: int,
+    output_pick: int | None,
     resume: Checkpoint | None = None,
     on_record: Callable[[MetricRecord], None] | None = None,
 ) -> RunResult:
-    """Matrix-form execution. Emits one metric row per iteration 1..T; row r
-    grades the pair (x^r, lam^{r-1}) and the potential at (x^r, lam^r)."""
-    ctx = _prepare(topo, objectives, params, trial, mats, ROLE_METER)
-    t0 = time.perf_counter()
-    tt = params.total_iters
+    """The run loop every method shares.
 
+    step(x, lam, r) returns (x^{r+1}, lam^{r+1}, g^r). Emits one metric row
+    per iteration start+1..horizon; row r grades the pair (x^r, lam^{r-1})
+    and the potential at (x^r, lam^r). The output pair is the iterate at
+    output_pick, when given.
+    """
+    t0 = time.perf_counter()
     if resume is None:
         start = 0
         x = ctx.x0.copy()
         lam = np.zeros(ctx.mats.edge_dim)
     else:
         start = int(resume.iteration)
-        if not 0 <= start < tt:
+        if not 0 <= start < horizon:
             raise ValueError("checkpoint iteration outside 0..T-1")
         x = np.asarray(resume.x, dtype=float).copy()
         lam = np.asarray(resume.lam, dtype=float).copy()
@@ -377,35 +347,36 @@ def run_centralized(
     lams = [lam.copy()]
     gs = []
     records: list[MetricRecord] = []
-    x_prev = None
-    lam_prev = None
-    out_x = out_lam = None
-    out_iter = None
+    x_prev = lam_prev = None
+    out_x = out_lam = out_iter = None
 
-    for r in range(start, tt):
-        if r == ctx.output_pick:
+    for r in range(start, horizon + 1):
+        if r == output_pick:
             out_x, out_lam, out_iter = x.copy(), lam.copy(), r
         if r > start:
-            rec = _record_row(ctx, params, r, x, x_prev, lam, lam_prev, t0)
+            grad_gap, f_mu = ctx.meter.measure(x, r)
+            rec = MetricRecord(
+                iteration=r,
+                stationarity_gap=stationarity_gap(x, lam_prev, grad_gap, ctx.mats, params.rho),
+                constraint_violation=constraint_violation(x, ctx.mats),
+                potential=potential(x, x_prev, lam, ctx.mats, ctx.consts, f_mu),
+                objective=ctx.stacked.value(x),
+                wall_time=time.perf_counter() - t0,
+            )
             records.append(rec)
             if on_record is not None:
                 on_record(rec)
-        g = _step_gradient(ctx, params, trial, x, r, ROLE_STEP)
-        x_new = primal_step(x, lam, g, ctx.mats, params.rho)
-        lam_new = dual_step(x_new, lam, ctx.mats, params.rho)
+        if r == horizon:
+            break
+        x_new, lam_new, g = step(x, lam, r)
         x_prev, lam_prev = x, lam
         x, lam = x_new, lam_new
         xs.append(x.copy())
         lams.append(lam.copy())
         gs.append(g)
 
-    rec = _record_row(ctx, params, tt, x, x_prev, lam, lam_prev, t0)
-    records.append(rec)
-    if on_record is not None:
-        on_record(rec)
-
     return RunResult(
-        method="primal_dual",
+        method=method,
         trial=trial,
         records=records,
         states_x=np.asarray(xs),
@@ -419,46 +390,67 @@ def run_centralized(
     )
 
 
+def run_centralized(
+    topo: Topology,
+    objectives: Sequence[LocalObjective],
+    params: AlgoParams,
+    trial: int = 0,
+    mats: NetworkMatrices | None = None,
+    resume: Checkpoint | None = None,
+    on_record: Callable[[MetricRecord], None] | None = None,
+) -> RunResult:
+    """Centralized execution on the stacked state. Emits one metric row per
+    iteration 1..T; row r grades the pair (x^r, lam^{r-1}) and the potential
+    at (x^r, lam^r)."""
+    ctx = _prepare(topo, objectives, params, trial, mats, ROLE_METER)
+
+    def step(x, lam, r):
+        xb = ctx.mats.node_blocks(x)
+        g = np.concatenate(
+            [_step_gradient(ctx, params, trial, i, xb[i], r) for i in range(topo.num_nodes)]
+        )
+        x_new = primal_step(x, lam, g, ctx.mats, params.rho)
+        return x_new, dual_step(x_new, lam, ctx.mats, params.rho), g
+
+    return _drive(
+        ctx, params, trial, step, "primal_dual", params.total_iters, ctx.output_pick,
+        resume, on_record,
+    )
+
+
 class _Agent:
     """One node of the message-passing simulation.
 
-    Holds its primal block, a cache of neighbor primals, and a copy of the
-    dual for every incident edge. Both endpoints update their copies from the
-    exchanged primals, so the copies never diverge; the listed-first endpoint
-    is the owner whose copy assembles the stacked dual.
+    Holds its primal block and its slice of the incidence list: per incident
+    edge, in list order, the neighbor's last primal block and its own copy of
+    the edge dual. Both endpoints update their copies from the exchanged
+    primals, so the copies never diverge; the listed-first endpoint is the
+    owner whose copy assembles the stacked dual.
     """
 
-    def __init__(self, index: int, topo: Topology, oracle: SZOracle, x0: np.ndarray):
+    def __init__(self, index: int, mats: NetworkMatrices, x0: np.ndarray):
+        mine = mats.node == index - 1
         self.index = index
-        self.oracle = oracle
-        self.x = x0.copy()
-        self.neighbors = topo.neighbors(index)
-        self.degree = len(self.neighbors)
-        self.incident = [
-            (k, e) for k, e in enumerate(topo.edges) if index in e
-        ]
-        m = topo.block_dim
-        self.duals = {k: np.zeros(m) for k, _ in self.incident}
-        self.neighbor_x: dict[int, np.ndarray] = {}
-        self.messages_sent = 0
-
-    def dual_pressure(self) -> np.ndarray:
-        """This block of A' lam, from local dual copies (edge order)."""
-        out = np.zeros_like(self.x)
-        for k, (a, b) in self.incident:
-            out += self.duals[k] if a == self.index else -self.duals[k]
-        return out
+        self.x = mats.node_blocks(x0)[index - 1]
+        self.neighbors = mats.neighbor[mine]
+        self.sign = mats.sign[mine]
+        self.owns = self.sign > 0
+        self.degree = mats.degree[index - 1]
+        self.rows = np.zeros(self.neighbors.size, dtype=np.intp)
+        self.neighbor_x = mats.node_blocks(x0)[self.neighbors]
+        self.duals = np.zeros_like(self.neighbor_x)
 
     def primal_update(self, grad: np.ndarray, rho: float) -> np.ndarray:
-        acc = self.degree * self.x
-        for j in self.neighbors:
-            acc = acc + self.neighbor_x[j]
-        numer = rho * acc - grad - self.dual_pressure()
-        return numer / (2.0 * rho * self.degree)
+        start = np.zeros((1, self.x.size))
+        neighbor_sum = scatter_add(start, self.rows, self.neighbor_x)[0]
+        dual_pressure = scatter_add(start, self.rows, self.sign * self.duals)[0]
+        return _primal_update(self.x, neighbor_sum, dual_pressure, grad, self.degree, rho)
 
-    def dual_update(self, new_x: dict[int, np.ndarray], rho: float) -> None:
-        for k, (a, b) in self.incident:
-            self.duals[k] = self.duals[k] + rho * (new_x[a] - new_x[b])
+    def dual_update(self, x_new: np.ndarray, rho: float) -> None:
+        """lam_e + rho (x_tail - x_head) per incident edge, on this copy."""
+        tail = np.where(self.owns, x_new, self.neighbor_x)
+        head = np.where(self.owns, self.neighbor_x, x_new)
+        self.duals = self.duals + rho * (tail - head)
 
 
 def run_distributed(
@@ -477,100 +469,28 @@ def run_distributed(
     streams as the centralized mode.
     """
     ctx = _prepare(topo, objectives, params, trial, mats, ROLE_METER)
-    t0 = time.perf_counter()
-    tt = params.total_iters
     n, m = topo.num_nodes, topo.block_dim
+    agents = [_Agent(i + 1, ctx.mats, ctx.x0) for i in range(n)]
+    owned_edges = ctx.mats.edge[ctx.mats.sign[:, 0] > 0]
 
-    agents = [
-        _Agent(i + 1, topo, ctx.step_oracles[i], ctx.x0[i * m : (i + 1) * m])
-        for i in range(n)
-    ]
-    index_of = {a.index: a for a in agents}
-    # setup: distribute initial primals (not counted against per-round traffic)
-    for a in agents:
-        for j in a.neighbors:
-            index_of[j].neighbor_x[a.index] = a.x.copy()
-
-    def gather_x() -> np.ndarray:
-        return np.concatenate([a.x for a in agents])
-
-    def gather_lam() -> np.ndarray:
-        parts = []
-        for k, (a, b) in enumerate(topo.edges):
-            parts.append(index_of[a].duals[k])
-        return np.concatenate(parts)
-
-    xs = [gather_x()]
-    lams = [gather_lam()]
-    gs = []
-    records: list[MetricRecord] = []
-    x_prev = None
-    lam_prev = None
-    out_x = out_lam = None
-    out_iter = None
-
-    for r in range(tt):
-        x_stk = gather_x()
-        lam_stk = gather_lam()
-        if r == ctx.output_pick:
-            out_x, out_lam, out_iter = x_stk.copy(), lam_stk.copy(), r
-        if r > 0:
-            rec = _record_row(ctx, params, r, x_stk, x_prev, lam_stk, lam_prev, t0)
-            records.append(rec)
-            if on_record is not None:
-                on_record(rec)
-
-        new_blocks: dict[int, np.ndarray] = {}
-        round_grads = []
+    def step(x, lam, r):
+        grads = np.empty((n, m))
+        new_blocks = np.empty((n, m))
         for i, agent in enumerate(agents):
-            if params.gradient_mode == "reference":
-                g_i = objectives[i].smoothed_gradient(agent.x, params.smoothing.mu)
-            else:
-                g_i = estimate_gradient(
-                    agent.oracle,
-                    agent.x,
-                    params.smoothing,
-                    substream(params.seed, trial, ROLE_STEP, i, r),
-                    params.retry_cap,
-                )
-            round_grads.append(np.asarray(g_i, dtype=float))
-            new_blocks[agent.index] = agent.primal_update(g_i, params.rho)
-        gs.append(np.concatenate(round_grads))
+            grads[i] = _step_gradient(ctx, params, trial, i, agent.x, r)
+            new_blocks[i] = agent.primal_update(grads[i], params.rho)
+        # exchange round: each agent receives every neighbor's new primal block
+        for i, agent in enumerate(agents):
+            agent.neighbor_x = new_blocks[agent.neighbors]
+            agent.dual_update(new_blocks[i], params.rho)
+            agent.x = new_blocks[i]
+        lam_blocks = np.empty((topo.num_edges, m))
+        lam_blocks[owned_edges] = np.concatenate([a.duals[a.owns[:, 0]] for a in agents])
+        return new_blocks.reshape(-1), lam_blocks.reshape(-1), grads.reshape(-1)
 
-        # exchange round: primal block + dual copy to every neighbor
-        for agent in agents:
-            for j in agent.neighbors:
-                peer = index_of[j]
-                peer.neighbor_x[agent.index] = new_blocks[agent.index]
-                agent.messages_sent += 2
-
-        for agent in agents:
-            known = {agent.index: new_blocks[agent.index]}
-            for j in agent.neighbors:
-                known[j] = agent.neighbor_x[j]
-            agent.dual_update(known, params.rho)
-            agent.x = new_blocks[agent.index]
-
-        x_prev, lam_prev = x_stk, lam_stk
-        xs.append(gather_x())
-        lams.append(gather_lam())
-
-    x_stk = gather_x()
-    rec = _record_row(ctx, params, tt, x_stk, x_prev, gather_lam(), lam_prev, t0)
-    records.append(rec)
-    if on_record is not None:
-        on_record(rec)
-
-    return RunResult(
-        method="primal_dual",
-        trial=trial,
-        records=records,
-        states_x=np.asarray(xs),
-        states_lam=np.asarray(lams),
-        states_grad=np.asarray(gs),
-        output_iteration=out_iter,
-        output_x=out_x,
-        output_lam=out_lam,
-        constants=ctx.consts,
-        messages_per_agent={a.index: 2 * a.degree for a in agents},
+    result = _drive(
+        ctx, params, trial, step, "primal_dual", params.total_iters, ctx.output_pick,
+        on_record=on_record,
     )
+    result.messages_per_agent = {a.index: 2 * a.neighbors.size for a in agents}
+    return result

@@ -2,12 +2,13 @@
 
 Nodes are labeled 1..N. Each edge (i, j) contributes one row to the oriented
 incidence operator: +1 on node i's block, -1 on node j's. Per-node variables
-live in R^M, so stacked operators act on R^{N*M} and are Kronecker lifts of
-their scalar (per-node) counterparts.
+live in R^M, so stacked operators act on R^{N*M} blockwise; they are never
+formed as matrices, only applied through the edge list and the node-major
+incidence list.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +16,8 @@ __all__ = [
     "Topology",
     "NetworkMatrices",
     "check_connected",
+    "incidence_list",
+    "scatter_add",
     "build_matrices",
     "generate_graph",
 ]
@@ -101,26 +104,50 @@ def check_connected(topo: Topology) -> bool:
     return len(seen) == topo.num_nodes
 
 
+def incidence_list(topo: Topology) -> tuple[np.ndarray, ...]:
+    """(node, edge, neighbor, sign), one entry per node and incident edge,
+    sorted by node, then edge; 0-based. sign is +1 where the node is the
+    edge's listed-first endpoint, -1 where it is the second, shaped (entries,
+    1) to broadcast over the block."""
+    ends = np.asarray(topo.edges, dtype=np.intp).reshape(-1, 2) - 1
+    order = np.argsort(ends.ravel(), kind="stable")
+    sign = np.where(order % 2 == 0, 1.0, -1.0)[:, None]
+    return ends.ravel()[order], order // 2, ends[:, ::-1].ravel()[order], sign
+
+
+def scatter_add(start: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """A copy of start with each terms[k] added to row rows[k], one entry at
+    a time in list order. The one accumulation behind every consensus
+    product: each row sums its own entries in sequence, so a caller holding
+    only one node's slice of the incidence list gets exactly the bits that
+    the full product gives that node."""
+    out = np.array(start, dtype=float)
+    np.add.at(out, rows, terms)
+    return out
+
+
 @dataclass
 class NetworkMatrices:
-    """Dense consensus operators for one topology.
+    """Edge-list consensus operators for one topology.
 
-    incidence is the stacked edge-difference operator (E*M x N*M); lminus is
-    its Gram matrix (the signed-Laplacian lift), lplus = 2*degree - lminus the
-    signless counterpart. sigma_min is the smallest nonzero eigenvalue of
-    lminus, lplus_norm the spectral norm of lplus; both are computed on the
-    scalar (per-node) operators, whose spectra the Kronecker lift repeats.
+    A x is the gather x_i - x_j over each edge (tail i, head j); A' lam and
+    the neighbor sums in L+ x = D x + sum over neighbors are scatter_add over
+    the node-major incidence list, blockwise across M. sigma_min is the
+    smallest nonzero eigenvalue of the scalar Laplacian L- = A'A, lplus_norm
+    the spectral norm of the scalar L+ = 2D - L-; the block operators repeat
+    those spectra M times.
     """
 
     topology: Topology
-    incidence: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    node: np.ndarray
+    edge: np.ndarray
+    neighbor: np.ndarray
+    sign: np.ndarray
     degree: np.ndarray
-    lminus: np.ndarray
-    lplus: np.ndarray
     sigma_min: float
     lplus_norm: float
-    degrees_vector: np.ndarray = field(repr=False, default=None)
-    scalar_incidence: np.ndarray = field(repr=False, default=None)
 
     @property
     def total_dim(self) -> int:
@@ -130,46 +157,52 @@ class NetworkMatrices:
     def edge_dim(self) -> int:
         return self.topology.num_edges * self.topology.block_dim
 
+    def node_blocks(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float).reshape(self.topology.num_nodes, -1)
+
+    def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
+        """Each node's sum of its neighbors' blocks, as (N, M) blocks."""
+        xb = self.node_blocks(x)
+        return scatter_add(np.zeros_like(xb), self.node, xb[self.neighbor])
+
+    def dual_pressure(self, lam: np.ndarray) -> np.ndarray:
+        """A' lam, as (N, M) blocks."""
+        lb = np.asarray(lam, dtype=float).reshape(self.topology.num_edges, -1)
+        start = np.zeros((self.topology.num_nodes, lb.shape[1]))
+        return scatter_add(start, self.node, self.sign * lb[self.edge])
+
+    def incidence(self, x: np.ndarray) -> np.ndarray:
+        """A x, stacked."""
+        xb = self.node_blocks(x)
+        return (xb[self.tail] - xb[self.head]).reshape(-1)
+
+    def lplus(self, x: np.ndarray) -> np.ndarray:
+        """L+ x, stacked."""
+        return (self.degree[:, None] * self.node_blocks(x) + self.neighbor_sum(x)).reshape(-1)
+
 
 def build_matrices(topo: Topology) -> NetworkMatrices:
-    """Assemble the dense operators; rejects disconnected topologies."""
+    """Assemble the edge-list operators; rejects disconnected topologies."""
     if topo.num_edges == 0:
         raise ValueError("topology has no edges")
     if not check_connected(topo):
         raise ValueError("graph is not connected")
-    n, m, e = topo.num_nodes, topo.block_dim, topo.num_edges
-
-    atilde = np.zeros((e, n))
-    for k, (i, j) in enumerate(topo.edges):
-        atilde[k, i - 1] = 1.0
-        atilde[k, j - 1] = -1.0
-
+    node, edge, nbr, sign = incidence_list(topo)
     deg = topo.degrees()
-    eye_m = np.eye(m)
-    incidence = np.kron(atilde, eye_m)
-    degree = np.kron(np.diag(deg), eye_m)
-    lminus = incidence.T @ incidence
-    lplus = 2.0 * degree - lminus
 
-    scalar_lminus = atilde.T @ atilde
+    scalar_lminus = np.diag(deg)
+    scalar_lminus[node, nbr] = -1.0
     evals = np.linalg.eigvalsh(scalar_lminus)
     tol = 1e-9 * max(float(evals[-1]), 1.0)
     nonzero = evals[evals > tol]
-    if nonzero.size != n - 1:
+    if nonzero.size != topo.num_nodes - 1:
         raise ValueError("unexpected Laplacian nullspace; graph connectivity is broken")
-    sigma_min = float(nonzero[0])
     lplus_norm = float(np.linalg.eigvalsh(2.0 * np.diag(deg) - scalar_lminus)[-1])
 
+    ends = np.asarray(topo.edges, dtype=np.intp) - 1
     return NetworkMatrices(
-        topology=topo,
-        incidence=incidence,
-        degree=degree,
-        lminus=lminus,
-        lplus=lplus,
-        sigma_min=sigma_min,
-        lplus_norm=lplus_norm,
-        degrees_vector=np.repeat(deg, m),
-        scalar_incidence=atilde,
+        topology=topo, tail=ends[:, 0], head=ends[:, 1], node=node, edge=edge, neighbor=nbr,
+        sign=sign, degree=deg, sigma_min=float(nonzero[0]), lplus_norm=lplus_norm,
     )
 
 

@@ -23,7 +23,13 @@ import numpy as np
 from .baseline import RGFParams, run_rgf
 from .engine import AlgoParams, run_centralized, run_distributed
 from .graph import NetworkMatrices, Topology, build_matrices, check_connected, generate_graph
-from .metrics import MetricRecord, ParamConditionReport, rate_fit, validate_params
+from .metrics import (
+    MetricRecord,
+    ParamConditionReport,
+    default_potential_weight,
+    rate_fit,
+    validate_params,
+)
 from .objectives import (
     LocalObjective,
     logistic_regression_objective,
@@ -609,9 +615,12 @@ def _run_one_trial(
                 cfg.topology, cfg.objectives, cfg.params, trial, mats,
                 on_record=streamed.append,
             )
-            dx = float(np.max(np.abs(result_c.states_x - result_d.states_x)))
-            dl = float(np.max(np.abs(result_c.states_lam - result_d.states_lam)))
-            if max(dx, dl) >= 1e-12:
+            same = np.array_equal(result_c.states_x, result_d.states_x) and np.array_equal(
+                result_c.states_lam, result_d.states_lam
+            )
+            if not same:
+                dx = float(np.max(np.abs(result_c.states_x - result_d.states_x)))
+                dl = float(np.max(np.abs(result_c.states_lam - result_d.states_lam)))
                 raise RuntimeError(
                     f"centralized/distributed mismatch in trial {trial}: "
                     f"max primal discrepancy {dx:.3e}, dual {dl:.3e}"
@@ -630,17 +639,9 @@ def _run_one_trial(
     return rows
 
 
-def _trial_worker(raw_json: str, trial: int, out_dir: str) -> dict[str, list[tuple]]:
+def _trial_worker(raw_json: str, trial: int, out_dir: str) -> dict[str, list[MetricRecord]]:
     cfg = config_from_dict(json.loads(raw_json))
-    mats = build_matrices(cfg.topology)
-    rows = _run_one_trial(cfg, mats, trial, Path(out_dir))
-    return {
-        method: [
-            (r.iteration, r.stationarity_gap, r.constraint_violation, r.potential, r.objective)
-            for r in recs
-        ]
-        for method, recs in rows.items()
-    }
+    return _run_one_trial(cfg, build_matrices(cfg.topology), trial, Path(out_dir))
 
 
 def _versions() -> dict:
@@ -661,7 +662,6 @@ def run_experiment(cfg: ExperimentConfig, use_env_override: bool = True) -> Expe
     """Run all trials, write per-trial and averaged CSVs, meta.json, plot.gp."""
     out = _resolve_output_dir(cfg) if use_env_override else cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    mats = build_matrices(cfg.topology)
 
     methods = ["primal_dual"] + (["rgf"] if cfg.baseline is not None else [])
     per_trial: dict[str, list[list[MetricRecord]]] = {m: [] for m in methods}
@@ -674,26 +674,13 @@ def run_experiment(cfg: ExperimentConfig, use_env_override: bool = True) -> Expe
             futures = [
                 pool.submit(_trial_worker, raw_json, t, str(out)) for t in range(cfg.trials)
             ]
-            for t, fut in enumerate(futures):
-                rows = fut.result()
-                for method in methods:
-                    per_trial[method].append(
-                        [
-                            MetricRecord(
-                                iteration=int(it),
-                                stationarity_gap=g,
-                                constraint_violation=v,
-                                potential=p,
-                                objective=o,
-                            )
-                            for it, g, v, p, o in rows[method]
-                        ]
-                    )
+            trial_rows = [fut.result() for fut in futures]
     else:
-        for t in range(cfg.trials):
-            rows = _run_one_trial(cfg, mats, t, out)
-            for method in methods:
-                per_trial[method].append(rows[method])
+        mats = build_matrices(cfg.topology)
+        trial_rows = [_run_one_trial(cfg, mats, t, out) for t in range(cfg.trials)]
+    for rows in trial_rows:
+        for method in methods:
+            per_trial[method].append(rows[method])
 
     # single-threaded merge: averaged trace, metadata, plot script
     mean = {m: _mean_table(per_trial[m]) for m in methods}
@@ -781,7 +768,7 @@ def validate_config(cfg: ExperimentConfig) -> ParamConditionReport:
     l0 = math.sqrt(sum(o.lipschitz_l0**2 for o in cfg.objectives))
     c = cfg.params.potential_weight
     if c is None:
-        c = 1.1 * 6.0 * mats.lplus_norm / mats.sigma_min
+        c = default_potential_weight(mats)
     total_dim = cfg.topology.num_nodes * cfg.topology.block_dim
     return validate_params(l0, cfg.params.smoothing.mu, total_dim, mats, c, cfg.params.rho)
 

@@ -23,6 +23,8 @@ __all__ = [
     "AnalysisConstants",
     "ParamConditionReport",
     "RateFitResult",
+    "smoothed_lipschitz",
+    "default_potential_weight",
     "derive_constants",
     "stationarity_gap",
     "constraint_violation",
@@ -64,12 +66,23 @@ class AnalysisConstants:
     lplus_norm: float
 
 
+def smoothed_lipschitz(l0: float, mu: float, total_dim: int) -> float:
+    """L1 = 2 l0 sqrt(Q) / mu, the Lipschitz constant of the smoothed gradient."""
+    return 2.0 * l0 * math.sqrt(total_dim) / mu
+
+
+def default_potential_weight(mats: NetworkMatrices) -> float:
+    """Potential weight c when none is configured: 10% above the sufficient
+    bound c > 6 ||L+|| / sigma_min."""
+    return 1.1 * 6.0 * mats.lplus_norm / mats.sigma_min
+
+
 def derive_constants(
     l0: float, mu: float, total_dim: int, mats: NetworkMatrices, c: float, rho: float
 ) -> AnalysisConstants:
     if l0 <= 0 or mu <= 0 or rho <= 0 or c <= 0:
         raise ValueError("l0, mu, rho, c must be positive")
-    l1 = 2.0 * l0 * math.sqrt(total_dim) / mu
+    l1 = smoothed_lipschitz(l0, mu, total_dim)
     k = 2.0 * (6.0 * l1**2 / (rho * mats.sigma_min) + 1.5 * c * l1)
     return AnalysisConstants(
         l0=l0,
@@ -91,13 +104,14 @@ def stationarity_gap(
     mats: NetworkMatrices,
     rho: float,
 ) -> float:
-    ax = mats.incidence @ x
-    primal_grad = grad_smoothed + mats.incidence.T @ lam_prev + rho * (mats.lminus @ x)
+    ax = mats.incidence(x)
+    # A' lam + rho A'A x, as one scatter of the edge terms
+    primal_grad = grad_smoothed + mats.dual_pressure(lam_prev + rho * ax).reshape(-1)
     return float(primal_grad @ primal_grad + ax @ ax)
 
 
 def constraint_violation(x: np.ndarray, mats: NetworkMatrices) -> float:
-    return float(np.linalg.norm(mats.incidence @ x))
+    return float(np.linalg.norm(mats.incidence(x)))
 
 
 def potential(
@@ -108,10 +122,10 @@ def potential(
     consts: AnalysisConstants,
     f_mu_value: float,
 ) -> float:
-    ax = mats.incidence @ x
+    ax = mats.incidence(x)
     lagrangian = f_mu_value + float(lam @ ax) + 0.5 * consts.rho * float(ax @ ax)
     d = x - x_prev
-    b_quad = float(d @ (mats.lplus @ d)) + (consts.k / (consts.c * consts.rho)) * float(d @ d)
+    b_quad = float(d @ mats.lplus(d)) + (consts.k / (consts.c * consts.rho)) * float(d @ d)
     history = 0.5 * consts.rho * (float(ax @ ax) + b_quad)
     return lagrangian + consts.c * history
 
@@ -154,7 +168,7 @@ def validate_params(
         raise ValueError("l0 and mu must be positive")
     if c <= 0 or rho <= 0:
         raise ValueError("c and rho must be positive")
-    l1 = 2.0 * l0 * math.sqrt(total_dim) / mu
+    l1 = smoothed_lipschitz(l0, mu, total_dim)
     sg, ln = mats.sigma_min, mats.lplus_norm
     required_c = 6.0 * ln / sg
     b = c * l1 + 0.25 * l1 + 0.25 * l1**2 + 0.25

@@ -6,7 +6,7 @@ from zopd.baseline import RGFParams, apply_mixing, build_mixing, rgf_step, run_r
 from zopd.engine import AlgoParams, run_centralized
 from zopd.graph import Topology, build_matrices, generate_graph
 from zopd.metrics import constraint_violation
-from zopd.objectives import quadratic_objective, random_quadratic
+from zopd.objectives import quadratic_objective, random_quadratic, toy_objective
 from zopd.szo import SmoothingParams
 
 
@@ -65,6 +65,25 @@ class TestMixingMatrix:
         w = build_mixing(topo)
         blocks = np.random.default_rng(70).standard_normal((6, 2))
         np.testing.assert_allclose(apply_mixing(w, topo, blocks), w @ blocks, atol=1e-13)
+
+    def test_matches_edge_loop_bitwise(self):
+        # reference: the per-edge loop, adding each edge's two terms in edge order
+        def loop_mixing(w, topo, blocks):
+            out = blocks.copy()
+            for i, j in topo.edges:
+                a, b = i - 1, j - 1
+                diff = blocks[b] - blocks[a]
+                out[a] = out[a] + w[a, b] * diff
+                out[b] = out[b] - w[a, b] * diff
+            return out
+
+        rng = np.random.default_rng(71)
+        for k in range(30):
+            n, m = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+            topo = generate_graph("random_connected", n, extra_edge_prob=0.4, seed=k, block_dim=m)
+            w = build_mixing(topo)
+            blocks = rng.standard_normal((n, m))
+            np.testing.assert_array_equal(apply_mixing(w, topo, blocks), loop_mixing(w, topo, blocks))
 
 
 class TestBaselineStep:
@@ -145,3 +164,22 @@ class TestBaselineRun:
         a = run_rgf(topo, objs, _params(), RGFParams(step_scale=0.1, total_iters=5))
         b = run_rgf(topo, objs, _params(), RGFParams(step_scale=0.1, total_iters=5))
         np.testing.assert_array_equal(a.states_x, b.states_x)
+
+    def test_iterates_projected_onto_domain_box(self):
+        # Replica A's baseline settings on this graph and seed: an early
+        # single-sample estimate near x = 2 throws an agent past the edge of
+        # [-5, 5], where the next estimate would query outside the box.
+        edges = (
+            (1, 3), (1, 5), (2, 6), (2, 7), (3, 7), (3, 9), (4, 5), (4, 8),
+            (4, 9), (5, 8), (5, 9), (6, 10), (7, 10), (8, 9), (8, 10),
+        )
+        topo = Topology(10, edges, 1)
+        objs = [toy_objective() for _ in range(10)]
+        params = AlgoParams(
+            rho=600.0, smoothing=SmoothingParams(0.01, 120), total_iters=200,
+            seed=1836330263, init_lo=-2.0, init_hi=2.0, gap_gradient="closed_form",
+        )
+        result = run_rgf(topo, objs, params, RGFParams(step_scale=0.1, mu=0.01, total_iters=200))
+        assert result.states_x.shape == (201, 10)
+        assert np.all(np.abs(result.states_x) <= 5.0)
+        assert np.any(result.states_x == -5.0)

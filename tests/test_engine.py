@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from zopd.engine import (
@@ -59,7 +61,7 @@ class TestClosedFormSteps:
         lam_new = dual_step(np.array([1.0, 0.0]), np.array([1.0]), mats, rho=2.0)
         np.testing.assert_allclose(lam_new, [3.0], atol=1e-15)
 
-    def test_step_minimizes_proximal_subproblem(self):
+    def test_step_minimizes_proximal_subproblem(self, dense_ops):
         # oracle: solve the strongly convex subproblem by its normal equations
         rng = np.random.default_rng(60)
         for trial in range(20):
@@ -67,28 +69,30 @@ class TestClosedFormSteps:
             m = int(rng.integers(1, 4))
             topo = generate_graph("random_connected", n, block_dim=m, seed=trial)
             mats = build_matrices(topo)
+            ref = dense_ops(topo)
             x = rng.standard_normal(mats.total_dim)
             lam = rng.standard_normal(mats.edge_dim)
             grad = rng.standard_normal(mats.total_dim)
             rho = float(rng.uniform(0.3, 8.0))
-            lin = grad + mats.incidence.T @ lam + rho * (mats.lminus @ x)
-            z_oracle = x - lin / (2.0 * rho * mats.degrees_vector)
+            lin = grad + ref.incidence.T @ lam + rho * (ref.lminus @ x)
+            z_oracle = x - lin / (2.0 * rho * ref.degrees_vector)
             z = primal_step(x, lam, grad, mats, rho)
             np.testing.assert_allclose(z, z_oracle, rtol=1e-12)
 
-    def test_step_agrees_with_numerical_minimizer(self):
+    def test_step_agrees_with_numerical_minimizer(self, dense_ops):
         topo = generate_graph("ring", 4, block_dim=2, seed=0)
         mats = build_matrices(topo)
+        ref = dense_ops(topo)
         rng = np.random.default_rng(61)
         x = rng.standard_normal(8)
         lam = rng.standard_normal(8)
         grad = rng.standard_normal(8)
         rho = 1.7
-        lin = grad + mats.incidence.T @ lam + rho * (mats.lminus @ x)
+        lin = grad + ref.incidence.T @ lam + rho * (ref.lminus @ x)
 
         def objective(z):
             d = z - x
-            return float(lin @ d + rho * d @ (mats.degrees_vector * d))
+            return float(lin @ d + rho * d @ (ref.degrees_vector * d))
 
         res = minimize(objective, x, method="BFGS", tol=1e-14)
         z = primal_step(x, lam, grad, mats, rho)
@@ -155,42 +159,45 @@ class TestCentralizedRun:
         c = run_centralized(topo, objs, _params(seed=124))
         assert not np.array_equal(a.states_x, c.states_x)
 
-    def test_dual_accumulates_constraint_residuals(self):
+    def test_dual_accumulates_constraint_residuals(self, dense_ops):
         topo = generate_graph("ring", 4, block_dim=1, seed=0)
         mats = build_matrices(topo)
+        ref = dense_ops(topo)
         objs = _quad_objectives(4, 1)
         result = run_centralized(topo, objs, _params(total_iters=9), mats=mats)
         running = np.zeros(mats.edge_dim)
         for r in range(1, 10):
-            running = running + mats.incidence @ result.states_x[r]
+            running = running + ref.incidence @ result.states_x[r]
             np.testing.assert_allclose(
                 result.states_lam[r], _params().rho * running, rtol=1e-12, atol=1e-14
             )
 
-    def test_dual_update_identity_along_run(self):
+    def test_dual_update_identity_along_run(self, dense_ops):
         topo = generate_graph("random_connected", 5, block_dim=2, seed=4)
         mats = build_matrices(topo)
+        ref = dense_ops(topo)
         objs = _quad_objectives(5, 2)
         params = _params(total_iters=10)
         result = run_centralized(topo, objs, params, mats=mats)
         for r in range(10):
-            lhs = np.linalg.norm(mats.incidence @ result.states_x[r + 1])
+            lhs = np.linalg.norm(ref.incidence @ result.states_x[r + 1])
             rhs = np.linalg.norm(result.states_lam[r + 1] - result.states_lam[r]) / params.rho
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
-    def test_dual_stays_in_constraint_row_space(self):
+    def test_dual_stays_in_constraint_row_space(self, dense_ops):
         topo = generate_graph("ring", 5, block_dim=1, seed=0)
         mats = build_matrices(topo)
         objs = _quad_objectives(5, 1)
         result = run_centralized(topo, objs, _params(total_iters=12), mats=mats)
-        a = mats.incidence
+        a = dense_ops(topo).incidence
         proj = a @ np.linalg.pinv(a)
         lam = result.states_lam[-1]
         assert np.linalg.norm(lam - proj @ lam) <= 1e-9 * (1.0 + np.linalg.norm(lam))
 
-    def test_step_satisfies_first_order_condition(self):
+    def test_step_satisfies_first_order_condition(self, dense_ops):
         topo = generate_graph("ring", 3, block_dim=2, seed=0)
         mats = build_matrices(topo)
+        ref = dense_ops(topo)
         objs = _quad_objectives(3, 2)
         params = _params(total_iters=8)
         result = run_centralized(topo, objs, params, mats=mats)
@@ -199,9 +206,9 @@ class TestCentralizedRun:
             lam, g = result.states_lam[r], result.states_grad[r]
             foc = (
                 g
-                + mats.incidence.T @ lam
-                + params.rho * (mats.lminus @ x)
-                + 2.0 * params.rho * mats.degrees_vector * (x_new - x)
+                + ref.incidence.T @ lam
+                + params.rho * (ref.lminus @ x)
+                + 2.0 * params.rho * ref.degrees_vector * (x_new - x)
             )
             assert np.linalg.norm(foc) <= 1e-9 * (1.0 + np.linalg.norm(g))
 
@@ -272,10 +279,11 @@ class TestDistributedRun:
         params = _params(total_iters=50, rho=3.0)
         cen = run_centralized(topo, objs, params)
         dis = run_distributed(topo, objs, params)
-        assert float(np.max(np.abs(cen.states_x - dis.states_x))) < 1e-12
-        assert float(np.max(np.abs(cen.states_lam - dis.states_lam))) < 1e-12
+        np.testing.assert_array_equal(cen.states_x, dis.states_x)
+        np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
+        np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
         for a, b in zip(cen.records, dis.records):
-            assert a.stationarity_gap == pytest.approx(b.stationarity_gap, rel=1e-9, abs=1e-12)
+            assert a.stationarity_gap == b.stationarity_gap
 
     def test_matches_centralized_with_noise(self):
         topo = generate_graph("random_connected", 6, block_dim=2, seed=8)
@@ -283,8 +291,38 @@ class TestDistributedRun:
         params = _params(total_iters=25, noise=NoiseModel("additive_gaussian", 0.05))
         cen = run_centralized(topo, objs, params)
         dis = run_distributed(topo, objs, params)
-        assert float(np.max(np.abs(cen.states_x - dis.states_x))) < 1e-12
-        assert float(np.max(np.abs(cen.states_lam - dis.states_lam))) < 1e-12
+        np.testing.assert_array_equal(cen.states_x, dis.states_x)
+        np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
+        np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        m=st.integers(1, 4),
+        graph_seed=st.integers(0, 2**16),
+        extra=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**31 - 1),
+        samples=st.integers(1, 8),
+        rho=st.sampled_from([3.0, 6.0, 60.0]),
+        noisy=st.booleans(),
+    )
+    def test_bitwise_equal_on_random_graphs(
+        self, n, m, graph_seed, extra, seed, samples, rho, noisy
+    ):
+        topo = generate_graph(
+            "random_connected", n, extra_edge_prob=extra, seed=graph_seed, block_dim=m
+        )
+        noise = NoiseModel("additive_gaussian", 0.05) if noisy else NoiseModel()
+        params = _params(
+            rho=rho, seed=seed, total_iters=10, smoothing=SmoothingParams(0.05, samples),
+            noise=noise,
+        )
+        objs = _quad_objectives(n, m, seed=graph_seed)
+        cen = run_centralized(topo, objs, params)
+        dis = run_distributed(topo, objs, params)
+        np.testing.assert_array_equal(cen.states_x, dis.states_x)
+        np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
+        np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
 
     def test_message_traffic_per_round(self):
         topo, _ = _single_edge()

@@ -10,14 +10,34 @@ from zopd.graph import (
 )
 
 
+def _matrix(op, dim):
+    """The matrix of a linear map, built column by column from unit vectors."""
+    return np.column_stack([op(e) for e in np.eye(dim)])
+
+
+def _operators(mats):
+    """A, A', L- = A'A and L+ of the edge-list kernel, as matrices."""
+    def a_t(lam):
+        return mats.dual_pressure(lam).reshape(-1)
+
+    return (
+        _matrix(mats.incidence, mats.total_dim),
+        _matrix(a_t, mats.edge_dim),
+        _matrix(lambda x: a_t(mats.incidence(x)), mats.total_dim),
+        _matrix(mats.lplus, mats.total_dim),
+    )
+
+
 def test_two_node_path_operators():
     """Single edge, scalar blocks: every operator is forced by definition."""
     topo = Topology(num_nodes=2, edges=((1, 2),))
     mats = build_matrices(topo)
-    np.testing.assert_array_equal(mats.incidence, [[1.0, -1.0]])
-    np.testing.assert_array_equal(mats.degree, np.eye(2))
-    np.testing.assert_array_equal(mats.lminus, [[1.0, -1.0], [-1.0, 1.0]])
-    np.testing.assert_array_equal(mats.lplus, [[1.0, 1.0], [1.0, 1.0]])
+    inc, inc_t, lminus, lplus = _operators(mats)
+    np.testing.assert_array_equal(inc, [[1.0, -1.0]])
+    np.testing.assert_array_equal(inc_t, [[1.0], [-1.0]])
+    np.testing.assert_array_equal(mats.degree, [1.0, 1.0])
+    np.testing.assert_array_equal(lminus, [[1.0, -1.0], [-1.0, 1.0]])
+    np.testing.assert_array_equal(lplus, [[1.0, 1.0], [1.0, 1.0]])
     assert mats.sigma_min == pytest.approx(2.0, abs=1e-12)
     assert mats.lplus_norm == pytest.approx(2.0, abs=1e-12)
     assert mats.total_dim == 2
@@ -44,9 +64,8 @@ def test_two_node_block_dim_two_is_kronecker_lift():
     base = build_matrices(Topology(num_nodes=2, edges=((1, 2),)))
     lifted = build_matrices(Topology(num_nodes=2, edges=((1, 2),), block_dim=2))
     eye2 = np.eye(2)
-    np.testing.assert_array_equal(lifted.incidence, np.kron(base.incidence, eye2))
-    np.testing.assert_array_equal(lifted.lminus, np.kron(base.lminus, eye2))
-    np.testing.assert_array_equal(lifted.lplus, np.kron(base.lplus, eye2))
+    for small, big in zip(_operators(base), _operators(lifted)):
+        np.testing.assert_array_equal(big, np.kron(small, eye2))
     assert lifted.sigma_min == base.sigma_min == pytest.approx(2.0)
 
 
@@ -55,28 +74,37 @@ def test_two_node_block_dim_two_is_kronecker_lift():
     [("ring", 5, 1), ("path", 4, 2), ("star", 6, 1), ("complete", 4, 3),
      ("random_connected", 9, 2)],
 )
-def test_operator_identities(kind, n, m):
+def test_operator_identities(kind, n, m, dense_ops):
     topo = generate_graph(kind, n, extra_edge_prob=0.4, seed=2, block_dim=m)
     mats = build_matrices(topo)
+    ref = dense_ops(topo)
+
+    # the edge-list products are the dense lifts, exactly
+    inc, inc_t, lminus, lplus = _operators(mats)
+    np.testing.assert_array_equal(inc, ref.incidence)
+    np.testing.assert_array_equal(inc_t, ref.incidence.T)
+    np.testing.assert_array_equal(lminus, ref.lminus)
+    np.testing.assert_array_equal(lplus, ref.lplus)
+    np.testing.assert_array_equal(mats.degree, np.diag(ref.degree)[::m])
 
     # each incidence row differences exactly one pair of blocks
-    at = mats.scalar_incidence
+    at = ref.scalar_incidence
     np.testing.assert_allclose(at.sum(axis=1), 0.0, atol=0)
     for row in at:
         assert sorted(row[row != 0.0]) == [-1.0, 1.0]
 
-    np.testing.assert_array_equal(mats.lminus + mats.lplus, 2.0 * mats.degree)
-    for mat in (mats.lminus, mats.lplus):
+    np.testing.assert_array_equal(lminus + lplus, ref.degree * 2.0)
+    for mat in (lminus, lplus):
         np.testing.assert_allclose(mat, mat.T, atol=0)
         assert np.linalg.eigvalsh(mat)[0] > -1e-10
 
     # consensus nullspace of the lifted Gram operator has dimension block_dim
-    evals = np.linalg.eigvalsh(mats.lminus)
+    evals = np.linalg.eigvalsh(lminus)
     zero_count = int(np.sum(evals <= 1e-9 * max(evals[-1], 1.0)))
     assert zero_count == m
 
     ones = np.ones(topo.num_nodes * m)
-    np.testing.assert_allclose(mats.incidence @ ones, 0.0, atol=1e-12)
+    np.testing.assert_array_equal(mats.incidence(ones), 0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])

@@ -22,15 +22,6 @@ def _single_edge(block_dim=1):
     return build_matrices(Topology(2, ((1, 2),), block_dim))
 
 
-def _dense_incidence(topo):
-    """In-test reconstruction of the lifted edge-difference operator."""
-    rows = np.zeros((len(topo.edges), topo.num_nodes))
-    for k, (i, j) in enumerate(topo.edges):
-        rows[k, i - 1] = 1.0
-        rows[k, j - 1] = -1.0
-    return np.kron(rows, np.eye(topo.block_dim))
-
-
 class TestStationarityGap:
     def test_zero_at_origin_with_zero_gradient(self):
         mats = _single_edge()
@@ -47,10 +38,10 @@ class TestStationarityGap:
         assert gap == pytest.approx(8.0 * t * t, rel=1e-14)
         assert constraint_violation(x, mats) == 0.0
 
-    def test_matches_dense_recomputation(self):
+    def test_matches_dense_recomputation(self, dense_ops):
         topo = generate_graph("random_connected", 7, block_dim=2, seed=3)
         mats = build_matrices(topo)
-        a = _dense_incidence(topo)
+        a = dense_ops(topo).incidence
         rng = np.random.default_rng(40)
         for _ in range(10):
             x = rng.standard_normal(mats.total_dim)
