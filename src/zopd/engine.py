@@ -105,6 +105,10 @@ class AlgoParams:
             raise ValueError(f"unknown gap_gradient {self.gap_gradient!r}")
         if self.potential_weight is not None and self.potential_weight <= 0:
             raise ValueError("potential_weight must be positive")
+        if self.mc_gap_samples < 1:
+            raise ValueError("mc_gap_samples must be >= 1")
+        if self.retry_cap < 0:
+            raise ValueError("retry_cap must be >= 0")
 
 
 @dataclass
@@ -232,8 +236,10 @@ class _TraceMeter:
             if self.mode == "estimator":
                 g, v = measure_gradient_and_value(oracle, xb[i], p.smoothing, rng, p.retry_cap)
             else:  # mc
-                g, _ = smoothed_gradient_mc(oracle.objective, xb[i], mu, p.mc_gap_samples, rng)
-                v = smoothed_value(oracle, xb[i], mu, p.mc_gap_samples, rng)
+                g, _ = smoothed_gradient_mc(
+                    oracle.objective, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap
+                )
+                v = smoothed_value(oracle, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap)
             grads.append(g)
             total += v
         return np.concatenate(grads), total

@@ -15,8 +15,10 @@ import math
 import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -32,13 +34,13 @@ from .metrics import (
 )
 from .objectives import (
     LocalObjective,
+    StackedObjective,
     logistic_regression_objective,
     quadratic_objective,
     random_quadratic,
     read_classification_csv,
     synthesize_classification_data,
     toy_objective,
-    write_classification_csv,
 )
 from .szo import NoiseModel, SmoothingParams
 
@@ -60,7 +62,8 @@ __all__ = [
 ]
 
 ENV_OUTPUT_DIR = "ZOPD_OUTPUT_DIR"
-CSV_HEADER = "method,trial,iter,stationarity_gap,constraint_violation,potential,objective"
+_COLUMNS = ("stationarity_gap", "constraint_violation", "potential", "objective")
+CSV_HEADER = ",".join(("method", "trial", "iter") + _COLUMNS)
 
 _GRAPH_KINDS = ("ring", "path", "star", "complete", "random_connected")
 _OBJECTIVE_KINDS = ("toy", "logreg", "quadratic")
@@ -74,10 +77,9 @@ class ConfigError(ValueError):
         super().__init__(f"{field}: {problem}")
 
 
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return d[key]
+# ---------------------------------------------------------------------------
+# Field readers: each takes (raw value, dotted field path) and returns the
+# normalized value, or raises ConfigError naming the field.
 
 
 def _number(value, path: str) -> float:
@@ -92,312 +94,340 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _pair(value, path: str) -> tuple[float, float]:
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, "expected true or false")
+    return value
+
+
+def _text(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(path, "expected a nonempty string")
+    return value
+
+
+def _as_is(value, path: str):
+    """For fields whose values the constructed object checks itself."""
+    return value
+
+
+def _interval(value, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(path, "expected a [lo, hi] pair")
-    return _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
+    lo, hi = _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
+    if lo > hi:
+        raise ConfigError(path, f"lo {lo!r} > hi {hi!r}")
+    return [lo, hi]
 
 
-def _known_keys(d: dict, allowed: set[str], path: str) -> None:
-    extra = set(d) - allowed
+def _array(ndim: int):
+    def read(value, path: str) -> list:
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(path, f"expected numbers: {exc}") from exc
+        if arr.ndim != ndim:
+            raise ConfigError(path, f"expected a {ndim}-d array, got {arr.ndim}-d")
+        return arr.tolist()
+
+    return read
+
+
+def _choice(options: tuple[str, ...]):
+    def read(value, path: str) -> str:
+        if value not in options:
+            raise ConfigError(path, f"unknown kind {value!r}; expected one of {options}")
+        return value
+
+    return read
+
+
+def _edges(value, path: str) -> list[list[int]]:
+    if not isinstance(value, list) or not all(isinstance(e, list) and len(e) == 2 for e in value):
+        raise ConfigError(path, "expected a list of [i, j] pairs")
+    return [[_integer(i, path), _integer(j, path)] for i, j in value]
+
+
+def _modes(value, path: str) -> list[str]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(path, "expected a nonempty list")
+    for mode in value:
+        if mode not in ("centralized", "distributed"):
+            raise ConfigError(path, f"unknown mode {mode!r}")
+    return list(dict.fromkeys(value))
+
+
+def _workers(value, path: str):
+    return "auto" if value is None or value == "auto" else _integer(value, path)
+
+
+_REQUIRED = object()
+
+
+class _Field(NamedTuple):
+    """One config field: name, reader, default (or _REQUIRED) and an
+    inclusive lower bound on its number. A default of None also admits an
+    explicit null."""
+
+    name: str
+    read: Callable
+    default: Any = _REQUIRED
+    low: float | None = None
+
+
+def _read(section, fields: tuple[_Field, ...], path: str) -> dict:
+    """Apply a field table: reject unknown keys, fill in defaults, check
+    types and bounds. Returns the normalized section."""
+    where = path or "config"
+    if not isinstance(section, dict):
+        raise ConfigError(where, "expected an object")
+    extra = set(section) - {f.name for f in fields}
     if extra:
-        raise ConfigError(path, f"unknown field(s): {', '.join(sorted(extra))}")
+        raise ConfigError(where, f"unknown field(s): {', '.join(sorted(extra))}")
+    out = {}
+    for f in fields:
+        field = f"{path}.{f.name}" if path else f.name
+        value = section.get(f.name, f.default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{where}.{f.name}", "missing required field")
+        if not (value is None and f.default is None):
+            value = f.read(value, field)
+        if f.low is not None and isinstance(value, (int, float)) and value < f.low:
+            raise ConfigError(field, f"must be >= {f.low}")
+        out[f.name] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Config sections
+# Config sections: one field table per section and variant
 
 
-def _build_topology(section, path="topology") -> tuple[Topology, dict]:
-    if not isinstance(section, dict):
-        raise ConfigError(path, "expected an object")
-    if "edges" in section:
-        _known_keys(section, {"num_nodes", "block_dim", "edges"}, path)
-        try:
-            topo = Topology.from_dict(section)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(path, str(exc)) from exc
-        if not check_connected(topo):
-            raise ConfigError(path, "graph is not connected")
-        return topo, topo.to_dict()
-    if "file" in section:
-        _known_keys(section, {"file"}, path)
-        p = Path(section["file"])
+_TOPOLOGY_EDGES = (
+    _Field("num_nodes", _integer),
+    _Field("edges", _edges),
+    _Field("block_dim", _integer, 1),
+)
+_TOPOLOGY_GENERATED = (
+    _Field("kind", _choice(_GRAPH_KINDS)),
+    _Field("num_nodes", _integer),
+    _Field("block_dim", _integer, 1),
+    _Field("seed", _integer, 0, low=0),
+    _Field("extra_edge_prob", _number, 0.15),
+)
+
+
+def _topology(section, path: str) -> dict:
+    """Explicit edges, a topology file (normalized to its edges), or a
+    generated family."""
+    if isinstance(section, dict) and "file" in section:
+        p = Path(_read(section, (_Field("file", _text),), path)["file"])
         if not p.exists():
             raise ConfigError(f"{path}.file", f"file not found: {p}")
         try:
-            topo = Topology.from_dict(json.loads(p.read_text()))
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            return _read(json.loads(p.read_text()), _TOPOLOGY_EDGES, f"{path}.file")
+        except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}.file", str(exc)) from exc
-        if not check_connected(topo):
-            raise ConfigError(f"{path}.file", "graph is not connected")
-        return topo, topo.to_dict()
-    _known_keys(section, {"kind", "num_nodes", "block_dim", "seed", "extra_edge_prob"}, path)
-    kind = _require(section, "kind", path)
-    if kind not in _GRAPH_KINDS:
-        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected one of {_GRAPH_KINDS}")
-    n = _integer(_require(section, "num_nodes", path), f"{path}.num_nodes")
-    m = _integer(section.get("block_dim", 1), f"{path}.block_dim")
-    seed = _integer(section.get("seed", 0), f"{path}.seed")
-    prob = _number(section.get("extra_edge_prob", 0.15), f"{path}.extra_edge_prob")
-    try:
-        topo = generate_graph(kind, n, extra_edge_prob=prob, seed=seed, block_dim=m)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    normalized = {
-        "kind": kind,
-        "num_nodes": n,
-        "block_dim": m,
-        "seed": seed,
-        "extra_edge_prob": prob,
-    }
-    return topo, normalized
+    edges = isinstance(section, dict) and "edges" in section
+    return _read(section, _TOPOLOGY_EDGES if edges else _TOPOLOGY_GENERATED, path)
 
 
-def _build_objectives(section, topo: Topology, path="objective") -> tuple[list[LocalObjective], dict]:
+_KIND = _Field("kind", _as_is)
+_LOGREG = (
+    _KIND,
+    _Field("box", _interval, [-10.0, 10.0]),
+    _Field("alpha", _number, 0.1),
+    _Field("epsilon", _number, 1e-3),
+)
+# (kind, whether the section holds the kind's variant key) -> table
+_VARIANT_KEY = {"toy": None, "logreg": "data_dir", "quadratic": "hessian"}
+_OBJECTIVES = {
+    ("toy", False): (
+        _KIND,
+        _Field("box", _interval, [-5.0, 5.0]),
+        _Field("phase_spread", _number, 0.0, low=0.0),
+        _Field("phase_seed", _integer, 0, low=0),
+    ),
+    ("logreg", False): _LOGREG + (
+        _Field("batch", _integer, 100, low=1),
+        _Field("data_seed", _integer, 0, low=0),
+        _Field("flip_prob", _number, 0.05),
+    ),
+    ("logreg", True): _LOGREG + (_Field("data_dir", lambda v, path: str(Path(_text(v, path)))),),
+    ("quadratic", False): (
+        _KIND,
+        _Field("box", _interval, [-3.0, 3.0]),
+        _Field("seed", _integer, 0, low=0),
+        _Field("shared", _flag, False),
+        _Field("convex", _flag, True),
+    ),
+    ("quadratic", True): (
+        _KIND,
+        _Field("box", _interval, [-3.0, 3.0]),
+        _Field("hessian", _array(2)),
+        _Field("linear", _array(1)),
+    ),
+}
+
+
+def _objective(section, path: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(path, "expected an object")
-    kind = _require(section, "kind", path)
-    if kind not in _OBJECTIVE_KINDS:
-        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected one of {_OBJECTIVE_KINDS}")
-    n, m = topo.num_nodes, topo.block_dim
+    if "kind" not in section:
+        raise ConfigError(f"{path}.kind", "missing required field")
+    kind = _choice(_OBJECTIVE_KINDS)(section["kind"], f"{path}.kind")
+    if kind == "quadratic" and ("hessian" in section) != ("linear" in section):
+        raise ConfigError(path, "explicit quadratic needs both hessian and linear")
+    return _read(section, _OBJECTIVES[kind, _VARIANT_KEY[kind] in section], path)
 
-    if kind == "toy":
-        _known_keys(section, {"kind", "box", "phase_spread", "phase_seed"}, path)
+
+_NOISE = {
+    "none": (_KIND,),
+    "additive_gaussian": (_KIND, _Field("std_dev", _number, low=0.0)),
+}
+
+
+def _noise(section, path: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(path, "expected an object")
+    kind = _choice(tuple(_NOISE))(section.get("kind", "none"), f"{path}.kind")
+    return _read({"kind": kind, **section}, _NOISE[kind], path)
+
+
+_ALGORITHM = (
+    _Field("rho", _number),
+    _Field("mu", _number),
+    _Field("samples", _integer),
+    _Field("iters", _integer),
+    _Field("seed", _integer),
+    _Field("init", _interval),
+    _Field("noise", _noise, {"kind": "none"}),
+    _Field("gradient_mode", _as_is, "estimator"),
+    _Field("gap_gradient", _as_is, "auto"),
+    _Field("potential_weight", _number, None),
+    _Field("mc_gap_samples", _integer, 10**4, low=1),
+    _Field("retry_cap", _integer, 100, low=0),
+    _Field("modes", _modes, ["centralized"]),
+)
+_BASELINE = (
+    _Field("enabled", _flag, True),
+    _Field("step_scale", _number, 1.0),
+    _Field("mu", _number, 1e-2),
+    _Field("mixing", _as_is, "metropolis"),
+)
+
+
+def _baseline(section, path: str) -> dict:
+    norm = _read({"enabled": False} if section is None else section, _BASELINE, path)
+    return norm if norm["enabled"] else {"enabled": False}
+
+
+_CONFIG = (
+    _Field("name", _text, "experiment"),
+    _Field("topology", _topology),
+    _Field("objective", _objective),
+    _Field("algorithm", lambda v, path: _read(v, _ALGORITHM, path)),
+    _Field("baseline", _baseline, {"enabled": False}),
+    _Field("trials", _integer, low=1),
+    _Field("workers", _workers, "auto", low=1),
+    _Field("output_dir", _text),
+)
+
+
+# ---------------------------------------------------------------------------
+# Constructors: build the run's objects from a normalized config. A ValueError
+# from the library is reported against the section being built.
+
+
+@contextmanager
+def _errors_at(path: str):
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _build_topology(norm: dict) -> Topology:
+    if "edges" not in norm:
+        return generate_graph(
+            norm["kind"], norm["num_nodes"], extra_edge_prob=norm["extra_edge_prob"],
+            seed=norm["seed"], block_dim=norm["block_dim"],
+        )
+    topo = Topology.from_dict(norm)
+    if not check_connected(topo):
+        raise ValueError("graph is not connected")
+    return topo
+
+
+def _logreg_data(norm: dict, n: int, m: int, path: str):
+    if "data_dir" not in norm:
+        return synthesize_classification_data(
+            n, norm["batch"], m, norm["data_seed"], norm["flip_prob"]
+        )[0]
+    field = f"{path}.data_dir"
+    ddir = Path(norm["data_dir"])
+    if not ddir.is_dir():
+        raise ConfigError(field, f"directory not found: {ddir}")
+    datasets = []
+    for i in range(1, n + 1):
+        p = ddir / f"agent_{i:03d}.csv"
+        if not p.exists():
+            raise ConfigError(field, f"missing {p.name}")
+        datasets.append(read_classification_csv(p))
+        if datasets[-1].dim != m:
+            raise ConfigError(
+                field, f"{p.name} has feature dim {datasets[-1].dim}, topology needs {m}"
+            )
+    return datasets
+
+
+def _build_objectives(norm: dict, topo: Topology, path="objective") -> list[LocalObjective]:
+    n, m = topo.num_nodes, topo.block_dim
+    lo, hi = norm["box"]
+    if norm["kind"] == "toy":
         if m != 1:
             raise ConfigError(f"{path}.kind", "toy objective needs block_dim=1")
-        lo, hi = _pair(section.get("box", [-5.0, 5.0]), f"{path}.box")
-        spread = _number(section.get("phase_spread", 0.0), f"{path}.phase_spread")
-        if spread < 0:
-            raise ConfigError(f"{path}.phase_spread", "must be nonnegative")
-        pseed = _integer(section.get("phase_seed", 0), f"{path}.phase_seed")
+        spread = norm["phase_spread"]
+        phases = np.zeros(n)
         if spread > 0:
-            rng = np.random.default_rng(np.random.SeedSequence((pseed, n)))
+            rng = np.random.default_rng(np.random.SeedSequence((norm["phase_seed"], n)))
             phases = rng.uniform(-spread, spread, n)
-        else:
-            phases = np.zeros(n)
-        objs = [toy_objective(phase=float(p), box_lo=lo, box_hi=hi) for p in phases]
-        normalized = {
-            "kind": "toy",
-            "box": [lo, hi],
-            "phase_spread": spread,
-            "phase_seed": pseed,
-        }
-        return objs, normalized
-
-    if kind == "logreg":
-        _known_keys(
-            section,
-            {"kind", "alpha", "epsilon", "batch", "data_seed", "flip_prob", "data_dir", "box"},
-            path,
-        )
-        alpha = _number(section.get("alpha", 0.1), f"{path}.alpha")
-        eps = _number(section.get("epsilon", 1e-3), f"{path}.epsilon")
-        lo, hi = _pair(section.get("box", [-10.0, 10.0]), f"{path}.box")
-        if "data_dir" in section:
-            ddir = Path(section["data_dir"])
-            if not ddir.is_dir():
-                raise ConfigError(f"{path}.data_dir", f"directory not found: {ddir}")
-            datasets = []
-            for i in range(1, n + 1):
-                p = ddir / f"agent_{i:03d}.csv"
-                if not p.exists():
-                    raise ConfigError(f"{path}.data_dir", f"missing {p.name}")
-                datasets.append(read_classification_csv(p))
-            for i, ds in enumerate(datasets):
-                if ds.dim != m:
-                    raise ConfigError(
-                        f"{path}.data_dir",
-                        f"agent_{i + 1:03d}.csv has feature dim {ds.dim}, topology needs {m}",
-                    )
-            normalized = {
-                "kind": "logreg",
-                "alpha": alpha,
-                "epsilon": eps,
-                "box": [lo, hi],
-                "data_dir": str(ddir),
-            }
-        else:
-            batch = _integer(section.get("batch", 100), f"{path}.batch")
-            if batch < 1:
-                raise ConfigError(f"{path}.batch", "must be >= 1")
-            dseed = _integer(section.get("data_seed", 0), f"{path}.data_seed")
-            fprob = _number(section.get("flip_prob", 0.05), f"{path}.flip_prob")
-            try:
-                datasets, _ = synthesize_classification_data(n, batch, m, dseed, fprob)
-            except ValueError as exc:
-                raise ConfigError(path, str(exc)) from exc
-            normalized = {
-                "kind": "logreg",
-                "alpha": alpha,
-                "epsilon": eps,
-                "box": [lo, hi],
-                "batch": batch,
-                "data_seed": dseed,
-                "flip_prob": fprob,
-            }
-        try:
-            objs = [
-                logistic_regression_objective(ds, n, alpha=alpha, epsilon=eps, box_lo=lo, box_hi=hi)
-                for ds in datasets
-            ]
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-        return objs, normalized
-
-    # quadratic: explicit matrices (shared by all agents) or a seeded family
-    _known_keys(section, {"kind", "seed", "convex", "shared", "box", "hessian", "linear"}, path)
-    lo, hi = _pair(section.get("box", [-3.0, 3.0]), f"{path}.box")
-    if "hessian" in section or "linear" in section:
-        h = section.get("hessian")
-        b = section.get("linear")
-        if h is None or b is None:
-            raise ConfigError(path, "explicit quadratic needs both hessian and linear")
-        try:
-            obj = quadratic_objective(np.asarray(h, float), np.asarray(b, float), lo, hi)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        return [toy_objective(phase=float(p), box_lo=lo, box_hi=hi) for p in phases]
+    if norm["kind"] == "logreg":
+        return [
+            logistic_regression_objective(
+                ds, n, alpha=norm["alpha"], epsilon=norm["epsilon"], box_lo=lo, box_hi=hi
+            )
+            for ds in _logreg_data(norm, n, m, path)
+        ]
+    if "hessian" in norm:
+        obj = quadratic_objective(np.asarray(norm["hessian"]), np.asarray(norm["linear"]), lo, hi)
         if obj.dim != m:
             raise ConfigError(f"{path}.hessian", f"dimension {obj.dim} does not match block_dim {m}")
-        normalized = {
-            "kind": "quadratic",
-            "box": [lo, hi],
-            "hessian": [[float(v) for v in row] for row in np.asarray(h, float)],
-            "linear": [float(v) for v in np.asarray(b, float)],
-        }
-        return [obj] * n, normalized
-    seed = _integer(section.get("seed", 0), f"{path}.seed")
-    shared = section.get("shared", False)
-    if not isinstance(shared, bool):
-        raise ConfigError(f"{path}.shared", "expected true or false")
-    convex = section.get("convex", True)
-    if not isinstance(convex, bool):
-        raise ConfigError(f"{path}.convex", "expected true or false")
-    if shared:
-        objs = [random_quadratic(m, seed, convex=convex, box_lo=lo, box_hi=hi)] * n
-    else:
-        # agent i draws its own member of the family from seed + i
-        objs = [
-            random_quadratic(m, seed + i, convex=convex, box_lo=lo, box_hi=hi) for i in range(n)
-        ]
-    normalized = {
-        "kind": "quadratic",
-        "box": [lo, hi],
-        "seed": seed,
-        "shared": shared,
-        "convex": convex,
-    }
-    return objs, normalized
+        return [obj] * n
+    seed, convex = norm["seed"], norm["convex"]
+    if norm["shared"]:
+        return [random_quadratic(m, seed, convex=convex, box_lo=lo, box_hi=hi)] * n
+    # agent i draws its own member of the family from seed + i
+    return [random_quadratic(m, seed + i, convex=convex, box_lo=lo, box_hi=hi) for i in range(n)]
 
 
-def _build_algorithm(section, path="algorithm") -> tuple[AlgoParams, tuple[str, ...], dict]:
-    if not isinstance(section, dict):
-        raise ConfigError(path, "expected an object")
-    _known_keys(
-        section,
-        {
-            "rho", "mu", "samples", "iters", "seed", "init", "noise",
-            "gradient_mode", "gap_gradient", "potential_weight", "mc_gap_samples",
-            "retry_cap", "modes",
-        },
-        path,
+def _build_params(norm: dict) -> AlgoParams:
+    return AlgoParams(
+        rho=norm["rho"],
+        smoothing=SmoothingParams(mu=norm["mu"], samples=norm["samples"]),
+        total_iters=norm["iters"],
+        seed=norm["seed"],
+        init_lo=norm["init"][0],
+        init_hi=norm["init"][1],
+        noise=NoiseModel(**norm["noise"]),
+        gradient_mode=norm["gradient_mode"],
+        gap_gradient=norm["gap_gradient"],
+        potential_weight=norm["potential_weight"],
+        mc_gap_samples=norm["mc_gap_samples"],
+        retry_cap=norm["retry_cap"],
     )
-    rho = _number(_require(section, "rho", path), f"{path}.rho")
-    mu = _number(_require(section, "mu", path), f"{path}.mu")
-    samples = _integer(_require(section, "samples", path), f"{path}.samples")
-    iters = _integer(_require(section, "iters", path), f"{path}.iters")
-    seed = _integer(_require(section, "seed", path), f"{path}.seed")
-    init_lo, init_hi = _pair(_require(section, "init", path), f"{path}.init")
-
-    noise_sec = section.get("noise", {"kind": "none"})
-    if not isinstance(noise_sec, dict):
-        raise ConfigError(f"{path}.noise", "expected an object")
-    nkind = noise_sec.get("kind", "none")
-    if nkind == "none":
-        noise = NoiseModel()
-        noise_norm = {"kind": "none"}
-    elif nkind == "additive_gaussian":
-        std = _number(_require(noise_sec, "std_dev", f"{path}.noise"), f"{path}.noise.std_dev")
-        try:
-            noise = NoiseModel(kind="additive_gaussian", std_dev=std)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.noise", str(exc)) from exc
-        noise_norm = {"kind": "additive_gaussian", "std_dev": std}
-    else:
-        raise ConfigError(f"{path}.noise.kind", f"unknown kind {nkind!r}")
-
-    modes_raw = section.get("modes", ["centralized"])
-    if not isinstance(modes_raw, list) or not modes_raw:
-        raise ConfigError(f"{path}.modes", "expected a nonempty list")
-    for mode in modes_raw:
-        if mode not in ("centralized", "distributed"):
-            raise ConfigError(f"{path}.modes", f"unknown mode {mode!r}")
-    modes = tuple(dict.fromkeys(modes_raw))
-
-    gmode = section.get("gradient_mode", "estimator")
-    gap_grad = section.get("gap_gradient", "auto")
-    pweight = section.get("potential_weight")
-    if pweight is not None:
-        pweight = _number(pweight, f"{path}.potential_weight")
-    mc_samples = _integer(section.get("mc_gap_samples", 10**4), f"{path}.mc_gap_samples")
-    retry_cap = _integer(section.get("retry_cap", 100), f"{path}.retry_cap")
-
-    try:
-        params = AlgoParams(
-            rho=rho,
-            smoothing=SmoothingParams(mu=mu, samples=samples),
-            total_iters=iters,
-            seed=seed,
-            init_lo=init_lo,
-            init_hi=init_hi,
-            noise=noise,
-            gradient_mode=gmode,
-            gap_gradient=gap_grad,
-            potential_weight=pweight,
-            mc_gap_samples=mc_samples,
-            retry_cap=retry_cap,
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-    normalized = {
-        "rho": rho,
-        "mu": mu,
-        "samples": samples,
-        "iters": iters,
-        "seed": seed,
-        "init": [init_lo, init_hi],
-        "noise": noise_norm,
-        "gradient_mode": gmode,
-        "gap_gradient": gap_grad,
-        "potential_weight": pweight,
-        "mc_gap_samples": mc_samples,
-        "retry_cap": retry_cap,
-        "modes": list(modes),
-    }
-    return params, modes, normalized
-
-
-def _build_baseline(section, iters: int, path="baseline") -> tuple[RGFParams | None, dict]:
-    if section is None:
-        return None, {"enabled": False}
-    if not isinstance(section, dict):
-        raise ConfigError(path, "expected an object")
-    _known_keys(section, {"enabled", "step_scale", "mu", "mixing"}, path)
-    enabled = section.get("enabled", True)
-    if not isinstance(enabled, bool):
-        raise ConfigError(f"{path}.enabled", "expected true or false")
-    if not enabled:
-        return None, {"enabled": False}
-    scale = _number(section.get("step_scale", 1.0), f"{path}.step_scale")
-    mu = _number(section.get("mu", 1e-2), f"{path}.mu")
-    mixing = section.get("mixing", "metropolis")
-    try:
-        rgf = RGFParams(step_scale=scale, mu=mu, total_iters=iters, mixing=mixing)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    normalized = {"enabled": True, "step_scale": scale, "mu": mu, "mixing": mixing}
-    return rgf, normalized
 
 
 @dataclass
@@ -424,61 +454,36 @@ class ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate and resolve a config dictionary. Raises ConfigError with a
     dotted field path on the first problem found."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be an object")
-    _known_keys(
-        raw,
-        {"name", "topology", "objective", "algorithm", "baseline", "trials", "workers", "output_dir"},
-        "config",
-    )
-    name = raw.get("name", "experiment")
-    if not isinstance(name, str) or not name:
-        raise ConfigError("name", "expected a nonempty string")
-    topo, topo_norm = _build_topology(_require(raw, "topology", "config"))
-    objs, obj_norm = _build_objectives(_require(raw, "objective", "config"), topo)
-    params, modes, algo_norm = _build_algorithm(_require(raw, "algorithm", "config"))
-    baseline, base_norm = _build_baseline(raw.get("baseline"), params.total_iters)
-    trials = _integer(_require(raw, "trials", "config"), "trials")
-    if trials < 1:
-        raise ConfigError("trials", "must be >= 1")
-    workers = raw.get("workers")
-    if workers == "auto":
-        workers = None
-    if workers is not None:
-        workers = _integer(workers, "workers")
-        if workers < 1:
-            raise ConfigError("workers", "must be >= 1")
-    out = _require(raw, "output_dir", "config")
-    if not isinstance(out, str) or not out:
-        raise ConfigError("output_dir", "expected a nonempty string")
-
+    norm = _read(raw, _CONFIG, "")
+    with _errors_at("topology"):
+        topo = _build_topology(norm["topology"])
+    with _errors_at("objective"):
+        objs = _build_objectives(norm["objective"], topo)
+    with _errors_at("algorithm"):
+        params = _build_params(norm["algorithm"])
+    baseline, base = None, norm["baseline"]
+    if base["enabled"]:
+        with _errors_at("baseline"):
+            baseline = RGFParams(
+                step_scale=base["step_scale"], mu=base["mu"], total_iters=params.total_iters,
+                mixing=base["mixing"],
+            )
     for i, o in enumerate(objs):
         if np.any(o.box.lo > params.init_lo) or np.any(o.box.hi < params.init_hi):
             raise ConfigError(
                 "algorithm.init", f"init box exceeds the domain box of agent {i + 1}"
             )
-
-    normalized = {
-        "name": name,
-        "topology": topo_norm,
-        "objective": obj_norm,
-        "algorithm": algo_norm,
-        "baseline": base_norm,
-        "trials": trials,
-        "workers": workers if workers is not None else "auto",
-        "output_dir": out,
-    }
     return ExperimentConfig(
-        name=name,
+        name=norm["name"],
         topology=topo,
         objectives=objs,
         params=params,
-        modes=modes,
+        modes=tuple(norm["algorithm"]["modes"]),
         baseline=baseline,
-        trials=trials,
-        workers=workers,
-        output_dir=Path(out),
-        normalized=normalized,
+        trials=norm["trials"],
+        workers=None if norm["workers"] == "auto" else norm["workers"],
+        output_dir=Path(norm["output_dir"]),
+        normalized=norm,
     )
 
 
@@ -497,16 +502,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # Persistence
 
 
-def _format_row(method: str, trial: int, rec: MetricRecord) -> str:
-    vals = (rec.stationarity_gap, rec.constraint_violation, rec.potential, rec.objective)
-    return f"{method},{trial},{rec.iteration}," + ",".join(f"{v:.17g}" for v in vals)
+def _format_row(method: str, trial: int, iteration: int, vals) -> str:
+    return f"{method},{trial},{iteration}," + ",".join(f"{v:.17g}" for v in vals)
 
 
 def _write_trace_csv(path: Path, rows: dict[str, list[MetricRecord]], trial: int) -> None:
     lines = [CSV_HEADER]
     for method in ("primal_dual", "rgf"):
         for rec in rows.get(method, []):
-            lines.append(_format_row(method, trial, rec))
+            vals = [getattr(rec, c) for c in _COLUMNS]
+            lines.append(_format_row(method, trial, rec.iteration, vals))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -521,17 +526,8 @@ def read_trace_csv(path: str | Path) -> list[dict]:
             parts = line.strip().split(",")
             if len(parts) != 7:
                 raise ValueError(f"malformed CSV row in {path}: {line!r}")
-            rows.append(
-                {
-                    "method": parts[0],
-                    "trial": int(parts[1]),
-                    "iter": int(parts[2]),
-                    "stationarity_gap": float(parts[3]),
-                    "constraint_violation": float(parts[4]),
-                    "potential": float(parts[5]),
-                    "objective": float(parts[6]),
-                }
-            )
+            row = {"method": parts[0], "trial": int(parts[1]), "iter": int(parts[2])}
+            rows.append(row | {c: float(v) for c, v in zip(_COLUMNS, parts[3:])})
     return rows
 
 
@@ -574,7 +570,7 @@ def _mean_table(trials_records: list[list[MetricRecord]]) -> dict[str, np.ndarra
         if [r.iteration for r in recs] != list(iters):
             raise RuntimeError("trials produced mismatched iteration grids")
     cols = {}
-    for field in ("stationarity_gap", "constraint_violation", "potential", "objective"):
+    for field in _COLUMNS:
         stack = np.array([[getattr(r, field) for r in recs] for recs in trials_records])
         cols[field] = stack.mean(axis=0)
     cols["iter"] = iters
@@ -688,13 +684,7 @@ def run_experiment(cfg: ExperimentConfig, use_env_override: bool = True) -> Expe
     for method in methods:
         cols = mean[method]
         for j, it in enumerate(cols["iter"]):
-            vals = (
-                cols["stationarity_gap"][j],
-                cols["constraint_violation"][j],
-                cols["potential"][j],
-                cols["objective"][j],
-            )
-            lines.append(f"{method},-1,{int(it)}," + ",".join(f"{v:.17g}" for v in vals))
+            lines.append(_format_row(method, -1, int(it), [cols[c][j] for c in _COLUMNS]))
     (out / "mean.csv").write_text("\n".join(lines) + "\n")
 
     meta = {
@@ -765,7 +755,7 @@ def validate_config(cfg: ExperimentConfig) -> ParamConditionReport:
     """Check the sufficient step-size conditions for the configured problem
     without running it."""
     mats = build_matrices(cfg.topology)
-    l0 = math.sqrt(sum(o.lipschitz_l0**2 for o in cfg.objectives))
+    l0 = StackedObjective(cfg.objectives).lipschitz_l0
     c = cfg.params.potential_weight
     if c is None:
         c = default_potential_weight(mats)

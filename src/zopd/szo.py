@@ -5,10 +5,13 @@ noise realization xi shared by the two oracle queries of that sample:
 
     g_j = (H(x + mu phi_j, xi_j) - H(x, xi_j)) / mu * phi_j
 
-and averages the batch. Draw order is fixed (per sample: phi, any in-box
-retries, then xi), so a batch of J samples consumes the rng stream exactly as
-J consecutive single-sample calls do; the batch mean is bitwise the mean of
-those single-sample estimates away from the domain boundary.
+and averages the batch. Every routine here draws through one primitive,
+`_sample`, in one fixed order: per sample phi, then a fresh phi for each
+in-box retry, then xi unless the noise kind is 'none' (a std_dev of 0.0 still
+draws). So a batch of J samples consumes the rng stream exactly as J
+consecutive single-sample calls do, and the batch mean is bitwise the mean of
+those single-sample estimates, near the domain boundary too. The Monte-Carlo
+surrogates draw the same way, one chunk at a time.
 """
 from __future__ import annotations
 
@@ -82,55 +85,89 @@ class SZOracle:
         return self.objective.value(x) + self.noise.draw(rng)
 
 
-def _draw_samples(
+def _checked_point(objective: LocalObjective, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (objective.dim,):
+        raise ValueError(f"point must have shape ({objective.dim},)")
+    if not objective.box.contains(x):
+        raise ValueError("query point outside the domain box")
+    return x
+
+
+def _sample(
+    objective: LocalObjective,
+    noise: NoiseModel,
+    x: np.ndarray,
+    mu: float,
+    count: int,
+    rng: np.random.Generator,
+    retry_cap: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one sampling primitive: count in-box directions with their noise.
+
+    Returns (phis, xis, f(x + mu phis)) for a checked point x. Per sample the
+    stream yields phi, one fresh phi per box retry, then xi when the noise
+    model draws (any kind but 'none', std_dev 0.0 included). All
+    count*(dim + k) values of the retry-free case come from one flat draw;
+    numpy's normal draws concatenate bitwise, so when every point lands in
+    the box the block already holds the per-sample order, and otherwise the
+    walk below re-reads it in that order and draws past its end only what the
+    retries add.
+    """
+    dim, box = objective.dim, objective.box
+    k = int(noise.kind != "none")
+    stream = rng.standard_normal(count * (dim + k))
+    block = stream.reshape(count, dim + k)
+    phis, raw_xis = block[:, :dim], block[:, dim:]
+    pts = x + mu * phis
+    if not bool(np.all(box.contains_rows(pts))):
+        phis, raw_xis = np.empty((count, dim)), np.empty((count, k))
+        pos = 0
+
+        def take(n: int) -> np.ndarray:
+            nonlocal stream, pos
+            if pos + n > stream.size:
+                stream = np.concatenate([stream[pos:], rng.standard_normal(pos + n - stream.size)])
+                pos = 0
+            pos += n
+            return stream[pos - n : pos]
+
+        for s in range(count):
+            phi = take(dim)
+            tries = 0
+            while not box.contains(x + mu * phi):
+                tries += 1
+                if tries > retry_cap:
+                    raise RuntimeError(
+                        f"smoothing perturbation left the domain box {tries} times; "
+                        "move the point away from the boundary or shrink mu"
+                    )
+                phi = take(dim)
+            phis[s] = phi
+            raw_xis[s] = take(k)
+        pts = x + mu * phis
+    xis = noise.std_dev * raw_xis[:, 0] if k else np.zeros(count)
+    return phis, xis, objective.value_many(pts)
+
+
+def _estimate(
     oracle: SZOracle,
     x: np.ndarray,
     smoothing: SmoothingParams,
     rng: np.random.Generator,
     retry_cap: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Canonical sampling core: returns (phis, xis, perturbed values, base value)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch-averaged two-point estimate plus the noisy perturbed values."""
     obj = oracle.objective
-    box = obj.box
-    x = np.asarray(x, dtype=float)
-    if x.shape != (obj.dim,):
-        raise ValueError(f"point must have shape ({obj.dim},)")
-    if not box.contains(x):
-        raise ValueError("query point outside the domain box")
-    mu, j = smoothing.mu, smoothing.samples
-
-    # Without noise draws interleaved, one block draw consumes the stream
-    # exactly like j per-sample draws, so the all-in-box case can skip the
-    # python walk and a partial block still seeds its candidate queue.
-    prefetched: list[np.ndarray] = []
-    if oracle.noise.kind == "none":
-        block = rng.standard_normal((j, obj.dim))
-        if bool(np.all(box.contains_rows(x + mu * block))):
-            pert_vals = obj.value_many(x + mu * block)
-            base_val = float(obj.value_many(x.reshape(1, obj.dim))[0])
-            oracle.query_count += 2 * j  # two queries per sample, shared xi
-            return block, np.zeros(j), pert_vals, base_val
-        prefetched = list(block[::-1])
-
-    phis = np.empty((j, obj.dim))
-    xis = np.zeros(j)
-    for s in range(j):
-        phi = prefetched.pop() if prefetched else rng.standard_normal(obj.dim)
-        tries = 0
-        while not box.contains(x + mu * phi):
-            tries += 1
-            if tries > retry_cap:
-                raise RuntimeError(
-                    f"smoothing perturbation left the domain box {retry_cap} times; "
-                    "move the point away from the boundary or shrink mu"
-                )
-            phi = prefetched.pop() if prefetched else rng.standard_normal(obj.dim)
-        phis[s] = phi
-        xis[s] = oracle.noise.draw(rng)
-    pert_vals = obj.value_many(x + mu * phis)
+    x = _checked_point(obj, x)
+    phis, xis, pert_vals = _sample(
+        obj, oracle.noise, x, smoothing.mu, smoothing.samples, rng, retry_cap
+    )
     base_val = float(obj.value_many(x.reshape(1, obj.dim))[0])
-    oracle.query_count += 2 * j  # two queries per sample, shared xi
-    return phis, xis, pert_vals, base_val
+    oracle.query_count += 2 * smoothing.samples  # two queries per sample, shared xi
+    diffs = (pert_vals + xis) - (base_val + xis)
+    grads = (diffs / smoothing.mu)[:, None] * phis
+    return np.mean(grads, axis=0), pert_vals + xis
 
 
 def estimate_gradient(
@@ -141,10 +178,7 @@ def estimate_gradient(
     retry_cap: int = 100,
 ) -> np.ndarray:
     """Batch-averaged two-point estimate of the smoothed gradient at x."""
-    phis, xis, pert_vals, base_val = _draw_samples(oracle, x, smoothing, rng, retry_cap)
-    diffs = (pert_vals + xis) - (base_val + xis)
-    grads = (diffs / smoothing.mu)[:, None] * phis
-    return np.mean(grads, axis=0)
+    return _estimate(oracle, x, smoothing, rng, retry_cap)[0]
 
 
 def measure_gradient_and_value(
@@ -156,10 +190,8 @@ def measure_gradient_and_value(
 ) -> tuple[np.ndarray, float]:
     """Gradient estimate plus an unbiased smoothed-value estimate from the
     same samples (mean of the perturbed noisy values)."""
-    phis, xis, pert_vals, base_val = _draw_samples(oracle, x, smoothing, rng, retry_cap)
-    diffs = (pert_vals + xis) - (base_val + xis)
-    grads = (diffs / smoothing.mu)[:, None] * phis
-    return np.mean(grads, axis=0), float(np.mean(pert_vals + xis))
+    grad, noisy_vals = _estimate(oracle, x, smoothing, rng, retry_cap)
+    return grad, float(np.mean(noisy_vals))
 
 
 def smoothed_value(
@@ -171,46 +203,19 @@ def smoothed_value(
     retry_cap: int = 100,
     chunk: int = 1 << 16,
 ) -> float:
-    """Monte-Carlo estimate of E_phi[f(x + mu phi)] from noisy queries.
-
-    Draws arrive in fixed-size blocks (direction rows, then the noise column
-    when present); rows that escape the box are redrawn in ascending order.
-    """
+    """Monte-Carlo estimate of E_phi[f(x + mu phi)] from noisy queries,
+    drawn in chunks of at most `chunk` samples."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    obj = oracle.objective
-    box = obj.box
-    x = np.asarray(x, dtype=float)
-    if not box.contains(x):
-        raise ValueError("query point outside the domain box")
-    noisy = oracle.noise.kind != "none"
+    x = _checked_point(oracle.objective, x)
     total = 0.0
-    done = 0
-    while done < mc_samples:
+    for done in range(0, mc_samples, chunk):
         c = min(chunk, mc_samples - done)
-        block = rng.standard_normal((c, obj.dim + 1) if noisy else (c, obj.dim))
-        phis = block[:, : obj.dim]
-        xis = oracle.noise.std_dev * block[:, obj.dim] if noisy else np.zeros(c)
-        pts = x + mu * phis
-        ok = box.contains_rows(pts)
-        for row in np.flatnonzero(~ok):
-            tries = 0
-            while True:
-                phi = rng.standard_normal(obj.dim)
-                if box.contains(x + mu * phi):
-                    break
-                tries += 1
-                if tries > retry_cap:
-                    raise RuntimeError(
-                        "smoothing perturbation left the domain box repeatedly"
-                    )
-            phis[row] = phi
-            pts[row] = x + mu * phi
-        total += float(np.sum(obj.value_many(pts) + xis))
+        _, xis, vals = _sample(oracle.objective, oracle.noise, x, mu, c, rng, retry_cap)
+        total += float(np.sum(vals + xis))
         oracle.query_count += c
-        done += c
     return total / mc_samples
 
 
@@ -230,37 +235,18 @@ def smoothed_gradient_mc(
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    box = objective.box
-    x = np.asarray(x, dtype=float)
-    if not box.contains(x):
-        raise ValueError("query point outside the domain box")
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
+    x = _checked_point(objective, x)
     base = float(objective.value_many(x.reshape(1, objective.dim))[0])
-    dim = objective.dim
-    acc = np.zeros(dim)
-    acc_sq = np.zeros(dim)
-    done = 0
-    while done < mc_samples:
+    acc = np.zeros(objective.dim)
+    acc_sq = np.zeros(objective.dim)
+    for done in range(0, mc_samples, chunk):
         c = min(chunk, mc_samples - done)
-        phis = rng.standard_normal((c, dim))
-        pts = x + mu * phis
-        ok = box.contains_rows(pts)
-        for row in np.flatnonzero(~ok):
-            tries = 0
-            while True:
-                phi = rng.standard_normal(dim)
-                if box.contains(x + mu * phi):
-                    break
-                tries += 1
-                if tries > retry_cap:
-                    raise RuntimeError(
-                        "smoothing perturbation left the domain box repeatedly"
-                    )
-            phis[row] = phi
-            pts[row] = x + mu * phi
-        g = ((objective.value_many(pts) - base) / mu)[:, None] * phis
+        phis, _, vals = _sample(objective, NoiseModel(), x, mu, c, rng, retry_cap)
+        g = ((vals - base) / mu)[:, None] * phis
         acc += np.sum(g, axis=0)
         acc_sq += np.sum(g * g, axis=0)
-        done += c
     mean = acc / mc_samples
     var = np.maximum(acc_sq / mc_samples - mean**2, 0.0)
     stderr = np.sqrt(var / mc_samples)

@@ -362,6 +362,19 @@ class TestMeterModes:
         np.testing.assert_array_equal(a.states_x, b.states_x)
         np.testing.assert_array_equal(a.states_x, c.states_x)
 
+    def test_mc_meter_honours_retry_cap(self):
+        # the first iterate sits within mu of the box face x = 5, so the
+        # 200-sample mc meter needs retries there
+        topo, _ = _single_edge()
+        objs = [toy_objective(), toy_objective()]
+        kw = dict(
+            gap_gradient="mc", mc_gap_samples=200, gradient_mode="reference", rho=600.0,
+            smoothing=SmoothingParams(0.5, 4), init_lo=5.0, init_hi=5.0, total_iters=1,
+        )
+        assert len(run_centralized(topo, objs, _params(**kw)).records) == 1
+        with pytest.raises(RuntimeError, match="left the domain box"):
+            run_centralized(topo, objs, _params(retry_cap=0, **kw))
+
     def test_estimator_meter_tracks_closed_form(self):
         topo, _ = _single_edge()
         objs = _quad_objectives(2, 1)
@@ -421,6 +434,10 @@ class TestValidation:
             _params(potential_weight=0.0)
         with pytest.raises(ValueError, match="seed"):
             _params(seed=-1)
+        with pytest.raises(ValueError, match="mc_gap_samples"):
+            _params(mc_gap_samples=0)
+        with pytest.raises(ValueError, match="retry_cap"):
+            _params(retry_cap=-1)
         assert _params(smoothing=sm).smoothing is sm
 
 

@@ -194,6 +194,32 @@ class TestConfigValidation:
         assert again.config_hash == cfg.config_hash
         assert again.normalized == cfg.normalized
 
+    @pytest.mark.parametrize(
+        "objective, algo, field",
+        [
+            ({"kind": "toy", "box": [5.0, -5.0]}, {}, "objective.box"),
+            ({"kind": "quadratic", "box": [3.0, -3.0], "seed": 5}, {}, "objective.box"),
+            ({"kind": "quadratic", "seed": -1}, {}, "objective.seed"),
+            (None, {"retry_cap": -1}, "algorithm.retry_cap"),
+            (None, {"gap_gradient": "mc", "mc_gap_samples": 0}, "algorithm.mc_gap_samples"),
+            (None, {"noise": {"kind": "additive_gaussian", "std_dev": 0.1, "seed": 3}}, "algorithm.noise"),
+            (None, {"noise": {"kind": "none", "std_dev": 0.5}}, "algorithm.noise"),
+        ],
+        ids=["toy-box", "quadratic-box", "quadratic-seed", "retry-cap", "mc-samples",
+             "noise-key", "none-std-dev"],
+    )
+    def test_malformed_field_is_a_config_error(self, tmp_path, capsys, objective, algo, field):
+        raw = _tiny_raw(tmp_path / "o", **algo)
+        if objective is not None:
+            raw["objective"] = objective
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(raw)
+        assert exc.value.field == field
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(cfg_path)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+
     def test_replica_presets_resolve(self, tmp_path):
         a = config_from_dict(replica_a_config(str(tmp_path / "a"), trials=2))
         assert a.topology.num_nodes == 10
@@ -201,6 +227,40 @@ class TestConfigValidation:
         b = config_from_dict(replica_b_config(str(tmp_path / "b"), trials=2))
         assert b.topology.block_dim == 10
         assert b.baseline is not None
+
+
+class TestConfigHash:
+    """config_hash values recorded before the field tables replaced the
+    hand-written config parsing: normalization must not drift."""
+
+    def test_replica_presets(self):
+        assert config_from_dict(replica_a_config()).config_hash == (
+            "577d7a997124eee94b3ab49a6f25caf0fc768c27c337ed80c983be835f7d041c"
+        )
+        assert config_from_dict(replica_b_config()).config_hash == (
+            "0c106d3ee7578678367bb4464273f604e59627fa54edab963e51ebcd4df68c16"
+        )
+
+    def test_explicit_edges_quadratic(self):
+        raw = _zero_quad_raw("out/pinned")
+        raw["topology"] = {"num_nodes": 4, "edges": [[1, 2], [2, 3], [4, 3], [4, 1]]}
+        raw["objective"]["linear"] = [0.5]
+        assert config_from_dict(raw).config_hash == (
+            "bc50157a50c8806001fe2d0df3bb4bf15d1811d856d7adbb6c40daeab144fdaa"
+        )
+
+    def test_data_dir_logreg(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(
+            ["gen-data", "--agents", "3", "--batch", "8", "--dim", "2", "--seed", "4",
+             "--out-dir", "data"]
+        ) == 0
+        raw = _tiny_raw("out/pinned")
+        raw["topology"] = {"kind": "ring", "num_nodes": 3, "block_dim": 2, "seed": 0}
+        raw["objective"] = {"kind": "logreg", "data_dir": "data", "alpha": 0.2}
+        assert config_from_dict(raw).config_hash == (
+            "0a92f7bc0d997c27a0a6b7e095c51abbbea8efb9725b37c024cdec15cf90db68"
+        )
 
 
 class TestRunExperiment:

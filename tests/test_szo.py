@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zopd import szo
 from zopd.objectives import Box, LocalObjective, quadratic_objective, toy_objective
 from zopd.szo import (
     NoiseModel,
@@ -236,6 +239,86 @@ class TestRngDiscipline:
             estimate_gradient(oracle, np.zeros(2), SmoothingParams(0.1, 1), _rng(1))
         with pytest.raises(ValueError, match="outside the domain box"):
             estimate_gradient(oracle, np.array([6.0]), SmoothingParams(0.1, 1), _rng(1))
+
+
+def _per_sample_walk(oracle, x, smoothing, rng, retry_cap):
+    """Reference draw order: per sample phi, a fresh phi per box retry, then
+    the noise draw. Returns (phis, xis, perturbed values, base value) and
+    the number of retries."""
+    obj = oracle.objective
+    j = smoothing.samples
+    phis = np.empty((j, obj.dim))
+    xis = np.zeros(j)
+    retries = 0
+    for s in range(j):
+        phi = rng.standard_normal(obj.dim)
+        tries = 0
+        while not obj.box.contains(x + smoothing.mu * phi):
+            tries += 1
+            if tries > retry_cap:
+                raise RuntimeError("left the domain box")
+            phi = rng.standard_normal(obj.dim)
+        retries += tries
+        phis[s] = phi
+        xis[s] = oracle.noise.draw(rng)
+    pert_vals = obj.value_many(x + smoothing.mu * phis)
+    base_val = float(obj.value_many(x.reshape(1, obj.dim))[0])
+    oracle.query_count += 2 * j
+    return (phis, xis, pert_vals, base_val), retries
+
+
+def test_sampling_primitive_matches_per_sample_walk():
+    retried = []
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        j=st.integers(1, 16),
+        noise=st.sampled_from(
+            [NoiseModel(), NoiseModel("additive_gaussian", 0.0), NoiseModel("additive_gaussian", 0.3)]
+        ),
+        mu=st.floats(0.05, 0.5),
+        face=st.integers(0, 7),
+        depth=st.floats(0.0, 1.0),
+        retry_cap=st.sampled_from([1, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(dim, j, noise, mu, face, depth, retry_cap, seed):
+        obj = quadratic_objective(np.diag(np.arange(1.0, dim + 1)), np.ones(dim), -1.0, 1.0)
+        x = np.linspace(-0.5, 0.5, dim)
+        # one coordinate within mu of a box face, so that draws leave the box
+        x[face % dim] = (1.0 - depth * mu) * (1 if face < 4 else -1)
+        smoothing = SmoothingParams(mu, j)
+        ref_oracle, ref_rng = SZOracle(obj, noise), _rng(seed)
+        try:
+            ref, retries = _per_sample_walk(ref_oracle, x, smoothing, ref_rng, retry_cap)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="left the domain box"):
+                szo._sample(obj, noise, x, mu, j, _rng(seed), retry_cap)
+            return
+        rng = _rng(seed)
+        phis, xis, vals = szo._sample(obj, noise, x, mu, j, rng, retry_cap)
+        for got, want in zip((phis, xis, vals), ref[:3]):
+            assert got.tobytes() == want.tobytes()
+        assert rng.standard_normal() == ref_rng.standard_normal()
+        retried.append(retries > 0)
+
+        phis, xis, pert_vals, base_val = ref
+        want = np.mean((((pert_vals + xis) - (base_val + xis)) / mu)[:, None] * phis, axis=0)
+        oracle = SZOracle(obj, noise)
+        grad, value = measure_gradient_and_value(oracle, x, smoothing, _rng(seed), retry_cap)
+        assert grad.tobytes() == want.tobytes()
+        assert value == float(np.mean(pert_vals + xis))
+        assert oracle.query_count == ref_oracle.query_count == 2 * j
+        batch = estimate_gradient(oracle, x, smoothing, _rng(seed), retry_cap)
+        rng = _rng(seed)
+        singles = [
+            estimate_gradient(oracle, x, SmoothingParams(mu, 1), rng, retry_cap) for _ in range(j)
+        ]
+        assert batch.tobytes() == want.tobytes() == np.mean(singles, axis=0).tobytes()
+
+    check()
+    assert sum(retried) >= 50  # examples that exercised the retry walk
 
 
 class TestSmoothedSurrogates:
