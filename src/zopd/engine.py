@@ -110,6 +110,18 @@ class AlgoParams:
         if self.retry_cap < 0:
             raise ValueError("retry_cap must be >= 0")
 
+    def check_init_box(self, objectives: Sequence[LocalObjective]) -> None:
+        """The initialization box must lie inside every agent's domain box."""
+        for i, o in enumerate(objectives):
+            if np.any(o.box.lo > self.init_lo) or np.any(o.box.hi < self.init_hi):
+                raise ValueError(f"initialization box exceeds the domain box of agent {i + 1}")
+
+    def potential_weight_for(self, mats: NetworkMatrices) -> float:
+        """The configured potential weight c, or the graph's default."""
+        if self.potential_weight is None:
+            return default_potential_weight(mats)
+        return self.potential_weight
+
 
 @dataclass
 class Checkpoint:
@@ -275,20 +287,16 @@ def _prepare(
     if mats is None:
         mats = build_matrices(topo)
     stacked = StackedObjective(list(objectives))
-    for o in objectives:
-        if np.any(o.box.lo > params.init_lo) or np.any(o.box.hi < params.init_hi):
-            raise ValueError("initialization box must lie inside every domain box")
+    params.check_init_box(objectives)
     if params.gradient_mode == "reference" and not stacked.has_smoothed_closed_form:
         raise ValueError("gradient_mode=reference needs closed-form smoothed gradients")
 
     step_oracles = [SZOracle(o, params.noise) for o in objectives]
     meter = _TraceMeter(stacked, params, trial, meter_role)
 
-    c = params.potential_weight
-    if c is None:
-        c = default_potential_weight(mats)
     consts = derive_constants(
-        stacked.lipschitz_l0, params.smoothing.mu, stacked.total_dim, mats, c, params.rho
+        stacked.lipschitz_l0, params.smoothing.mu, stacked.total_dim, mats,
+        params.potential_weight_for(mats), params.rho,
     )
 
     m = topo.block_dim

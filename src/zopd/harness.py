@@ -17,6 +17,7 @@ import platform
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -28,7 +29,6 @@ from .graph import NetworkMatrices, Topology, build_matrices, check_connected, g
 from .metrics import (
     MetricRecord,
     ParamConditionReport,
-    default_potential_weight,
     rate_fit,
     validate_params,
 )
@@ -389,10 +389,10 @@ def _build_objectives(norm: dict, topo: Topology, path="objective") -> list[Loca
         if m != 1:
             raise ConfigError(f"{path}.kind", "toy objective needs block_dim=1")
         spread = norm["phase_spread"]
-        phases = np.zeros(n)
-        if spread > 0:
-            rng = np.random.default_rng(np.random.SeedSequence((norm["phase_seed"], n)))
-            phases = rng.uniform(-spread, spread, n)
+        if spread == 0:
+            return [toy_objective(box_lo=lo, box_hi=hi)] * n
+        rng = np.random.default_rng(np.random.SeedSequence((norm["phase_seed"], n)))
+        phases = rng.uniform(-spread, spread, n)
         return [toy_objective(phase=float(p), box_lo=lo, box_hi=hi) for p in phases]
     if norm["kind"] == "logreg":
         return [
@@ -468,11 +468,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 step_scale=base["step_scale"], mu=base["mu"], total_iters=params.total_iters,
                 mixing=base["mixing"],
             )
-    for i, o in enumerate(objs):
-        if np.any(o.box.lo > params.init_lo) or np.any(o.box.hi < params.init_hi):
-            raise ConfigError(
-                "algorithm.init", f"init box exceeds the domain box of agent {i + 1}"
-            )
+    with _errors_at("algorithm.init"):
+        params.check_init_box(objs)
     return ExperimentConfig(
         name=norm["name"],
         topology=topo,
@@ -596,8 +593,9 @@ class ExperimentResult:
 
 
 def _run_one_trial(
-    cfg: ExperimentConfig, mats: NetworkMatrices, trial: int, out_dir: Path
+    cfg: ExperimentConfig, mats: NetworkMatrices, out_dir: Path, trial: int
 ) -> dict[str, list[MetricRecord]]:
+    """Run one trial of every configured method and write its trace CSV."""
     rows: dict[str, list[MetricRecord]] = {"primal_dual": []}
     csv_path = out_dir / f"trial_{trial:03d}.csv"
     try:
@@ -606,11 +604,7 @@ def _run_one_trial(
             on_record=rows["primal_dual"].append,
         )
         if "distributed" in cfg.modes:
-            streamed: list[MetricRecord] = []
-            result_d = run_distributed(
-                cfg.topology, cfg.objectives, cfg.params, trial, mats,
-                on_record=streamed.append,
-            )
+            result_d = run_distributed(cfg.topology, cfg.objectives, cfg.params, trial, mats)
             same = np.array_equal(result_c.states_x, result_d.states_x) and np.array_equal(
                 result_c.states_lam, result_d.states_lam
             )
@@ -625,19 +619,12 @@ def _run_one_trial(
             rows["rgf"] = run_rgf(
                 cfg.topology, cfg.objectives, cfg.params, cfg.baseline, trial, mats
             ).records
-    except ConfigError:
-        raise
     except Exception as exc:
         # flush whatever the trial produced before failing
         _write_trace_csv(csv_path, rows, trial)
         raise RuntimeError(f"trial {trial} failed after {len(rows['primal_dual'])} rows: {exc}") from exc
     _write_trace_csv(csv_path, rows, trial)
     return rows
-
-
-def _trial_worker(raw_json: str, trial: int, out_dir: str) -> dict[str, list[MetricRecord]]:
-    cfg = config_from_dict(json.loads(raw_json))
-    return _run_one_trial(cfg, build_matrices(cfg.topology), trial, Path(out_dir))
 
 
 def _versions() -> dict:
@@ -664,16 +651,14 @@ def run_experiment(cfg: ExperimentConfig, use_env_override: bool = True) -> Expe
 
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     workers = min(workers, cfg.trials)
+    # Pool workers receive the resolved config itself, pickled, so a config
+    # built or changed in code runs the same at any worker count.
+    run_trial = partial(_run_one_trial, cfg, build_matrices(cfg.topology), out)
     if workers > 1:
-        raw_json = json.dumps(cfg.normalized)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_trial_worker, raw_json, t, str(out)) for t in range(cfg.trials)
-            ]
-            trial_rows = [fut.result() for fut in futures]
+            trial_rows = list(pool.map(run_trial, range(cfg.trials)))
     else:
-        mats = build_matrices(cfg.topology)
-        trial_rows = [_run_one_trial(cfg, mats, t, out) for t in range(cfg.trials)]
+        trial_rows = list(map(run_trial, range(cfg.trials)))
     for rows in trial_rows:
         for method in methods:
             per_trial[method].append(rows[method])
@@ -756,11 +741,8 @@ def validate_config(cfg: ExperimentConfig) -> ParamConditionReport:
     without running it."""
     mats = build_matrices(cfg.topology)
     l0 = StackedObjective(cfg.objectives).lipschitz_l0
-    c = cfg.params.potential_weight
-    if c is None:
-        c = default_potential_weight(mats)
-    total_dim = cfg.topology.num_nodes * cfg.topology.block_dim
-    return validate_params(l0, cfg.params.smoothing.mu, total_dim, mats, c, cfg.params.rho)
+    c = cfg.params.potential_weight_for(mats)
+    return validate_params(l0, cfg.params.smoothing.mu, mats.total_dim, mats, c, cfg.params.rho)
 
 
 def report_text(report: ParamConditionReport) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -75,7 +76,9 @@ class LocalObjective:
 
     value_many evaluates a (S, dim) batch row-stably. smoothed_gradient /
     smoothed_value, when set, are exact closed forms of the Gaussian-smoothed
-    surrogate E_phi[f(x + mu phi)] and its gradient.
+    surrogate E_phi[f(x + mu phi)] and its gradient. The factories set them
+    to module-level functions or functools.partial bindings of them, so an
+    objective pickles and pool workers can receive it.
     """
 
     dim: int
@@ -176,7 +179,33 @@ def estimate_lipschitz(
 # 1-D nonsmooth nonconvex benchmark
 
 
-_TOY_L0_CACHE: dict[tuple[float, float, float], float] = {}
+def _toy_values(phase: float, pts: np.ndarray) -> np.ndarray:
+    x = np.asarray(pts, dtype=float)[:, 0]
+    return np.abs(np.cos(x + phase) + np.abs(x) + np.exp(x))
+
+
+# Closed forms of the phase-0 toy. E|N(x, mu^2)| = x erf(x/(mu sqrt2)) +
+# mu sqrt(2/pi) exp(-x^2/(2 mu^2)); its derivative telescopes to erf(x/(mu sqrt2)).
+def _toy_smoothed_gradient(x: np.ndarray, mu: float) -> np.ndarray:
+    v = float(np.asarray(x).reshape(()))
+    g = (
+        -math.sin(v) * math.exp(-0.5 * mu * mu)
+        + erf(v / (mu * math.sqrt(2.0)))
+        + math.exp(v + 0.5 * mu * mu)
+    )
+    return np.array([g])
+
+
+def _toy_smoothed_value(x: np.ndarray, mu: float) -> float:
+    v = float(np.asarray(x).reshape(()))
+    abs_part = v * erf(v / (mu * math.sqrt(2.0))) + mu * math.sqrt(
+        2.0 / math.pi
+    ) * math.exp(-(v * v) / (2.0 * mu * mu))
+    return (
+        math.cos(v) * math.exp(-0.5 * mu * mu)
+        + abs_part
+        + math.exp(v + 0.5 * mu * mu)
+    )
 
 
 def toy_objective(
@@ -187,55 +216,21 @@ def toy_objective(
     Nonconvex and nonsmooth (kink at 0 from |x|, plus the outer absolute
     value). For phase 0 the inner expression is positive everywhere, so the
     outer |.| is inactive and the Gaussian-smoothed value and gradient have
-    exact closed forms, attached below.
+    exact closed forms, attached for that phase only.
     """
-
-    def value_many(pts: np.ndarray) -> np.ndarray:
-        x = np.asarray(pts, dtype=float)[:, 0]
-        return np.abs(np.cos(x + phase) + np.abs(x) + np.exp(x))
-
-    key = (phase, box_lo, box_hi)
-    if key not in _TOY_L0_CACHE:
-        # Sampled slope maximization; 1.05 guards the audit re-sampling.
-        _TOY_L0_CACHE[key] = 1.05 * estimate_lipschitz(
-            value_many, Box.cube(1, box_lo, box_hi), seed=17
-        )
-    l0 = _TOY_L0_CACHE[key]
-
-    smoothed_gradient = None
-    smoothed_value = None
-    if phase == 0.0:
-        # E|N(x, mu^2)| = x erf(x/(mu sqrt2)) + mu sqrt(2/pi) exp(-x^2/(2 mu^2));
-        # its derivative telescopes to erf(x/(mu sqrt2)).
-        def smoothed_gradient(x: np.ndarray, mu: float) -> np.ndarray:
-            v = float(np.asarray(x).reshape(()))
-            g = (
-                -math.sin(v) * math.exp(-0.5 * mu * mu)
-                + erf(v / (mu * math.sqrt(2.0)))
-                + math.exp(v + 0.5 * mu * mu)
-            )
-            return np.array([g])
-
-        def smoothed_value(x: np.ndarray, mu: float) -> float:
-            v = float(np.asarray(x).reshape(()))
-            abs_part = v * erf(v / (mu * math.sqrt(2.0))) + mu * math.sqrt(
-                2.0 / math.pi
-            ) * math.exp(-(v * v) / (2.0 * mu * mu))
-            return (
-                math.cos(v) * math.exp(-0.5 * mu * mu)
-                + abs_part
-                + math.exp(v + 0.5 * mu * mu)
-            )
-
+    value_many = partial(_toy_values, phase)
+    box = Box.cube(1, box_lo, box_hi)
+    closed = phase == 0.0
     return LocalObjective(
         dim=1,
-        box=Box.cube(1, box_lo, box_hi),
-        lipschitz_l0=l0,
+        box=box,
+        # Sampled slope maximization; 1.05 guards the audit re-sampling.
+        lipschitz_l0=1.05 * estimate_lipschitz(value_many, box, seed=17),
         lower_bound=0.0,
         value_many=value_many,
-        smoothed_gradient=smoothed_gradient,
-        smoothed_value=smoothed_value,
-        name="toy" if phase == 0.0 else f"toy(phase={phase:g})",
+        smoothed_gradient=_toy_smoothed_gradient if closed else None,
+        smoothed_value=_toy_smoothed_value if closed else None,
+        name="toy" if closed else f"toy(phase={phase:g})",
     )
 
 
@@ -269,6 +264,14 @@ class ClassificationData:
         return self.features.shape[1]
 
 
+def _logreg_values(fts_t, lbl, alpha, epsilon, scale, pts: np.ndarray) -> np.ndarray:
+    x = np.asarray(pts, dtype=float)
+    margins = lbl * np.einsum("sm,mb->sb", x, fts_t)
+    loss = np.sum(np.logaddexp(0.0, -margins), axis=1)
+    reg = alpha * np.log(epsilon + np.sum(np.abs(x), axis=1))
+    return scale * (loss + reg)
+
+
 def logistic_regression_objective(
     data: ClassificationData,
     num_agents: int,
@@ -290,16 +293,7 @@ def logistic_regression_objective(
         raise ValueError("num_agents must be >= 1")
     n, b, m = num_agents, data.batch, data.dim
     fts = data.features
-    fts_t = np.ascontiguousarray(fts.T)
-    lbl = data.labels
     scale = 1.0 / (n * b)
-
-    def value_many(pts: np.ndarray) -> np.ndarray:
-        x = np.asarray(pts, dtype=float)
-        margins = lbl * np.einsum("sm,mb->sb", x, fts_t)
-        loss = np.sum(np.logaddexp(0.0, -margins), axis=1)
-        reg = alpha * np.log(epsilon + np.sum(np.abs(x), axis=1))
-        return scale * (loss + reg)
 
     # |logistic'| <= 1 and the regularizer slope peaks at alpha sqrt(M)/eps,
     # so this is a guaranteed upper bound (sampled maxima under-cover the
@@ -312,7 +306,9 @@ def logistic_regression_objective(
         box=Box.cube(m, box_lo, box_hi),
         lipschitz_l0=l0,
         lower_bound=min(lower, 0.0),
-        value_many=value_many,
+        value_many=partial(
+            _logreg_values, np.ascontiguousarray(fts.T), data.labels, alpha, epsilon, scale
+        ),
         name="logreg",
     )
 
@@ -329,6 +325,9 @@ def synthesize_classification_data(
     The planted vector has ceil(dim/4) nonzero entries; each label flips
     independently with flip_prob. Returns (datasets, planted_vector).
     """
+    for name, size in (("num_agents", num_agents), ("batch", batch), ("dim", dim)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
     if not 0.0 <= flip_prob <= 1.0:
         raise ValueError("flip_prob must be in [0, 1]")
     root = np.random.default_rng(np.random.SeedSequence((seed, num_agents, batch, dim)))
@@ -373,6 +372,21 @@ def read_classification_csv(path: str | Path) -> ClassificationData:
 # Quadratic family with exact smoothed forms (test / calibration oracle)
 
 
+def _quadratic_values(h, b, pts: np.ndarray) -> np.ndarray:
+    x = np.asarray(pts, dtype=float)
+    quad = 0.5 * np.einsum("sm,mn,sn->s", x, h, x)
+    return quad + np.einsum("sm,m->s", x, b)
+
+
+def _quadratic_smoothed_gradient(h, b, x: np.ndarray, mu: float) -> np.ndarray:
+    return h @ np.asarray(x, dtype=float) + b
+
+
+def _quadratic_smoothed_value(h, b, trace_h: float, x: np.ndarray, mu: float) -> float:
+    xv = np.asarray(x, dtype=float)
+    return float(0.5 * xv @ h @ xv + b @ xv + 0.5 * mu * mu * trace_h)
+
+
 def quadratic_objective(
     hessian: np.ndarray,
     linear: np.ndarray,
@@ -391,19 +405,6 @@ def quadratic_objective(
     if b.shape != (m,):
         raise ValueError("linear term shape mismatch")
     box = Box.cube(m, box_lo, box_hi)
-    trace_h = float(np.trace(h))
-
-    def value_many(pts: np.ndarray) -> np.ndarray:
-        x = np.asarray(pts, dtype=float)
-        quad = 0.5 * np.einsum("sm,mn,sn->s", x, h, x)
-        return quad + np.einsum("sm,m->s", x, b)
-
-    def smoothed_gradient(x: np.ndarray, mu: float) -> np.ndarray:
-        return h @ np.asarray(x, dtype=float) + b
-
-    def smoothed_value(x: np.ndarray, mu: float) -> float:
-        xv = np.asarray(x, dtype=float)
-        return float(0.5 * xv @ h @ xv + b @ xv + 0.5 * mu * mu * trace_h)
 
     # Lipschitz bound on the box: ||Hx + b|| is convex, maximized at a corner.
     if m <= 12:
@@ -433,9 +434,9 @@ def quadratic_objective(
         box=box,
         lipschitz_l0=l0,
         lower_bound=lower,
-        value_many=value_many,
-        smoothed_gradient=smoothed_gradient,
-        smoothed_value=smoothed_value,
+        value_many=partial(_quadratic_values, h, b),
+        smoothed_gradient=partial(_quadratic_smoothed_gradient, h, b),
+        smoothed_value=partial(_quadratic_smoothed_value, h, b, float(np.trace(h))),
         name="quadratic",
     )
 

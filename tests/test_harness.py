@@ -1,6 +1,8 @@
 """Experiment orchestration: configs, persistence, sweep, CLI."""
 import copy
+import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +231,49 @@ class TestConfigValidation:
         assert b.baseline is not None
 
 
+class TestPickledConfig:
+    """Pool workers receive the resolved config pickled, so every objective
+    family must survive the round trip bit for bit."""
+
+    @pytest.mark.parametrize(
+        "objective,block_dim",
+        [
+            ({"kind": "toy"}, 1),
+            ({"kind": "toy", "phase_spread": 0.5, "phase_seed": 2}, 1),
+            ({"kind": "logreg", "batch": 6, "data_seed": 1}, 2),
+            ({"kind": "logreg", "data_dir": "data"}, 2),
+            ({"kind": "quadratic", "box": [-50.0, 50.0], "seed": 5}, 2),
+            ({"kind": "quadratic", "box": [-50.0, 50.0], "seed": 5, "shared": True}, 2),
+            ({"kind": "quadratic", "hessian": [[2.0, 0.5], [0.5, -1.0]], "linear": [0.1, -0.2]}, 2),
+        ],
+        ids=["toy", "toy-phases", "logreg", "logreg-data-dir", "quadratic-seeded",
+             "quadratic-shared", "quadratic-explicit"],
+    )
+    def test_objectives_survive_pickling(self, tmp_path, monkeypatch, objective, block_dim):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(
+            ["gen-data", "--agents", "3", "--batch", "6", "--dim", "2", "--seed", "4",
+             "--out-dir", "data"]
+        ) == 0
+        raw = _tiny_raw("out")
+        raw["topology"]["block_dim"] = block_dim
+        raw["objective"] = objective
+        cfg = config_from_dict(raw)
+        clone = pickle.loads(pickle.dumps(cfg))
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (7, block_dim))
+        for orig, copied in zip(cfg.objectives, clone.objectives, strict=True):
+            assert copied.lipschitz_l0 == orig.lipschitz_l0
+            assert np.array_equal(copied.value_many(pts), orig.value_many(pts))
+            assert (copied.smoothed_gradient is None) == (orig.smoothed_gradient is None)
+            if orig.smoothed_gradient is not None:
+                for x in pts:
+                    assert np.array_equal(
+                        copied.smoothed_gradient(x, 0.05), orig.smoothed_gradient(x, 0.05)
+                    )
+                    assert copied.smoothed_value(x, 0.05) == orig.smoothed_value(x, 0.05)
+        assert clone.params == cfg.params
+
+
 class TestConfigHash:
     """config_hash values recorded before the field tables replaced the
     hand-written config parsing: normalization must not drift."""
@@ -375,6 +420,22 @@ class TestRunExperiment:
             ).read_bytes()
 
 
+    def test_in_memory_config_same_bytes_at_any_worker_count(self, tmp_path):
+        cfg = config_from_dict(_tiny_raw(tmp_path / "parsed"))
+        changed = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, rho=3.0))
+        names = ("trial_000.csv", "trial_001.csv", "mean.csv")
+        outputs = []
+        for run_cfg, workers in ((cfg, 1), (changed, 1), (changed, 2)):
+            out = tmp_path / f"{run_cfg.params.rho:g}-w{workers}"
+            run_experiment(
+                dataclasses.replace(run_cfg, workers=workers, output_dir=out),
+                use_env_override=False,
+            )
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        assert outputs[1] != outputs[0]  # the in-memory change reaches the trials
+        assert outputs[2] == outputs[1]
+
+
 class TestTraceCsv:
     def test_header_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -488,6 +549,17 @@ class TestCli:
         raw["objective"] = {"kind": "logreg", "data_dir": str(ddir), "box": [-10.0, 10.0]}
         cfg = config_from_dict(raw)
         assert cfg.objectives[0].dim == 2
+
+    @pytest.mark.parametrize(
+        "flag,name", [("--agents", "num_agents"), ("--batch", "batch"), ("--dim", "dim")]
+    )
+    def test_gen_data_rejects_empty_sizes(self, tmp_path, capsys, flag, name):
+        sizes = {"--agents": "2", "--batch": "4", "--dim": "3", flag: "0"}
+        ddir = tmp_path / "data"
+        args = [a for item in sizes.items() for a in item]
+        assert cli_main(["gen-data", *args, "--seed", "1", "--out-dir", str(ddir)]) == 2
+        assert f"config error: gen-data: {name} must be >= 1" in capsys.readouterr().err
+        assert not list(ddir.glob("agent_*.csv"))
 
     def test_sweep_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
