@@ -34,22 +34,17 @@ __all__ = ["RGFParams", "build_mixing", "apply_mixing", "rgf_step", "run_rgf"]
 
 @dataclass(frozen=True)
 class RGFParams:
-    """Baseline knobs: step-size scale, smoothing radius, horizon."""
+    """Baseline knobs: step-size scale and smoothing radius. The horizon is
+    the algorithm's total_iters."""
 
     step_scale: float = 1.0
     mu: float = 1e-2
-    total_iters: int = 1000
-    mixing: str = "metropolis"
 
     def __post_init__(self):
         if self.step_scale <= 0:
             raise ValueError("step_scale must be positive")
         if self.mu <= 0:
             raise ValueError("mu must be positive")
-        if self.total_iters < 1:
-            raise ValueError("total_iters must be >= 1")
-        if self.mixing != "metropolis":
-            raise ValueError(f"unknown mixing rule {self.mixing!r}")
 
 
 def build_mixing(topo: Topology) -> np.ndarray:
@@ -122,4 +117,4 @@ def run_rgf(
         mixed = rgf_step(blocks, grads, weights, topo, rgf.step_scale, r + 1)
         return np.clip(mixed, lo, hi).reshape(-1), lam, grads.reshape(-1)
 
-    return _drive(ctx, params, trial, step, "rgf", rgf.total_iters, None)
+    return _drive(ctx, params, trial, step, "rgf", params.total_iters, None)

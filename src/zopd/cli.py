@@ -2,8 +2,9 @@
 
 Subcommands: run, sweep, validate, gen-graph, gen-data. Exit codes: 0 on
 success, 2 on validation failure (bad config, bad arguments, or failed
-step-size conditions for `validate`), 1 on runtime error. The output
-directory of `run` and `sweep` can be overridden with ZOPD_OUTPUT_DIR.
+step-size conditions for `validate`), 1 on runtime error. ZOPD_OUTPUT_DIR,
+when set, replaces the output_dir of every config file loaded, so meta.json
+records the directory that was written.
 """
 from __future__ import annotations
 

@@ -312,7 +312,7 @@ _BASELINE = (
     _Field("enabled", _flag, True),
     _Field("step_scale", _number, 1.0),
     _Field("mu", _number, 1e-2),
-    _Field("mixing", _as_is, "metropolis"),
+    _Field("mixing", _choice(("metropolis",)), "metropolis"),
 )
 
 
@@ -430,20 +430,35 @@ def _build_params(norm: dict) -> AlgoParams:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated experiment description plus its normalized raw form."""
+    """A validated experiment. Its one field is the normalized config; the
+    run's objects are built from it as plain attributes, so they always match
+    what meta.json and config_hash record. Change a config in code with
+    dataclasses.replace(cfg, normalized=...), which validates and rebuilds."""
 
-    name: str
-    topology: Topology
-    objectives: list[LocalObjective]
-    params: AlgoParams
-    modes: tuple[str, ...]
-    baseline: RGFParams | None
-    trials: int
-    workers: int | None
-    output_dir: Path
     normalized: dict
+
+    def __post_init__(self):
+        norm = _read(self.normalized, _CONFIG, "")
+        with _errors_at("topology"):
+            topo = _build_topology(norm["topology"])
+        with _errors_at("objective"):
+            objs = _build_objectives(norm["objective"], topo)
+        with _errors_at("algorithm"):
+            params = _build_params(norm["algorithm"])
+        baseline, base = None, norm["baseline"]
+        if base["enabled"]:
+            with _errors_at("baseline"):
+                baseline = RGFParams(step_scale=base["step_scale"], mu=base["mu"])
+        with _errors_at("algorithm.init"):
+            params.check_init_box(objs)
+        vars(self).update(
+            normalized=norm, name=norm["name"], topology=topo, objectives=objs, params=params,
+            modes=tuple(norm["algorithm"]["modes"]), baseline=baseline, trials=norm["trials"],
+            workers=None if norm["workers"] == "auto" else norm["workers"],
+            output_dir=Path(norm["output_dir"]),
+        )
 
     @property
     def config_hash(self) -> str:
@@ -454,34 +469,7 @@ class ExperimentConfig:
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate and resolve a config dictionary. Raises ConfigError with a
     dotted field path on the first problem found."""
-    norm = _read(raw, _CONFIG, "")
-    with _errors_at("topology"):
-        topo = _build_topology(norm["topology"])
-    with _errors_at("objective"):
-        objs = _build_objectives(norm["objective"], topo)
-    with _errors_at("algorithm"):
-        params = _build_params(norm["algorithm"])
-    baseline, base = None, norm["baseline"]
-    if base["enabled"]:
-        with _errors_at("baseline"):
-            baseline = RGFParams(
-                step_scale=base["step_scale"], mu=base["mu"], total_iters=params.total_iters,
-                mixing=base["mixing"],
-            )
-    with _errors_at("algorithm.init"):
-        params.check_init_box(objs)
-    return ExperimentConfig(
-        name=norm["name"],
-        topology=topo,
-        objectives=objs,
-        params=params,
-        modes=tuple(norm["algorithm"]["modes"]),
-        baseline=baseline,
-        trials=norm["trials"],
-        workers=None if norm["workers"] == "auto" else norm["workers"],
-        output_dir=Path(norm["output_dir"]),
-        normalized=norm,
-    )
+    return ExperimentConfig(raw)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -492,6 +480,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    override = os.environ.get(ENV_OUTPUT_DIR)
+    if override and isinstance(raw, dict):
+        raw["output_dir"] = override
     return config_from_dict(raw)
 
 
@@ -574,11 +565,6 @@ def _mean_table(trials_records: list[list[MetricRecord]]) -> dict[str, np.ndarra
     return cols
 
 
-def _resolve_output_dir(cfg: ExperimentConfig) -> Path:
-    override = os.environ.get(ENV_OUTPUT_DIR)
-    return Path(override) if override else cfg.output_dir
-
-
 @dataclass
 class ExperimentResult:
     """In-memory view of a finished experiment plus the files it wrote."""
@@ -641,9 +627,9 @@ def _versions() -> dict:
     }
 
 
-def run_experiment(cfg: ExperimentConfig, use_env_override: bool = True) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials, write per-trial and averaged CSVs, meta.json, plot.gp."""
-    out = _resolve_output_dir(cfg) if use_env_override else cfg.output_dir
+    out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 
     methods = ["primal_dual"] + (["rgf"] if cfg.baseline is not None else [])
@@ -702,7 +688,7 @@ def sweep(cfg: ExperimentConfig, horizons: list[int]) -> dict:
         if not isinstance(t, int) or isinstance(t, bool) or t < 1:
             raise ConfigError("sweep.T", f"invalid horizon {t!r}")
 
-    out = _resolve_output_dir(cfg)
+    out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     samples = [math.ceil(math.sqrt(t)) for t in horizons]
     mean_gaps = []
@@ -712,8 +698,7 @@ def sweep(cfg: ExperimentConfig, horizons: list[int]) -> dict:
         raw["algorithm"]["iters"] = t
         raw["algorithm"]["samples"] = j
         raw["output_dir"] = str(out / f"T{t}")
-        sub = config_from_dict(raw)
-        res = run_experiment(sub, use_env_override=False)
+        res = run_experiment(config_from_dict(raw))
         gaps = np.concatenate(
             [[r.stationarity_gap for r in recs] for recs in res.records["primal_dual"]]
         )

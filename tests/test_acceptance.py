@@ -45,7 +45,7 @@ def _quartic_probe():
 def replica_a(tmp_path_factory):
     cfg = config_from_dict(replica_a_config(str(tmp_path_factory.mktemp("rep_a")), trials=30))
     t0 = time.perf_counter()
-    result = run_experiment(cfg, use_env_override=False)
+    result = run_experiment(cfg)
     return result, time.perf_counter() - t0
 
 
@@ -53,7 +53,7 @@ def replica_a(tmp_path_factory):
 def replica_b(tmp_path_factory):
     cfg = config_from_dict(replica_b_config(str(tmp_path_factory.mktemp("rep_b")), trials=30))
     t0 = time.perf_counter()
-    result = run_experiment(cfg, use_env_override=False)
+    result = run_experiment(cfg)
     return result, time.perf_counter() - t0
 
 

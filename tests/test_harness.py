@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zopd.harness as harness
 from zopd.cli import main as cli_main
@@ -190,11 +192,76 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="workers"):
             config_from_dict(raw)
 
-    def test_normalized_round_trip_is_idempotent(self, tmp_path):
-        cfg = config_from_dict(_tiny_raw(tmp_path / "o"))
-        again = config_from_dict(copy.deepcopy(cfg.normalized))
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(("ring", "path", "star", "complete", "random_connected", "edges")),
+        n=st.integers(3, 6),
+        m=st.integers(1, 3),
+        graph_seed=st.integers(0, 2**16),
+        objective=st.sampled_from(
+            ("toy", "toy-phases", "logreg", "quadratic-seeded", "quadratic-shared",
+             "quadratic-explicit")
+        ),
+        noisy=st.booleans(),
+        baseline=st.booleans(),
+        workers=st.sampled_from((None, "auto", 1, 2)),
+    )
+    def test_normalized_round_trip_is_idempotent(
+        self, kind, n, m, graph_seed, objective, noisy, baseline, workers
+    ):
+        raw = _tiny_raw("out/round-trip")
+        m = 1 if objective.startswith("toy") else m
+        if kind == "edges":
+            order = np.random.default_rng(graph_seed).permutation(n) + 1
+            edges = [[int(i), int(j)] for i, j in zip(order[:-1], order[1:])]
+            raw["topology"] = {"num_nodes": n, "edges": edges, "block_dim": m}
+        else:
+            raw["topology"] = {
+                "kind": kind, "num_nodes": n, "block_dim": m, "seed": graph_seed,
+                "extra_edge_prob": 0.3,
+            }
+        raw["objective"] = {
+            "toy": {"kind": "toy"},
+            "toy-phases": {"kind": "toy", "phase_spread": 0.5, "phase_seed": graph_seed},
+            "logreg": {"kind": "logreg", "batch": 6, "data_seed": graph_seed},
+            "quadratic-seeded": {"kind": "quadratic", "seed": graph_seed},
+            "quadratic-shared": {"kind": "quadratic", "seed": graph_seed, "shared": True},
+            "quadratic-explicit": {
+                "kind": "quadratic", "hessian": (2.0 * np.eye(m) + 0.1).tolist(),
+                "linear": [0.5] * m,
+            },
+        }[objective]
+        if noisy:
+            raw["algorithm"]["noise"] = {"kind": "additive_gaussian", "std_dev": 0.1}
+        if baseline:
+            raw["baseline"]["mixing"] = "metropolis"
+        else:
+            del raw["baseline"]
+        if workers is not None:
+            raw["workers"] = workers
+        cfg = config_from_dict(raw)
+        again = config_from_dict(cfg.normalized)
+        assert again == cfg
         assert again.config_hash == cfg.config_hash
-        assert again.normalized == cfg.normalized
+
+    def test_baseline_mixing_has_one_rule(self, tmp_path, capsys):
+        raw = _tiny_raw(tmp_path / "o")
+        unnamed = config_from_dict(raw).config_hash
+        raw["baseline"]["mixing"] = "metropolis"
+        assert config_from_dict(raw).config_hash == unnamed
+        raw["baseline"]["mixing"] = "uniform"
+        cfg_path = tmp_path / "uniform.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["validate", str(cfg_path)]) == 2
+        assert "config error: baseline.mixing: " in capsys.readouterr().err
+
+    def test_objects_cannot_drift_from_normalized(self, tmp_path):
+        cfg = config_from_dict(_tiny_raw(tmp_path / "o"))
+        assert [f.name for f in dataclasses.fields(cfg)] == ["normalized"]
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, rho=3.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.output_dir = tmp_path / "elsewhere"
 
     @pytest.mark.parametrize(
         "objective, algo, field",
@@ -335,15 +402,20 @@ class TestRunExperiment:
 
     def test_env_override_redirects_output(self, tmp_path, monkeypatch):
         raw = _tiny_raw(tmp_path / "configured")
-        baseline_run = run_experiment(config_from_dict(raw))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
         redirected = tmp_path / "redirected"
         monkeypatch.setenv("ZOPD_OUTPUT_DIR", str(redirected))
-        result = run_experiment(config_from_dict(raw))
+        result = run_experiment(load_config(cfg_path))
         assert result.output_dir == redirected
+        meta = json.loads((redirected / "meta.json").read_text())
+        assert meta["config"]["output_dir"] == str(redirected)
+        # the variable applies where a config file is loaded, not to a dict
+        in_code = run_experiment(config_from_dict(raw))
+        assert in_code.output_dir == tmp_path / "configured"
         assert (redirected / "mean.csv").read_bytes() == (
-            baseline_run.output_dir / "mean.csv"
+            in_code.output_dir / "mean.csv"
         ).read_bytes()
-        monkeypatch.delenv("ZOPD_OUTPUT_DIR")
 
     def test_mean_csv_is_the_trial_average(self, tmp_path):
         raw = _tiny_raw(tmp_path / "o")
@@ -422,15 +494,16 @@ class TestRunExperiment:
 
     def test_in_memory_config_same_bytes_at_any_worker_count(self, tmp_path):
         cfg = config_from_dict(_tiny_raw(tmp_path / "parsed"))
-        changed = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, rho=3.0))
         names = ("trial_000.csv", "trial_001.csv", "mean.csv")
         outputs = []
-        for run_cfg, workers in ((cfg, 1), (changed, 1), (changed, 2)):
-            out = tmp_path / f"{run_cfg.params.rho:g}-w{workers}"
-            run_experiment(
-                dataclasses.replace(run_cfg, workers=workers, output_dir=out),
-                use_env_override=False,
-            )
+        for rho, workers in ((6.0, 1), (3.0, 1), (3.0, 2)):
+            out = tmp_path / f"{rho:g}-w{workers}"
+            norm = copy.deepcopy(cfg.normalized)
+            norm["algorithm"]["rho"] = rho
+            norm["workers"] = workers
+            norm["output_dir"] = str(out)
+            run_experiment(dataclasses.replace(cfg, normalized=norm))
+            assert json.loads((out / "meta.json").read_text())["config"] == norm
             outputs.append({name: (out / name).read_bytes() for name in names})
         assert outputs[1] != outputs[0]  # the in-memory change reaches the trials
         assert outputs[2] == outputs[1]
