@@ -23,11 +23,10 @@ from .engine import (
     RunResult,
     _drive,
     _prepare,
-    substream,
 )
 from .graph import NetworkMatrices, Topology, incidence_list, scatter_add
 from .objectives import LocalObjective
-from .szo import SmoothingParams, estimate_gradient
+from .szo import SmoothingParams
 
 __all__ = ["RGFParams", "build_mixing", "apply_mixing", "rgf_step", "run_rgf"]
 
@@ -97,24 +96,17 @@ def run_rgf(
     """Baseline trial sharing the algorithm's init stream (same x^0) but its
     own estimator substreams. Each round ends by projecting every agent onto
     its domain box. The dual is identically zero in every record."""
-    ctx = _prepare(topo, objectives, params, trial, mats, ROLE_BASELINE_METER)
+    ctx = _prepare(
+        topo, objectives, params, trial, mats, (ROLE_BASELINE_STEP, ROLE_BASELINE_METER)
+    )
     weights = build_mixing(topo)
     single = SmoothingParams(mu=rgf.mu, samples=1)
-    lo = np.array([o.box.lo for o in objectives])
-    hi = np.array([o.box.hi for o in objectives])
 
     def step(x, lam, r):
         blocks = ctx.stacked.blocks(x)
-        grads = np.empty_like(blocks)
-        for i in range(topo.num_nodes):
-            grads[i] = estimate_gradient(
-                ctx.step_oracles[i],
-                blocks[i],
-                single,
-                substream(params.seed, trial, ROLE_BASELINE_STEP, i, r),
-                params.retry_cap,
-            )
+        grads = ctx.estimate(blocks, single, r)[0]
         mixed = rgf_step(blocks, grads, weights, topo, rgf.step_scale, r + 1)
-        return np.clip(mixed, lo, hi).reshape(-1), lam, grads.reshape(-1)
+        x_new = np.clip(mixed, ctx.stacked.box_lo, ctx.stacked.box_hi)
+        return x_new.reshape(-1), lam, grads.reshape(-1)
 
     return _drive(ctx, params, trial, step, "rgf", params.total_iters, None)

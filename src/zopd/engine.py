@@ -11,11 +11,13 @@ The primal closed form comes from the first-order condition of the proximal
 subproblem g + A' lam + rho A'A x + 2 rho D (x+ - x) = 0.
 
 Randomness is hierarchical: every draw comes from a substream keyed by
-(seed, trial, role, agent, iteration), so the centralized run and the
-distributed message-passing run consume identical streams, and a resumed run
-reproduces the remaining iterations bit for bit. Both runs apply the consensus
-operators through graph.scatter_add in one fixed order, so they also agree bit
-for bit.
+(seed, trial, role, ...). Each estimating role draws one block per iteration,
+keyed by (seed, trial, role, iteration) and read by agent i at row i; an
+agent whose row needs box retries continues from (seed, trial, role, agent,
+iteration). So the centralized run and the distributed message-passing run
+consume identical streams, and a resumed run reproduces the remaining
+iterations bit for bit. Both runs apply the consensus operators through
+graph.scatter_add in one fixed order, so they also agree bit for bit.
 """
 from __future__ import annotations
 
@@ -37,11 +39,11 @@ from .metrics import (
 )
 from .objectives import LocalObjective, StackedObjective
 from .szo import (
+    BoxExhausted,
     NoiseModel,
     SmoothingParams,
     SZOracle,
-    estimate_gradient,
-    measure_gradient_and_value,
+    estimate_batch,
     smoothed_gradient_mc,
     smoothed_value,
 )
@@ -66,6 +68,7 @@ ROLE_STEP = 2
 ROLE_METER = 3
 ROLE_BASELINE_STEP = 4
 ROLE_BASELINE_METER = 5
+_ROLE_NAMES = ("init", "output", "step", "meter", "baseline step", "baseline meter")
 
 
 def substream(*path: int) -> np.random.Generator:
@@ -212,7 +215,34 @@ def dual_step(
     return lam + rho * mats.incidence(x_new)
 
 
-class _TraceMeter:
+class _Estimator:
+    """Every agent's estimates for one role of a trial, from the role's block
+    and retry streams; the oracles count each agent's queries."""
+
+    def __init__(self, stacked: StackedObjective, params: AlgoParams, trial: int, role: int):
+        self.stacked, self.params, self.trial, self.role = stacked, params, trial, role
+        self.oracles = [SZOracle(o, params.noise) for o in stacked.locals_]
+
+    def __call__(
+        self, xb: np.ndarray, smoothing: SmoothingParams, iteration: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(N, M) gradients and (N, J) noisy values at the blocks xb (N, M)."""
+        seed, trial, role = self.params.seed, self.trial, self.role
+        try:
+            return estimate_batch(
+                self.stacked, self.oracles, xb, smoothing,
+                substream(seed, trial, role, iteration),
+                lambda i: substream(seed, trial, role, i, iteration),
+                self.params.retry_cap,
+            )
+        except BoxExhausted as exc:
+            raise RuntimeError(
+                f"{_ROLE_NAMES[role]} estimate of agent {exc.agent + 1} "
+                f"at iteration {iteration}: {exc}"
+            ) from exc
+
+
+class _TraceMeter(_Estimator):
     """Resolves the smoothed gradient/value used by the per-iteration trace.
 
     Modes: closed_form (exact), estimator (independent J-sample measurement
@@ -220,20 +250,14 @@ class _TraceMeter:
     algorithm; it only grades iterates.
     """
 
-    def __init__(
-        self, stacked: StackedObjective, params: AlgoParams, trial: int, role: int
-    ):
+    def __init__(self, stacked: StackedObjective, params: AlgoParams, trial: int, role: int):
+        super().__init__(stacked, params, trial, role)
         mode = params.gap_gradient
         if mode == "auto":
             mode = "closed_form" if stacked.has_smoothed_closed_form else "estimator"
         if mode == "closed_form" and not stacked.has_smoothed_closed_form:
             raise ValueError("gap_gradient=closed_form but the objective has no closed form")
-        self.stacked = stacked
-        self.oracles = [SZOracle(o, params.noise) for o in stacked.locals_]
-        self.params = params
         self.mode = mode
-        self.trial = trial
-        self.role = role
 
     def measure(self, x: np.ndarray, iteration: int) -> tuple[np.ndarray, float]:
         st, p = self.stacked, self.params
@@ -241,19 +265,18 @@ class _TraceMeter:
         if self.mode == "closed_form":
             return st.smoothed_gradient_stacked(x, mu), st.smoothed_value_stacked(x, mu)
         xb = st.blocks(x)
+        if self.mode == "estimator":
+            g, noisy = self(xb, p.smoothing, iteration)
+            return g.reshape(-1), float(np.sum(np.mean(noisy, axis=1)))
         grads = []
         total = 0.0
-        for i, oracle in enumerate(self.oracles):
+        for i, oracle in enumerate(self.oracles):  # mc
             rng = substream(p.seed, self.trial, self.role, i, iteration)
-            if self.mode == "estimator":
-                g, v = measure_gradient_and_value(oracle, xb[i], p.smoothing, rng, p.retry_cap)
-            else:  # mc
-                g, _ = smoothed_gradient_mc(
-                    oracle.objective, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap
-                )
-                v = smoothed_value(oracle, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap)
+            g, _ = smoothed_gradient_mc(
+                oracle.objective, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap
+            )
             grads.append(g)
-            total += v
+            total += smoothed_value(oracle, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap)
         return np.concatenate(grads), total
 
 
@@ -262,7 +285,7 @@ class _RunContext:
     topo: Topology
     mats: NetworkMatrices
     stacked: StackedObjective
-    step_oracles: list[SZOracle]
+    estimate: _Estimator
     meter: _TraceMeter
     consts: AnalysisConstants
     x0: np.ndarray
@@ -275,8 +298,10 @@ def _prepare(
     params: AlgoParams,
     trial: int,
     mats: NetworkMatrices | None,
-    meter_role: int,
+    roles: tuple[int, int],
 ) -> _RunContext:
+    """Checks and shared state of one execution; roles are its (step, meter)
+    substream roles."""
     if len(objectives) != topo.num_nodes:
         raise ValueError(
             f"need one objective per node: got {len(objectives)} for {topo.num_nodes} nodes"
@@ -291,8 +316,8 @@ def _prepare(
     if params.gradient_mode == "reference" and not stacked.has_smoothed_closed_form:
         raise ValueError("gradient_mode=reference needs closed-form smoothed gradients")
 
-    step_oracles = [SZOracle(o, params.noise) for o in objectives]
-    meter = _TraceMeter(stacked, params, trial, meter_role)
+    estimate = _Estimator(stacked, params, trial, roles[0])
+    meter = _TraceMeter(stacked, params, trial, roles[1])
 
     consts = derive_constants(
         stacked.lipschitz_l0, params.smoothing.mu, stacked.total_dim, mats,
@@ -306,22 +331,15 @@ def _prepare(
     ]
     x0 = np.concatenate(blocks)
     output_pick = int(substream(params.seed, trial, ROLE_OUTPUT).integers(params.total_iters))
-    return _RunContext(topo, mats, stacked, step_oracles, meter, consts, x0, output_pick)
+    return _RunContext(topo, mats, stacked, estimate, meter, consts, x0, output_pick)
 
 
-def _step_gradient(
-    ctx: _RunContext, params: AlgoParams, trial: int, i: int, xi: np.ndarray, iteration: int
-) -> np.ndarray:
-    """Agent i's step gradient at its block xi; both engines call this."""
+def _step_gradients(ctx: _RunContext, params: AlgoParams, xb: np.ndarray, r: int) -> np.ndarray:
+    """Every agent's step gradient at its block of xb (N, M); both engines
+    call this, and agent i takes row i."""
     if params.gradient_mode == "reference":
-        return ctx.stacked.locals_[i].smoothed_gradient(xi, params.smoothing.mu)
-    return estimate_gradient(
-        ctx.step_oracles[i],
-        xi,
-        params.smoothing,
-        substream(params.seed, trial, ROLE_STEP, i, iteration),
-        params.retry_cap,
-    )
+        return ctx.stacked.smoothed_gradient_stacked(xb, params.smoothing.mu).reshape(xb.shape)
+    return ctx.estimate(xb, params.smoothing, r)[0]
 
 
 _Step = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -416,13 +434,10 @@ def run_centralized(
     """Centralized execution on the stacked state. Emits one metric row per
     iteration 1..T; row r grades the pair (x^r, lam^{r-1}) and the potential
     at (x^r, lam^r)."""
-    ctx = _prepare(topo, objectives, params, trial, mats, ROLE_METER)
+    ctx = _prepare(topo, objectives, params, trial, mats, (ROLE_STEP, ROLE_METER))
 
     def step(x, lam, r):
-        xb = ctx.mats.node_blocks(x)
-        g = np.concatenate(
-            [_step_gradient(ctx, params, trial, i, xb[i], r) for i in range(topo.num_nodes)]
-        )
+        g = _step_gradients(ctx, params, ctx.mats.node_blocks(x), r).reshape(-1)
         x_new = primal_step(x, lam, g, ctx.mats, params.rho)
         return x_new, dual_step(x_new, lam, ctx.mats, params.rho), g
 
@@ -482,16 +497,16 @@ def run_distributed(
     by an observer from the gathered stacked state, with the same meter
     streams as the centralized mode.
     """
-    ctx = _prepare(topo, objectives, params, trial, mats, ROLE_METER)
+    ctx = _prepare(topo, objectives, params, trial, mats, (ROLE_STEP, ROLE_METER))
     n, m = topo.num_nodes, topo.block_dim
     agents = [_Agent(i + 1, ctx.mats, ctx.x0) for i in range(n)]
     owned_edges = ctx.mats.edge[ctx.mats.sign[:, 0] > 0]
 
     def step(x, lam, r):
-        grads = np.empty((n, m))
+        # each agent estimates at its own block and takes its row of the batch
+        grads = _step_gradients(ctx, params, np.array([a.x for a in agents]), r)
         new_blocks = np.empty((n, m))
         for i, agent in enumerate(agents):
-            grads[i] = _step_gradient(ctx, params, trial, i, agent.x, r)
             new_blocks[i] = agent.primal_update(grads[i], params.rho)
         # exchange round: each agent receives every neighbor's new primal block
         for i, agent in enumerate(agents):

@@ -435,7 +435,10 @@ class ExperimentConfig:
     """A validated experiment. Its one field is the normalized config; the
     run's objects are built from it as plain attributes, so they always match
     what meta.json and config_hash record. Change a config in code with
-    dataclasses.replace(cfg, normalized=...), which validates and rebuilds."""
+    dataclasses.replace(cfg, normalized=...), which validates and rebuilds.
+    The canonical JSON is fixed when the config is built, so an in-place edit
+    of normalized moves neither config_hash nor what runs, and run_experiment
+    refuses it."""
 
     normalized: dict
 
@@ -454,16 +457,20 @@ class ExperimentConfig:
         with _errors_at("algorithm.init"):
             params.check_init_box(objs)
         vars(self).update(
-            normalized=norm, name=norm["name"], topology=topo, objectives=objs, params=params,
-            modes=tuple(norm["algorithm"]["modes"]), baseline=baseline, trials=norm["trials"],
+            normalized=norm, canonical=_canonical(norm), name=norm["name"], topology=topo,
+            objectives=objs, params=params, modes=tuple(norm["algorithm"]["modes"]),
+            baseline=baseline, trials=norm["trials"],
             workers=None if norm["workers"] == "auto" else norm["workers"],
             output_dir=Path(norm["output_dir"]),
         )
 
     @property
     def config_hash(self) -> str:
-        canon = json.dumps(self.normalized, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return hashlib.sha256(self.canonical.encode()).hexdigest()
+
+
+def _canonical(norm: dict) -> str:
+    return json.dumps(norm, sort_keys=True, separators=(",", ":"))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -629,6 +636,11 @@ def _versions() -> dict:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials, write per-trial and averaged CSVs, meta.json, plot.gp."""
+    if _canonical(cfg.normalized) != cfg.canonical:
+        raise ValueError(
+            "cfg.normalized was edited in place, so it no longer describes the built "
+            "objects; change a config with dataclasses.replace(cfg, normalized=...)"
+        )
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
 

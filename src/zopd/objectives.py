@@ -76,9 +76,10 @@ class LocalObjective:
 
     value_many evaluates a (S, dim) batch row-stably. smoothed_gradient /
     smoothed_value, when set, are exact closed forms of the Gaussian-smoothed
-    surrogate E_phi[f(x + mu phi)] and its gradient. The factories set them
-    to module-level functions or functools.partial bindings of them, so an
-    objective pickles and pool workers can receive it.
+    surrogate E_phi[f(x + mu phi)] and its gradient, at a point (dim,) or row
+    by row on a batch (K, dim). The factories set them to module-level
+    functions or functools.partial bindings of them, so an objective pickles
+    and pool workers can receive it.
     """
 
     dim: int
@@ -87,7 +88,7 @@ class LocalObjective:
     lower_bound: float
     value_many: Callable[[np.ndarray], np.ndarray]
     smoothed_gradient: Callable[[np.ndarray, float], np.ndarray] | None = None
-    smoothed_value: Callable[[np.ndarray, float], float] | None = None
+    smoothed_value: Callable[[np.ndarray, float], np.ndarray] | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -105,10 +106,17 @@ class LocalObjective:
 
 @dataclass
 class StackedObjective:
-    """The sum of per-agent objectives over the stacked variable in R^{N*M}."""
+    """The sum of per-agent objectives over the stacked variable in R^{N*M}.
+
+    Agents that share one objective object form a group, and every batched
+    method makes one call per group on all of its agents' rows. By the
+    row-stability rule the results equal the per-agent calls bitwise.
+    """
 
     locals_: Sequence[LocalObjective]
     block_dim: int = field(init=False)
+    box_lo: np.ndarray = field(init=False, repr=False)
+    box_hi: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.locals_:
@@ -117,6 +125,12 @@ class StackedObjective:
         if len(dims) != 1:
             raise ValueError("all local objectives must share one dim")
         self.block_dim = self.locals_[0].dim
+        self.box_lo = np.array([o.box.lo for o in self.locals_])
+        self.box_hi = np.array([o.box.hi for o in self.locals_])
+        groups: dict[int, tuple[LocalObjective, list[int]]] = {}
+        for i, o in enumerate(self.locals_):
+            groups.setdefault(id(o), (o, []))[1].append(i)
+        self._groups = [(o, np.array(idx)) for o, idx in groups.values()]
 
     @property
     def num_agents(self) -> int:
@@ -129,10 +143,18 @@ class StackedObjective:
     def blocks(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.num_agents, self.block_dim)
 
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        """Agent i's objective at its rows pts[i]: (N, S, M) points to (N, S)
+        values, with one value_many call per distinct objective."""
+        n, s, m = pts.shape
+        out = np.empty((n, s))
+        for obj, rows in self._groups:
+            # value_many is looked up per call: it may be replaced on the instance
+            out[rows] = obj.value_many(pts[rows].reshape(-1, m)).reshape(-1, s)
+        return out
+
     def value(self, x: np.ndarray) -> float:
-        xb = self.blocks(x)
-        vals = [o.value(xb[i]) for i, o in enumerate(self.locals_)]
-        return float(np.sum(vals))
+        return float(np.sum(self.values(self.blocks(x)[:, None, :])))
 
     # Lipschitz constant of the stacked sum: blockwise bound composed in l2.
     @property
@@ -151,12 +173,17 @@ class StackedObjective:
 
     def smoothed_gradient_stacked(self, x: np.ndarray, mu: float) -> np.ndarray:
         xb = self.blocks(x)
-        parts = [o.smoothed_gradient(xb[i], mu) for i, o in enumerate(self.locals_)]
-        return np.concatenate(parts)
+        out = np.empty_like(xb)
+        for obj, rows in self._groups:
+            out[rows] = obj.smoothed_gradient(xb[rows], mu)
+        return out.reshape(-1)
 
     def smoothed_value_stacked(self, x: np.ndarray, mu: float) -> float:
         xb = self.blocks(x)
-        return float(np.sum([o.smoothed_value(xb[i], mu) for i, o in enumerate(self.locals_)]))
+        out = np.empty(self.num_agents)
+        for obj, rows in self._groups:
+            out[rows] = obj.smoothed_value(xb[rows], mu)
+        return float(np.sum(out))
 
 
 def estimate_lipschitz(
@@ -184,28 +211,24 @@ def _toy_values(phase: float, pts: np.ndarray) -> np.ndarray:
     return np.abs(np.cos(x + phase) + np.abs(x) + np.exp(x))
 
 
-# Closed forms of the phase-0 toy. E|N(x, mu^2)| = x erf(x/(mu sqrt2)) +
-# mu sqrt(2/pi) exp(-x^2/(2 mu^2)); its derivative telescopes to erf(x/(mu sqrt2)).
+# Closed forms of the phase-0 toy, on a point (1,) or a row batch (K, 1).
+# E|N(x, mu^2)| = x erf(x/(mu sqrt2)) + mu sqrt(2/pi) exp(-x^2/(2 mu^2)); its
+# derivative telescopes to erf(x/(mu sqrt2)).
 def _toy_smoothed_gradient(x: np.ndarray, mu: float) -> np.ndarray:
-    v = float(np.asarray(x).reshape(()))
-    g = (
-        -math.sin(v) * math.exp(-0.5 * mu * mu)
-        + erf(v / (mu * math.sqrt(2.0)))
-        + math.exp(v + 0.5 * mu * mu)
-    )
-    return np.array([g])
-
-
-def _toy_smoothed_value(x: np.ndarray, mu: float) -> float:
-    v = float(np.asarray(x).reshape(()))
-    abs_part = v * erf(v / (mu * math.sqrt(2.0))) + mu * math.sqrt(
-        2.0 / math.pi
-    ) * math.exp(-(v * v) / (2.0 * mu * mu))
+    v = np.asarray(x, dtype=float)
     return (
-        math.cos(v) * math.exp(-0.5 * mu * mu)
-        + abs_part
-        + math.exp(v + 0.5 * mu * mu)
+        -np.sin(v) * math.exp(-0.5 * mu * mu)
+        + erf(v / (mu * math.sqrt(2.0)))
+        + np.exp(v + 0.5 * mu * mu)
     )
+
+
+def _toy_smoothed_value(x: np.ndarray, mu: float) -> np.ndarray:
+    v = np.asarray(x, dtype=float)[..., 0]
+    abs_part = v * erf(v / (mu * math.sqrt(2.0))) + mu * math.sqrt(2.0 / math.pi) * np.exp(
+        -(v * v) / (2.0 * mu * mu)
+    )
+    return np.cos(v) * math.exp(-0.5 * mu * mu) + abs_part + np.exp(v + 0.5 * mu * mu)
 
 
 def toy_objective(
@@ -378,13 +401,15 @@ def _quadratic_values(h, b, pts: np.ndarray) -> np.ndarray:
     return quad + np.einsum("sm,m->s", x, b)
 
 
+# Closed forms on a point (M,) or a row batch (K, M).
 def _quadratic_smoothed_gradient(h, b, x: np.ndarray, mu: float) -> np.ndarray:
-    return h @ np.asarray(x, dtype=float) + b
+    return np.einsum("mn,...n->...m", h, np.asarray(x, dtype=float)) + b
 
 
-def _quadratic_smoothed_value(h, b, trace_h: float, x: np.ndarray, mu: float) -> float:
+def _quadratic_smoothed_value(h, b, trace_h: float, x: np.ndarray, mu: float) -> np.ndarray:
     xv = np.asarray(x, dtype=float)
-    return float(0.5 * xv @ h @ xv + b @ xv + 0.5 * mu * mu * trace_h)
+    f = _quadratic_values(h, b, xv.reshape(-1, xv.shape[-1])).reshape(xv.shape[:-1])
+    return f + 0.5 * mu * mu * trace_h
 
 
 def quadratic_objective(

@@ -5,26 +5,34 @@ noise realization xi shared by the two oracle queries of that sample:
 
     g_j = (H(x + mu phi_j, xi_j) - H(x, xi_j)) / mu * phi_j
 
-and averages the batch. Every routine here draws through one primitive,
-`_sample`, in one fixed order: per sample phi, then a fresh phi for each
-in-box retry, then xi unless the noise kind is 'none' (a std_dev of 0.0 still
-draws). So a batch of J samples consumes the rng stream exactly as J
-consecutive single-sample calls do, and the batch mean is bitwise the mean of
-those single-sample estimates, near the domain boundary too. The Monte-Carlo
-surrogates draw the same way, one chunk at a time.
+and averages the batch. `estimate_batch` does this for N agents from one
+(N, J, M + k) draw, agent i owning row i, with one StackedObjective.values
+call; `measure_gradient_and_value` is its N = 1 view and `estimate_gradient`
+that view's gradient. Every routine draws through one primitive, `_draw`, in
+one fixed order per agent: per sample phi, then a fresh phi for each in-box
+retry, then xi unless the noise kind is 'none' (a std_dev of 0.0 still
+draws). Retries past the end of an agent's row draw from its retry
+generator, which for the N = 1 views is their own generator. So a batch of J
+samples consumes the stream exactly as J consecutive single-sample calls do,
+and the batch mean is bitwise the mean of those single-sample estimates, near
+the domain boundary too. The Monte-Carlo surrogates draw the same way, one
+chunk at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .objectives import LocalObjective
+from .objectives import LocalObjective, StackedObjective
 
 __all__ = [
     "NoiseModel",
     "SmoothingParams",
     "SZOracle",
+    "BoxExhausted",
+    "estimate_batch",
     "estimate_gradient",
     "measure_gradient_and_value",
     "smoothed_value",
@@ -85,13 +93,79 @@ class SZOracle:
         return self.objective.value(x) + self.noise.draw(rng)
 
 
-def _checked_point(objective: LocalObjective, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (objective.dim,):
-        raise ValueError(f"point must have shape ({objective.dim},)")
-    if not objective.box.contains(x):
-        raise ValueError("query point outside the domain box")
-    return x
+class BoxExhausted(RuntimeError):
+    """One agent's smoothing perturbation kept leaving its domain box."""
+
+    def __init__(self, agent: int, tries: int):
+        super().__init__(
+            f"smoothing perturbation left the domain box {tries} times; "
+            "move the point away from the boundary or shrink mu"
+        )
+        self.agent = agent
+
+
+def _walk(lo, hi, x, mu, row, more, retry_cap, agent):
+    """One agent's (count, dim + k) row re-read in per-sample order: phi, a
+    fresh phi per box retry, then the k noise values. Values past the row's
+    end come from more(n). Returns the row as it is used."""
+    count, width = row.shape
+    dim, head = x.size, row.reshape(-1)
+    used = np.empty_like(row)
+
+    def take(n: int) -> np.ndarray:
+        nonlocal head
+        got, head = head[:n], head[n:]
+        return got if got.size == n else np.concatenate([got, more(n - got.size)])
+
+    for s in range(count):
+        phi, tries = take(dim), 0
+        while not (np.all(x + mu * phi >= lo) and np.all(x + mu * phi <= hi)):
+            tries += 1
+            if tries > retry_cap:
+                raise BoxExhausted(agent, tries)
+            phi = take(dim)
+        used[s, :dim], used[s, dim:] = phi, take(width - dim)
+    return used
+
+
+def _draw(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    noise: NoiseModel,
+    xb: np.ndarray,
+    mu: float,
+    count: int,
+    rng: np.random.Generator,
+    retry_rng: Callable[[int], np.random.Generator] | None,
+    retry_cap: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one sampling primitive: count in-box directions with their noise
+    for each of N agents at points xb (N, M) in boxes lo, hi (N, M).
+
+    Returns phis (N, count, M), xis (N, count) and the points xb + mu phis.
+    Row i of one standard_normal((N, count, M + k)) block is agent i's
+    stream; a row with an out-of-box point is walked, continuing from
+    retry_rng(i), or from rng itself when retry_rng is None. Every caller's
+    points are checked here: a misshapen xb or a point outside its box
+    raises ValueError.
+    """
+    if xb.shape != lo.shape:
+        raise ValueError(f"points must have shape {lo.shape}")
+    outside = np.flatnonzero(~np.all((xb >= lo) & (xb <= hi), axis=1))
+    if outside.size:
+        raise ValueError(f"query point of agent {outside[0] + 1} outside the domain box")
+    n, m = xb.shape
+    block = rng.standard_normal((n, count, m + int(noise.kind != "none")))
+    pts = xb[:, None, :] + mu * block[..., :m]
+    inside = (pts >= lo[:, None, :]) & (pts <= hi[:, None, :])
+    walked = np.flatnonzero(~np.all(inside, axis=(1, 2)))
+    for i in walked:
+        more = (rng if retry_rng is None else retry_rng(i)).standard_normal
+        block[i] = _walk(lo[i], hi[i], xb[i], mu, block[i], more, retry_cap, i)
+    if walked.size:
+        pts = xb[:, None, :] + mu * block[..., :m]
+    xis = noise.std_dev * block[..., m] if noise.kind != "none" else np.zeros((n, count))
+    return block[..., :m], xis, pts
 
 
 def _sample(
@@ -103,71 +177,40 @@ def _sample(
     rng: np.random.Generator,
     retry_cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one sampling primitive: count in-box directions with their noise.
-
-    Returns (phis, xis, f(x + mu phis)) for a checked point x. Per sample the
-    stream yields phi, one fresh phi per box retry, then xi when the noise
-    model draws (any kind but 'none', std_dev 0.0 included). All
-    count*(dim + k) values of the retry-free case come from one flat draw;
-    numpy's normal draws concatenate bitwise, so when every point lands in
-    the box the block already holds the per-sample order, and otherwise the
-    walk below re-reads it in that order and draws past its end only what the
-    retries add.
-    """
-    dim, box = objective.dim, objective.box
-    k = int(noise.kind != "none")
-    stream = rng.standard_normal(count * (dim + k))
-    block = stream.reshape(count, dim + k)
-    phis, raw_xis = block[:, :dim], block[:, dim:]
-    pts = x + mu * phis
-    if not bool(np.all(box.contains_rows(pts))):
-        phis, raw_xis = np.empty((count, dim)), np.empty((count, k))
-        pos = 0
-
-        def take(n: int) -> np.ndarray:
-            nonlocal stream, pos
-            if pos + n > stream.size:
-                stream = np.concatenate([stream[pos:], rng.standard_normal(pos + n - stream.size)])
-                pos = 0
-            pos += n
-            return stream[pos - n : pos]
-
-        for s in range(count):
-            phi = take(dim)
-            tries = 0
-            while not box.contains(x + mu * phi):
-                tries += 1
-                if tries > retry_cap:
-                    raise RuntimeError(
-                        f"smoothing perturbation left the domain box {tries} times; "
-                        "move the point away from the boundary or shrink mu"
-                    )
-                phi = take(dim)
-            phis[s] = phi
-            raw_xis[s] = take(k)
-        pts = x + mu * phis
-    xis = noise.std_dev * raw_xis[:, 0] if k else np.zeros(count)
-    return phis, xis, objective.value_many(pts)
+    """Single-agent entry: (phis, xis, f(x + mu phis)) at the point x,
+    retrying from rng itself."""
+    lo, hi = objective.box.lo[None], objective.box.hi[None]
+    phis, xis, pts = _draw(lo, hi, noise, x[None], mu, count, rng, None, retry_cap)
+    return phis[0], xis[0], objective.value_many(pts[0])
 
 
-def _estimate(
-    oracle: SZOracle,
-    x: np.ndarray,
+def estimate_batch(
+    stacked: StackedObjective,
+    oracles: Sequence[SZOracle],
+    xb: np.ndarray,
     smoothing: SmoothingParams,
     rng: np.random.Generator,
-    retry_cap: int,
+    retry_rng: Callable[[int], np.random.Generator] | None = None,
+    retry_cap: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batch-averaged two-point estimate plus the noisy perturbed values."""
-    obj = oracle.objective
-    x = _checked_point(obj, x)
-    phis, xis, pert_vals = _sample(
-        obj, oracle.noise, x, smoothing.mu, smoothing.samples, rng, retry_cap
-    )
-    base_val = float(obj.value_many(x.reshape(1, obj.dim))[0])
-    oracle.query_count += 2 * smoothing.samples  # two queries per sample, shared xi
-    diffs = (pert_vals + xis) - (base_val + xis)
-    grads = (diffs / smoothing.mu)[:, None] * phis
-    return np.mean(grads, axis=0), pert_vals + xis
+    """Two-point estimates for N agents from one draw; agent i's box retries
+    continue from retry_rng(i), or from rng when retry_rng is None.
+
+    oracles[i] queries stacked.locals_[i], and all share oracles[0]'s noise
+    model. Returns the (N, M) batch-averaged gradients and the (N, J) noisy
+    perturbed values, and adds 2 J to each oracle's query_count (two queries
+    per sample, shared xi; box retries are not queries). Raises BoxExhausted
+    naming the agent whose retries ran out.
+    """
+    mu, j = smoothing.mu, smoothing.samples
+    lo, hi = stacked.box_lo, stacked.box_hi
+    phis, xis, pts = _draw(lo, hi, oracles[0].noise, xb, mu, j, rng, retry_rng, retry_cap)
+    vals = stacked.values(np.concatenate([pts, xb[:, None, :]], axis=1))
+    noisy = vals[:, :j] + xis
+    diffs = noisy - (vals[:, j:] + xis)
+    for oracle in oracles:
+        oracle.query_count += 2 * j
+    return np.mean((diffs / mu)[:, :, None] * phis, axis=1), noisy
 
 
 def estimate_gradient(
@@ -178,7 +221,7 @@ def estimate_gradient(
     retry_cap: int = 100,
 ) -> np.ndarray:
     """Batch-averaged two-point estimate of the smoothed gradient at x."""
-    return _estimate(oracle, x, smoothing, rng, retry_cap)[0]
+    return measure_gradient_and_value(oracle, x, smoothing, rng, retry_cap)[0]
 
 
 def measure_gradient_and_value(
@@ -189,9 +232,12 @@ def measure_gradient_and_value(
     retry_cap: int = 100,
 ) -> tuple[np.ndarray, float]:
     """Gradient estimate plus an unbiased smoothed-value estimate from the
-    same samples (mean of the perturbed noisy values)."""
-    grad, noisy_vals = _estimate(oracle, x, smoothing, rng, retry_cap)
-    return grad, float(np.mean(noisy_vals))
+    same samples (mean of the perturbed noisy values): the N = 1 view of
+    estimate_batch, retrying from rng itself."""
+    xb = np.asarray(x, dtype=float)[None]
+    stacked = StackedObjective([oracle.objective])
+    grads, noisy = estimate_batch(stacked, [oracle], xb, smoothing, rng, None, retry_cap)
+    return grads[0], float(np.mean(noisy[0]))
 
 
 def smoothed_value(
@@ -209,7 +255,7 @@ def smoothed_value(
         raise ValueError("mu must be positive")
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    x = _checked_point(oracle.objective, x)
+    x = np.asarray(x, dtype=float)
     total = 0.0
     for done in range(0, mc_samples, chunk):
         c = min(chunk, mc_samples - done)
@@ -237,7 +283,7 @@ def smoothed_gradient_mc(
         raise ValueError("mu must be positive")
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    x = _checked_point(objective, x)
+    x = np.asarray(x, dtype=float)
     base = float(objective.value_many(x.reshape(1, objective.dim))[0])
     acc = np.zeros(objective.dim)
     acc_sq = np.zeros(objective.dim)

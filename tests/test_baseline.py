@@ -1,9 +1,12 @@
 """Mixing-based gradient-free baseline."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from zopd.baseline import RGFParams, apply_mixing, build_mixing, rgf_step, run_rgf
-from zopd.engine import AlgoParams, run_centralized
+from zopd import engine
+from zopd.engine import ROLE_BASELINE_STEP, AlgoParams, run_centralized, substream
 from zopd.graph import Topology, build_matrices, generate_graph
 from zopd.metrics import constraint_violation
 from zopd.objectives import quadratic_objective, random_quadratic, toy_objective
@@ -161,10 +164,14 @@ class TestBaselineRun:
         b = run_rgf(topo, objs, _params(total_iters=5), RGFParams(step_scale=0.1))
         np.testing.assert_array_equal(a.states_x, b.states_x)
 
-    def test_iterates_projected_onto_domain_box(self):
-        # Replica A's baseline settings on this graph and seed: an early
-        # single-sample estimate near x = 2 throws an agent past the edge of
-        # [-5, 5], where the next estimate would query outside the box.
+    @staticmethod
+    def _clipping_case():
+        # Replica A's baseline settings, with every agent started on the face
+        # x = 5 of [-5, 5]. The toy's slope there is 1 - sin 5 + e^5 = 150,
+        # so an agent's first single-sample step 0.1 * 150 * phi^2 leaves the
+        # box unless |phi| < 0.82, and the next estimate would query outside.
+        # An agent on a face draws an outward direction half the time, so
+        # its row is walked from its retry stream.
         edges = (
             (1, 3), (1, 5), (2, 6), (2, 7), (3, 7), (3, 9), (4, 5), (4, 8),
             (4, 9), (5, 8), (5, 9), (6, 10), (7, 10), (8, 9), (8, 10),
@@ -173,9 +180,33 @@ class TestBaselineRun:
         objs = [toy_objective() for _ in range(10)]
         params = AlgoParams(
             rho=600.0, smoothing=SmoothingParams(0.01, 120), total_iters=200,
-            seed=1836330263, init_lo=-2.0, init_hi=2.0, gap_gradient="closed_form",
+            seed=1836330263, init_lo=5.0, init_hi=5.0, gap_gradient="closed_form",
         )
+        return topo, objs, params
+
+    def test_iterates_projected_onto_domain_box(self):
+        topo, objs, params = self._clipping_case()
         result = run_rgf(topo, objs, params, RGFParams(step_scale=0.1, mu=0.01))
         assert result.states_x.shape == (201, 10)
         assert np.all(np.abs(result.states_x) <= 5.0)
         assert np.any(result.states_x == -5.0)
+
+    def test_clipped_agent_retries_and_reruns_byte_equal(self, monkeypatch):
+        # agents on the box face have their rows walked from retry streams
+        paths = []
+
+        def recording(*path):
+            paths.append(path)
+            return substream(*path)
+
+        monkeypatch.setattr(engine, "substream", recording)
+        topo, objs, params = self._clipping_case()
+        rgf = RGFParams(step_scale=0.1, mu=0.01)
+        a = run_rgf(topo, objs, params, rgf)
+        assert any(len(p) == 5 and p[2] == ROLE_BASELINE_STEP for p in paths)
+        b = run_rgf(topo, objs, params, rgf)
+        assert a.states_x.tobytes() == b.states_x.tobytes()
+        assert a.states_grad.tobytes() == b.states_grad.tobytes()
+        assert [dataclasses.astuple(r)[:-1] for r in a.records] == [
+            dataclasses.astuple(r)[:-1] for r in b.records
+        ]

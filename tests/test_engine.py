@@ -1,4 +1,5 @@
 """Primal-dual iteration: closed-form steps, rng discipline, both executions."""
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from zopd import engine
 from zopd.engine import (
     ROLE_INIT,
+    ROLE_STEP,
     AlgoParams,
     Checkpoint,
     dual_step,
@@ -254,6 +257,39 @@ class TestCheckpointResume:
             assert mine.stationarity_gap == ref.stationarity_gap
             assert mine.potential == ref.potential
 
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        m=st.integers(1, 3),
+        graph_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**31 - 1),
+        samples=st.integers(1, 6),
+        noisy=st.booleans(),
+        horizon=st.integers(2, 10),
+        split=st.floats(0.0, 1.0),
+    )
+    def test_resume_at_random_split_reproduces_suffix(
+        self, n, m, graph_seed, seed, samples, noisy, horizon, split
+    ):
+        topo = generate_graph("random_connected", n, seed=graph_seed, block_dim=m)
+        noise = NoiseModel("additive_gaussian", 0.05) if noisy else NoiseModel()
+        params = _params(
+            seed=seed, total_iters=horizon, smoothing=SmoothingParams(0.05, samples),
+            noise=noise, gap_gradient="estimator",
+        )
+        objs = _quad_objectives(n, m, seed=graph_seed)
+        full = run_centralized(topo, objs, params)
+        at = min(int(split * horizon), horizon - 1)
+        chk = Checkpoint(iteration=at, x=full.states_x[at], lam=full.states_lam[at])
+        part = run_centralized(topo, objs, params, resume=chk)
+        np.testing.assert_array_equal(part.states_x, full.states_x[at:])
+        np.testing.assert_array_equal(part.states_lam, full.states_lam[at:])
+        np.testing.assert_array_equal(part.states_grad, full.states_grad[at:])
+        assert part.records == [
+            dataclasses.replace(r, wall_time=p.wall_time)
+            for r, p in zip(full.records[at:], part.records)
+        ]
+
     def test_final_checkpoint_round_trip(self):
         topo, _ = _single_edge()
         objs = _quad_objectives(2, 1)
@@ -323,6 +359,49 @@ class TestDistributedRun:
         np.testing.assert_array_equal(cen.states_x, dis.states_x)
         np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
         np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
+
+    def test_retries_at_box_face_keep_engines_equal_and_resumable(self, monkeypatch):
+        # every agent starts on the face x = 5 of its box, so its first step
+        # estimate walks its row and continues from its retry stream
+        paths = []
+
+        def recording(*path):
+            paths.append(path)
+            return substream(*path)
+
+        monkeypatch.setattr(engine, "substream", recording)
+        topo = generate_graph("ring", 4, block_dim=1, seed=0)
+        objs = [toy_objective()] * 4
+        params = _params(
+            rho=600.0, init_lo=5.0, init_hi=5.0, total_iters=6,
+            smoothing=SmoothingParams(0.01, 8),
+        )
+        cen = run_centralized(topo, objs, params)
+        retry_paths = [p for p in paths if len(p) == 5 and p[2] == ROLE_STEP]
+        assert {p[3] for p in retry_paths if p[4] == 0} == {0, 1, 2, 3}
+        dis = run_distributed(topo, objs, params)
+        np.testing.assert_array_equal(cen.states_x, dis.states_x)
+        np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
+        np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
+        chk = Checkpoint(iteration=0, x=cen.states_x[0], lam=cen.states_lam[0])
+        again = run_centralized(topo, objs, params, resume=chk)
+        assert again.states_x.tobytes() == cen.states_x.tobytes()
+
+    def test_box_exhaustion_names_role_agent_and_iteration(self):
+        # a checkpoint on the box face with no retries allowed: the first
+        # agent whose step row holds an outward direction fails
+        topo = generate_graph("ring", 3, block_dim=1, seed=0)
+        objs = [toy_objective()] * 3
+        params = _params(retry_cap=0, smoothing=SmoothingParams(0.01, 4), seed=7)
+        block = substream(7, 0, ROLE_STEP, 3).standard_normal((3, 4, 1))
+        agent = 1 + int(np.flatnonzero(np.any(block[..., 0] > 0.0, axis=1))[0])
+        chk = Checkpoint(iteration=3, x=np.full(3, 5.0), lam=np.zeros(3))
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^step estimate of agent {agent} at iteration 3: smoothing perturbation "
+            "left the domain box 1 times",
+        ):
+            run_centralized(topo, objs, params, resume=chk)
 
     def test_message_traffic_per_round(self):
         topo, _ = _single_edge()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import zopd.harness as harness
 from zopd.cli import main as cli_main
+from zopd.engine import ROLE_STEP, substream
 from zopd.graph import Topology
 from zopd.harness import (
     CSV_HEADER,
@@ -263,6 +264,18 @@ class TestConfigValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.output_dir = tmp_path / "elsewhere"
 
+    def test_in_place_edit_of_normalized_is_refused(self, tmp_path):
+        cfg = config_from_dict(_tiny_raw(tmp_path / "o"))
+        before = cfg.config_hash
+        cfg.normalized["algorithm"]["rho"] = 3.0
+        assert cfg.params.rho == 6.0
+        assert cfg.config_hash == before
+        with pytest.raises(ValueError, match=r"dataclasses\.replace"):
+            run_experiment(cfg)
+        assert not (tmp_path / "o").exists()
+        rebuilt = dataclasses.replace(cfg, normalized=cfg.normalized)
+        assert rebuilt.params.rho == 3.0 and rebuilt.config_hash != before
+
     @pytest.mark.parametrize(
         "objective, algo, field",
         [
@@ -478,6 +491,20 @@ class TestRunExperiment:
             run_experiment(config_from_dict(raw))
         partial = read_trace_csv(Path(raw["output_dir"]) / "trial_000.csv")
         assert 1 <= len(partial) < 30
+
+    def test_box_exhaustion_names_trial_role_agent_and_iteration(self, tmp_path):
+        # every agent starts on the face x = 3 and no retry is allowed: the
+        # first agent whose step row holds an outward direction fails
+        raw = _zero_quad_raw(tmp_path / "face", iters=3)
+        raw["algorithm"].update(init=[3.0, 3.0], samples=4, retry_cap=0)
+        block = substream(9, 0, ROLE_STEP, 0).standard_normal((3, 4, 1))
+        agent = 1 + int(np.flatnonzero(np.any(block[..., 0] > 0.0, axis=1))[0])
+        with pytest.raises(
+            RuntimeError,
+            match=rf"^trial 0 failed after 0 rows: step estimate of agent {agent} at "
+            "iteration 0: smoothing perturbation left the domain box 1 times",
+        ):
+            run_experiment(config_from_dict(raw))
 
     def test_worker_pool_matches_serial(self, tmp_path):
         serial_raw = _tiny_raw(tmp_path / "serial")

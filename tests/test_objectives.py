@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zopd.objectives import (
     Box,
@@ -254,6 +256,50 @@ def test_stacked_assembly_matches_blockwise_sum():
     for x in rng.uniform(-2, 2, size=(100, 10)):
         parts = [locals_[i].value(x[2 * i : 2 * i + 2]) for i in range(5)]
         assert stacked.value(x) == float(np.sum(parts))
+
+
+def _families(n):
+    """Agents' objectives per family; logreg and the toy with phases give
+    each agent its own object, the shared families one object for all."""
+    data, _ = synthesize_classification_data(n, 7, 3, seed=2)
+    quads = [random_quadratic(3, seed=40 + i) for i in range(n)]
+    return {
+        "toy-phases": [toy_objective(phase=0.1 * (i + 1)) for i in range(n)],
+        "toy-shared": [toy_objective()] * n,
+        "logreg": [logistic_regression_objective(d, n) for d in data],
+        "quadratic-shared": [quads[0]] * n,
+        "quadratic-per-agent": quads,
+        "quadratic-interleaved": [quads[i % 2] for i in range(n)],
+    }
+
+
+def test_stacked_values_equal_per_agent_rows():
+    families = _families(6)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(families)),
+        n=st.integers(1, 6),
+        s=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(family, n, s, seed):
+        locals_ = families[family][:n]
+        stacked = StackedObjective(locals_)
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-2.0, 2.0, (n, s, stacked.block_dim))
+        want = np.array([o.value_many(pts[i]) for i, o in enumerate(locals_)])
+        assert stacked.values(pts).tobytes() == want.tobytes()
+        x = pts[:, 0, :].reshape(-1)
+        agents = list(enumerate(locals_))
+        assert stacked.value(x) == float(np.sum([o.value(pts[i, 0]) for i, o in agents]))
+        if stacked.has_smoothed_closed_form:
+            grads = np.concatenate([o.smoothed_gradient(pts[i, 0], 0.1) for i, o in agents])
+            vals = [o.smoothed_value(pts[i, 0], 0.1) for i, o in agents]
+            assert stacked.smoothed_gradient_stacked(x, 0.1).tobytes() == grads.tobytes()
+            assert stacked.smoothed_value_stacked(x, 0.1) == float(np.sum(vals))
+
+    check()
 
 
 def test_stacked_metadata():

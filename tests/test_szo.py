@@ -7,11 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zopd import szo
-from zopd.objectives import Box, LocalObjective, quadratic_objective, toy_objective
+from zopd.objectives import (
+    Box,
+    LocalObjective,
+    StackedObjective,
+    quadratic_objective,
+    random_quadratic,
+    toy_objective,
+)
 from zopd.szo import (
     NoiseModel,
     SmoothingParams,
     SZOracle,
+    estimate_batch,
     estimate_gradient,
     estimator_norm_diagnostic,
     measure_gradient_and_value,
@@ -319,6 +327,65 @@ def test_sampling_primitive_matches_per_sample_walk():
 
     check()
     assert sum(retried) >= 50  # examples that exercised the retry walk
+
+
+class _Concat:
+    """A generator stand-in whose normal draws read head first, then rng."""
+
+    def __init__(self, head, rng):
+        self.head, self.rng = head.reshape(-1), rng
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        take, self.head = self.head[:n], self.head[n:]
+        return np.concatenate([take, self.rng.standard_normal(n - take.size)]).reshape(size)
+
+
+def test_batch_rows_are_single_agent_estimates():
+    """Agent i's row of a batched estimate is the single-agent estimate on
+    the stream that reads row i of the block and then i's retry stream; each
+    oracle is charged 2 J queries, retries included."""
+    walked = []
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        dim=st.integers(1, 3),
+        j=st.integers(1, 9),
+        noisy=st.booleans(),
+        on_face=st.lists(st.booleans(), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, dim, j, noisy, on_face, seed):
+        noise = NoiseModel("additive_gaussian", 0.3) if noisy else NoiseModel()
+        objs = [random_quadratic(dim, seed=i % 2, box_lo=-1.0, box_hi=1.0) for i in range(n)]
+        xb = _rng(seed, 1).uniform(-0.5, 0.5, (n, dim))
+        xb[np.array(on_face[:n]), 0] = 1.0  # the agent sits on a box face
+        oracles = [SZOracle(o, noise) for o in objs]
+        smoothing = SmoothingParams(0.1, j)
+        retried = []
+
+        def retry_rng(i):
+            retried.append(i)
+            return _rng(seed, 2, i)
+
+        grads, noisy_vals = estimate_batch(
+            StackedObjective(objs), oracles, xb, smoothing, _rng(seed), retry_rng
+        )
+        assert [o.query_count for o in oracles] == [2 * j] * n
+        block = _rng(seed).standard_normal((n, j, dim + int(noisy)))
+        for i, obj in enumerate(objs):
+            single = SZOracle(obj, noise)
+            stream = _Concat(block[i], _rng(seed, 2, i))
+            g, v = measure_gradient_and_value(single, xb[i], smoothing, stream)
+            assert g.tobytes() == grads[i].tobytes()
+            assert v == float(np.mean(noisy_vals[i]))
+            assert single.query_count == 2 * j
+        assert set(retried) <= {i for i in range(n) if on_face[i]}
+        walked.append(bool(retried))
+
+    check()
+    assert sum(walked) >= 20  # examples that walked a row from its retry stream
 
 
 class TestSmoothedSurrogates:
