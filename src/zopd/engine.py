@@ -41,6 +41,7 @@ from .objectives import LocalObjective, StackedObjective
 from .szo import (
     BoxExhausted,
     NoiseModel,
+    OutsideBox,
     SmoothingParams,
     SZOracle,
     estimate_batch,
@@ -225,8 +226,9 @@ class _Estimator:
 
     def __call__(
         self, xb: np.ndarray, smoothing: SmoothingParams, iteration: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(N, M) gradients and (N, J) noisy values at the blocks xb (N, M)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(N, M) gradients, (N, J) noisy values and (N,) noise-free values at
+        the blocks xb (N, M)."""
         seed, trial, role = self.params.seed, self.trial, self.role
         try:
             return estimate_batch(
@@ -235,7 +237,7 @@ class _Estimator:
                 lambda i: substream(seed, trial, role, i, iteration),
                 self.params.retry_cap,
             )
-        except BoxExhausted as exc:
+        except (BoxExhausted, OutsideBox) as exc:
             raise RuntimeError(
                 f"{_ROLE_NAMES[role]} estimate of agent {exc.agent + 1} "
                 f"at iteration {iteration}: {exc}"
@@ -259,15 +261,18 @@ class _TraceMeter(_Estimator):
             raise ValueError("gap_gradient=closed_form but the objective has no closed form")
         self.mode = mode
 
-    def measure(self, x: np.ndarray, iteration: int) -> tuple[np.ndarray, float]:
+    def measure(self, x: np.ndarray, iteration: int) -> tuple[np.ndarray, float, float]:
+        """(smoothed gradient, smoothed value, objective value) at x. The
+        estimator takes the objective from its own noise-free base values."""
         st, p = self.stacked, self.params
         mu = p.smoothing.mu
         if self.mode == "closed_form":
-            return st.smoothed_gradient_stacked(x, mu), st.smoothed_value_stacked(x, mu)
+            g, f_mu = st.smoothed_gradient_stacked(x, mu), st.smoothed_value_stacked(x, mu)
+            return g, f_mu, st.value(x)
         xb = st.blocks(x)
         if self.mode == "estimator":
-            g, noisy = self(xb, p.smoothing, iteration)
-            return g.reshape(-1), float(np.sum(np.mean(noisy, axis=1)))
+            g, noisy, base = self(xb, p.smoothing, iteration)
+            return g.reshape(-1), float(np.sum(np.mean(noisy, axis=1))), float(np.sum(base))
         grads = []
         total = 0.0
         for i, oracle in enumerate(self.oracles):  # mc
@@ -277,7 +282,7 @@ class _TraceMeter(_Estimator):
             )
             grads.append(g)
             total += smoothed_value(oracle, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap)
-        return np.concatenate(grads), total
+        return np.concatenate(grads), total, st.value(x)
 
 
 @dataclass
@@ -342,6 +347,22 @@ def _step_gradients(ctx: _RunContext, params: AlgoParams, xb: np.ndarray, r: int
     return ctx.estimate(xb, params.smoothing, r)[0]
 
 
+def _check_finite(method: str, r: int, ctx: _RunContext, x: np.ndarray, lam: np.ndarray) -> None:
+    """Raise when x^r or lam^r is not finite, naming the first agent (or
+    edge) whose block is not, and that block."""
+    if np.isfinite(x).all() and np.isfinite(lam).all():
+        return
+    xb, lb = (v.reshape(-1, ctx.topo.block_dim) for v in (x, lam))
+    bad = ~np.isfinite(xb).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f"agent {i + 1} has x = {xb[i].tolist()}"
+    else:
+        e = int(np.argmax(~np.isfinite(lb).all(axis=1)))
+        where = f"edge {ctx.topo.edges[e]} has lam = {lb[e].tolist()}"
+    raise RuntimeError(f"{method} diverged at iteration {r}: {where}")
+
+
 _Step = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -386,13 +407,13 @@ def _drive(
         if r == output_pick:
             out_x, out_lam, out_iter = x.copy(), lam.copy(), r
         if r > start:
-            grad_gap, f_mu = ctx.meter.measure(x, r)
+            grad_gap, f_mu, f = ctx.meter.measure(x, r)
             rec = MetricRecord(
                 iteration=r,
                 stationarity_gap=stationarity_gap(x, lam_prev, grad_gap, ctx.mats, params.rho),
                 constraint_violation=constraint_violation(x, ctx.mats),
                 potential=potential(x, x_prev, lam, ctx.mats, ctx.consts, f_mu),
-                objective=ctx.stacked.value(x),
+                objective=f,
                 wall_time=time.perf_counter() - t0,
             )
             records.append(rec)
@@ -401,6 +422,7 @@ def _drive(
         if r == horizon:
             break
         x_new, lam_new, g = step(x, lam, r)
+        _check_finite(method, r + 1, ctx, x_new, lam_new)
         x_prev, lam_prev = x, lam
         x, lam = x_new, lam_new
         xs.append(x.copy())

@@ -287,12 +287,13 @@ class ClassificationData:
         return self.features.shape[1]
 
 
-def _logreg_values(fts_t, lbl, alpha, epsilon, scale, pts: np.ndarray) -> np.ndarray:
+def _logreg_values(signed_t, alpha, epsilon, scale, pts: np.ndarray) -> np.ndarray:
     x = np.asarray(pts, dtype=float)
-    margins = lbl * np.einsum("sm,mb->sb", x, fts_t)
-    loss = np.sum(np.logaddexp(0.0, -margins), axis=1)
+    margins = np.einsum("sm,mb->sb", x, signed_t)  # y_j x.v_j, labels folded in
+    # log(1 + exp(-m)) = log1p(exp(-|m|)) - min(m, 0), finite for any m
+    loss = np.log1p(np.exp(-np.abs(margins))) - np.minimum(margins, 0.0)
     reg = alpha * np.log(epsilon + np.sum(np.abs(x), axis=1))
-    return scale * (loss + reg)
+    return scale * (np.sum(loss, axis=1) + reg)
 
 
 def logistic_regression_objective(
@@ -323,15 +324,14 @@ def logistic_regression_objective(
     # slope spike of the l1 log near the origin).
     l0 = scale * (float(np.sum(np.linalg.norm(fts, axis=1))) + alpha * math.sqrt(m) / epsilon)
     lower = scale * alpha * math.log(epsilon)
+    signed_t = np.ascontiguousarray((fts * data.labels[:, None]).T)  # y (x.v) = x.(y v) exactly
 
     return LocalObjective(
         dim=m,
         box=Box.cube(m, box_lo, box_hi),
         lipschitz_l0=l0,
         lower_bound=min(lower, 0.0),
-        value_many=partial(
-            _logreg_values, np.ascontiguousarray(fts.T), data.labels, alpha, epsilon, scale
-        ),
+        value_many=partial(_logreg_values, signed_t, alpha, epsilon, scale),
         name="logreg",
     )
 

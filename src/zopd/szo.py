@@ -32,6 +32,7 @@ __all__ = [
     "SmoothingParams",
     "SZOracle",
     "BoxExhausted",
+    "OutsideBox",
     "estimate_batch",
     "estimate_gradient",
     "measure_gradient_and_value",
@@ -104,6 +105,14 @@ class BoxExhausted(RuntimeError):
         self.agent = agent
 
 
+class OutsideBox(ValueError):
+    """One agent's query point lies outside its domain box."""
+
+    def __init__(self, agent: int):
+        super().__init__(f"query point of agent {agent + 1} outside the domain box")
+        self.agent = agent
+
+
 def _walk(lo, hi, x, mu, row, more, retry_cap, agent):
     """One agent's (count, dim + k) row re-read in per-sample order: phi, a
     fresh phi per box retry, then the k noise values. Values past the row's
@@ -146,14 +155,14 @@ def _draw(
     Row i of one standard_normal((N, count, M + k)) block is agent i's
     stream; a row with an out-of-box point is walked, continuing from
     retry_rng(i), or from rng itself when retry_rng is None. Every caller's
-    points are checked here: a misshapen xb or a point outside its box
-    raises ValueError.
+    points are checked here: a misshapen xb raises ValueError, and a point
+    outside its box raises OutsideBox naming the first such agent.
     """
     if xb.shape != lo.shape:
         raise ValueError(f"points must have shape {lo.shape}")
     outside = np.flatnonzero(~np.all((xb >= lo) & (xb <= hi), axis=1))
     if outside.size:
-        raise ValueError(f"query point of agent {outside[0] + 1} outside the domain box")
+        raise OutsideBox(int(outside[0]))
     n, m = xb.shape
     block = rng.standard_normal((n, count, m + int(noise.kind != "none")))
     pts = xb[:, None, :] + mu * block[..., :m]
@@ -192,15 +201,16 @@ def estimate_batch(
     rng: np.random.Generator,
     retry_rng: Callable[[int], np.random.Generator] | None = None,
     retry_cap: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-point estimates for N agents from one draw; agent i's box retries
     continue from retry_rng(i), or from rng when retry_rng is None.
 
     oracles[i] queries stacked.locals_[i], and all share oracles[0]'s noise
-    model. Returns the (N, M) batch-averaged gradients and the (N, J) noisy
-    perturbed values, and adds 2 J to each oracle's query_count (two queries
-    per sample, shared xi; box retries are not queries). Raises BoxExhausted
-    naming the agent whose retries ran out.
+    model. Returns the (N, M) batch-averaged gradients, the (N, J) noisy
+    perturbed values and the (N,) noise-free values f_i(xb[i]), and adds 2 J
+    to each oracle's query_count (two queries per sample, shared xi; box
+    retries are not queries). Raises BoxExhausted naming the agent whose
+    retries ran out.
     """
     mu, j = smoothing.mu, smoothing.samples
     lo, hi = stacked.box_lo, stacked.box_hi
@@ -210,7 +220,7 @@ def estimate_batch(
     diffs = noisy - (vals[:, j:] + xis)
     for oracle in oracles:
         oracle.query_count += 2 * j
-    return np.mean((diffs / mu)[:, :, None] * phis, axis=1), noisy
+    return np.mean((diffs / mu)[:, :, None] * phis, axis=1), noisy, vals[:, j]
 
 
 def estimate_gradient(
@@ -236,7 +246,7 @@ def measure_gradient_and_value(
     estimate_batch, retrying from rng itself."""
     xb = np.asarray(x, dtype=float)[None]
     stacked = StackedObjective([oracle.objective])
-    grads, noisy = estimate_batch(stacked, [oracle], xb, smoothing, rng, None, retry_cap)
+    grads, noisy, _ = estimate_batch(stacked, [oracle], xb, smoothing, rng, None, retry_cap)
     return grads[0], float(np.mean(noisy[0]))
 
 

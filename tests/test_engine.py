@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from zopd import engine
+from zopd.baseline import RGFParams, run_rgf
 from zopd.engine import (
     ROLE_INIT,
     ROLE_STEP,
@@ -21,7 +22,14 @@ from zopd.engine import (
     substream,
 )
 from zopd.graph import Topology, build_matrices, generate_graph
-from zopd.objectives import quadratic_objective, random_quadratic, toy_objective
+from zopd.objectives import (
+    StackedObjective,
+    logistic_regression_objective,
+    quadratic_objective,
+    random_quadratic,
+    synthesize_classification_data,
+    toy_objective,
+)
 from zopd.szo import NoiseModel, SmoothingParams
 
 
@@ -468,11 +476,95 @@ class TestMeterModes:
         for a, b in zip(exact.records, approx.records):
             assert b.stationarity_gap == pytest.approx(a.stationarity_gap, rel=1.0, abs=0.5)
 
+    def test_estimator_objective_column_is_the_stacked_value(self):
+        """The estimator meter's objective column, taken from its noise-free
+        base values, equals StackedObjective.value at every graded iterate,
+        bitwise, for the primal-dual method and the baseline."""
+
+        @settings(max_examples=30, derandomize=True, deadline=None)
+        @given(
+            family=st.sampled_from(["logreg", "toy_phases", "toy_shared"]),
+            n=st.integers(3, 6),
+            iters=st.integers(1, 5),
+            samples=st.integers(1, 6),
+            noisy=st.booleans(),
+            seed=st.integers(0, 2**31 - 1),
+        )
+        def check(family, n, iters, samples, noisy, seed):
+            if family == "logreg":
+                m = 3
+                data, _ = synthesize_classification_data(n, 8, m, seed)
+                objs = [logistic_regression_objective(d, n) for d in data]
+            else:
+                m = 1
+                phases = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+                objs = [toy_objective(float(p)) for p in phases]
+                if family == "toy_shared":
+                    objs = [toy_objective()] * n
+            topo = generate_graph("ring", n, block_dim=m, seed=0)
+            noise = NoiseModel("additive_gaussian", 0.1) if noisy else NoiseModel()
+            params = _params(
+                gap_gradient="estimator", total_iters=iters, seed=seed, noise=noise,
+                smoothing=SmoothingParams(0.05, samples),
+            )
+            stacked = StackedObjective(objs)
+            runs = (
+                run_centralized(topo, objs, params),
+                run_rgf(topo, objs, params, RGFParams(step_scale=0.1, mu=0.05)),
+            )
+            for run in runs:
+                assert [r.iteration for r in run.records] == list(range(1, iters + 1))
+                for rec in run.records:
+                    assert rec.objective == stacked.value(run.states_x[rec.iteration])
+
+        check()
+
     def test_closed_form_meter_requires_closed_forms(self):
         topo, _ = _single_edge()
         objs = [toy_objective(phase=0.1), toy_objective(phase=0.2)]
         with pytest.raises(ValueError, match="closed form"):
             run_centralized(topo, objs, _params(gap_gradient="closed_form"))
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("gradient_mode", ["estimator", "reference"])
+    @pytest.mark.parametrize("execution", ["centralized", "distributed", "rgf"])
+    def test_non_finite_iterate_names_method_iteration_and_agent(
+        self, execution, gradient_mode
+    ):
+        # agent 2 reports NaN values and gradients, so its first step is NaN
+        topo = generate_graph("ring", 3, block_dim=2, seed=0)
+        objs = _quad_objectives(3, 2)
+        objs[1] = dataclasses.replace(
+            objs[1],
+            value_many=lambda pts: np.full(len(pts), np.nan),
+            smoothed_gradient=lambda x, mu: np.full_like(x, np.nan),
+        )
+        params = _params(gradient_mode=gradient_mode, gap_gradient="closed_form")
+        run = {
+            "centralized": lambda: run_centralized(topo, objs, params),
+            "distributed": lambda: run_distributed(topo, objs, params),
+            "rgf": lambda: run_rgf(topo, objs, params, RGFParams()),
+        }[execution]
+        method = "rgf" if execution == "rgf" else "primal_dual"
+        with pytest.raises(
+            RuntimeError, match=rf"^{method} diverged at iteration 1: agent 2 has x = \[nan, nan\]$"
+        ):
+            run()
+
+    def test_non_finite_dual_names_the_edge(self):
+        # duals at the float maximum cancel in A'lam, so the primal step stays
+        # finite (x+ is about [0.25, 0, -0.25]), and the ascent by rho A x+
+        # overflows the duals of edges (1, 2) and (2, 3)
+        topo = generate_graph("ring", 3, block_dim=1, seed=0)
+        top = np.finfo(float).max
+        chk = Checkpoint(iteration=2, x=np.array([1.0, 0.0, -1.0]), lam=np.full(3, top))
+        params = _params(gradient_mode="reference", rho=1e294)
+        with np.errstate(over="ignore"), pytest.raises(
+            RuntimeError,
+            match=r"^primal_dual diverged at iteration 3: edge \(1, 2\) has lam = \[inf\]$",
+        ):
+            run_centralized(topo, _quad_objectives(3, 1), params, resume=chk)
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zopd.harness as harness
+from zopd import engine
 from zopd.cli import main as cli_main
 from zopd.engine import ROLE_STEP, substream
 from zopd.graph import Topology
@@ -491,6 +492,30 @@ class TestRunExperiment:
             run_experiment(config_from_dict(raw))
         partial = read_trace_csv(Path(raw["output_dir"]) / "trial_000.csv")
         assert 1 <= len(partial) < 30
+
+    def test_out_of_box_iterate_names_trial_role_agent_and_iteration(self, tmp_path, monkeypatch):
+        # concave blocks push the iterates out of the domain box [-3, 3]; the
+        # step estimate at the first iterate with an agent outside fails
+        iterates = []
+        real = engine.primal_step
+
+        def recording(*args):
+            iterates.append(real(*args))
+            return iterates[-1]
+
+        monkeypatch.setattr(engine, "primal_step", recording)
+        raw = _zero_quad_raw(tmp_path / "out", iters=30)
+        raw["objective"]["hessian"] = [[-4.0]]
+        raw["algorithm"].update(rho=0.5, init=[-1.0, 1.0])
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(config_from_dict(raw))
+        r = len(iterates)  # x^r is the last iterate, and rows 1..r were written
+        assert [bool(np.all(np.abs(x) <= 3.0)) for x in iterates] == [True] * (r - 1) + [False]
+        agent = 1 + int(np.flatnonzero(np.abs(iterates[-1]) > 3.0)[0])
+        assert str(info.value) == (
+            f"trial 0 failed after {r} rows: step estimate of agent {agent} at iteration {r}: "
+            f"query point of agent {agent} outside the domain box"
+        )
 
     def test_box_exhaustion_names_trial_role_agent_and_iteration(self, tmp_path):
         # every agent starts on the face x = 3 and no retry is allowed: the

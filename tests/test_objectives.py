@@ -145,6 +145,48 @@ class TestLogisticRegression:
             expected = loss / (n * data.batch)
             assert obj.value(x) == pytest.approx(expected, rel=1e-12)
 
+    def test_extreme_margins_give_the_linear_asymptote(self):
+        # exp(-m) overflows at m = -1e3: softplus(-m) must still be max(-m, 0)
+        data = ClassificationData(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, -1.0]))
+        obj = logistic_regression_objective(data, num_agents=1, alpha=0.0)
+        pts = np.array([[1e3, 1e3], [-1e3, -1e3], [1e3, -1e3], [-1e3, 1e3]])
+        with np.errstate(over="raise"):
+            vals = obj.value_many(pts)
+        # margins (1e3, -1e3), (-1e3, 1e3), (1e3, 1e3), (-1e3, -1e3)
+        np.testing.assert_array_equal(vals, np.array([1e3, 1e3, 0.0, 2e3]) / 2.0)
+
+    def test_matches_logaddexp_formula(self):
+        """The softplus rewrite agrees with log(1 + e^-m) written as
+        logaddexp(0, -m) on the unfolded labels, to a relative 1e-14."""
+
+        @settings(max_examples=60, derandomize=True, deadline=None)
+        @given(
+            batch=st.integers(1, 40),
+            dim=st.integers(1, 6),
+            rows=st.integers(1, 9),
+            spread=st.sampled_from([0.1, 2.0, 50.0]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(batch, dim, rows, spread, seed):
+            data = self._tiny(batch, dim, seed)
+            alpha, eps, n = 0.1, 1e-3, 3
+            obj = logistic_regression_objective(data, n, alpha=alpha, epsilon=eps)
+            pts = np.random.default_rng(seed).uniform(-spread, spread, (rows, dim))
+            margins = data.labels * np.einsum("sm,mb->sb", pts, data.features.T)
+            loss = np.sum(np.logaddexp(0.0, -margins), axis=1)
+            want = (loss + alpha * np.log(eps + np.sum(np.abs(pts), axis=1))) / (n * batch)
+            np.testing.assert_allclose(obj.value_many(pts), want, rtol=1e-14, atol=0.0)
+
+        check()
+
+    def test_label_folded_margins_are_exact(self):
+        data = self._tiny(batch=30, dim=5, seed=9)
+        obj = logistic_regression_objective(data, num_agents=2)
+        signed_t = obj.value_many.args[0]
+        pts = np.random.default_rng(4).uniform(-10.0, 10.0, (25, 5))
+        plain = data.labels * np.einsum("sm,mb->sb", pts, np.ascontiguousarray(data.features.T))
+        assert np.einsum("sm,mb->sb", pts, signed_t).tobytes() == plain.tobytes()
+
     def test_lipschitz_and_lower_bound_audit(self):
         data = self._tiny(batch=16, dim=3, seed=5)
         obj = logistic_regression_objective(data, num_agents=2)

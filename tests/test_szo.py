@@ -369,7 +369,7 @@ def test_batch_rows_are_single_agent_estimates():
             retried.append(i)
             return _rng(seed, 2, i)
 
-        grads, noisy_vals = estimate_batch(
+        grads, noisy_vals, _ = estimate_batch(
             StackedObjective(objs), oracles, xb, smoothing, _rng(seed), retry_rng
         )
         assert [o.query_count for o in oracles] == [2 * j] * n
