@@ -116,9 +116,11 @@ class AlgoParams:
 
     def check_init_box(self, objectives: Sequence[LocalObjective]) -> None:
         """The initialization box must lie inside every agent's domain box."""
-        for i, o in enumerate(objectives):
-            if np.any(o.box.lo > self.init_lo) or np.any(o.box.hi < self.init_hi):
-                raise ValueError(f"initialization box exceeds the domain box of agent {i + 1}")
+        lo = np.array([o.box.lo for o in objectives])
+        hi = np.array([o.box.hi for o in objectives])
+        bad = np.flatnonzero(np.any((lo > self.init_lo) | (hi < self.init_hi), axis=1))
+        if bad.size:
+            raise ValueError(f"initialization box exceeds the domain box of agent {bad[0] + 1}")
 
     def potential_weight_for(self, mats: NetworkMatrices) -> float:
         """The configured potential weight c, or the graph's default."""

@@ -583,6 +583,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="initialization box"):
             run_centralized(topo, _quad_objectives(2, 1), _params(init_lo=-100.0, init_hi=100.0))
 
+    def test_init_box_error_names_the_first_agent(self):
+        objs = [toy_objective(box_lo=lo) for lo in (-5.0, -5.0, -0.5, -5.0, -0.5)]
+        with pytest.raises(ValueError, match="domain box of agent 3$"):
+            _params(init_lo=-1.0, init_hi=1.0).check_init_box(objs)
+        _params(init_lo=-0.5, init_hi=1.0).check_init_box(objs)
+
     def test_reference_mode_needs_closed_forms(self):
         topo, _ = _single_edge()
         objs = [toy_objective(phase=0.1), toy_objective(phase=0.2)]

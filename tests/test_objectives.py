@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zopd.objectives import (
     Box,
     ClassificationData,
+    LocalObjective,
     StackedObjective,
     estimate_lipschitz,
     logistic_regression_objective,
@@ -340,6 +341,94 @@ def test_stacked_values_equal_per_agent_rows():
             vals = [o.smoothed_value(pts[i, 0], 0.1) for i, o in agents]
             assert stacked.smoothed_gradient_stacked(x, 0.1).tobytes() == grads.tobytes()
             assert stacked.smoothed_value_stacked(x, 0.1) == float(np.sum(vals))
+
+    check()
+
+
+def _logreg_agents(n, batch, dim, seed, uneven=False):
+    """n logistic agents; with uneven, odd agents hold 3 more data points, so
+    the agents form two interleaved families."""
+    big, _ = synthesize_classification_data(n, batch + 3, dim, seed)
+    return [
+        logistic_regression_objective(
+            d if uneven and i % 2 else ClassificationData(d.features[:batch], d.labels[:batch]), n
+        )
+        for i, d in enumerate(big)
+    ]
+
+
+def test_logreg_family_rows_equal_agent_views():
+    """One family call gives, as bytes, each agent's value_many rows and each
+    row's single-point value, at the workload shape too, where every scratch
+    array is above malloc's 128 KiB mmap threshold."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 15),
+        s=st.integers(1, 31),
+        dim=st.integers(1, 10),
+        batch=st.integers(1, 100),
+        uneven=st.booleans(),
+        spread=st.sampled_from([0.1, 2.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=15, s=31, dim=10, batch=100, uneven=False, spread=2.0, seed=1)
+    def check(n, s, dim, batch, uneven, spread, seed):
+        locals_ = _logreg_agents(n, batch, dim, seed, uneven)
+        stacked = StackedObjective(locals_)
+        pts = np.random.default_rng(seed).uniform(-spread, spread, (n, s, dim))
+        got = stacked.values(pts)
+        want = np.array([o.value_many(pts[i]) for i, o in enumerate(locals_)])
+        assert got.tobytes() == want.tobytes()
+        single = [[o.value(p) for p in pts[i]] for i, o in enumerate(locals_)]
+        assert got.tobytes() == np.array(single).tobytes()
+
+    check()
+
+
+def test_family_workspace_reuse_gives_fresh_bytes():
+    """Reusing one StackedObjective's workspace across row counts 31, 2, 31,
+    and growing it to 40, gives the bytes of fresh per-agent calls."""
+    locals_ = _logreg_agents(15, 100, 10, seed=3)
+    stacked = StackedObjective(locals_)
+    rng = np.random.default_rng(5)
+    for s in (31, 2, 31, 40):
+        pts = rng.uniform(-3.0, 3.0, (15, s, 10))
+        want = np.array([o.value_many(pts[i]) for i, o in enumerate(locals_)])
+        assert stacked.values(pts).tobytes() == want.tobytes()
+
+
+def test_family_rows_ignore_a_replaced_value_many():
+    """Families are grouped by their description, not by value_many, so a
+    wrapper put on an instance does not change what the stacked call does."""
+    locals_ = _logreg_agents(3, 20, 4, seed=2)
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 5, 4))
+    want = StackedObjective(locals_).values(pts)
+    for o in locals_:
+        o.value_many = lambda p: np.zeros(len(p))
+    assert StackedObjective(locals_).values(pts).tobytes() == want.tobytes()
+
+
+def test_objective_needs_value_many_or_family():
+    with pytest.raises(ValueError, match="value_many or a family"):
+        LocalObjective(dim=1, box=Box.cube(1, -1.0, 1.0), lipschitz_l0=1.0, lower_bound=0.0)
+
+
+def test_quadratic_rows_are_row_stable():
+    """A quadratic's batch rows equal its single-point values bitwise."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        dim=st.integers(1, 10),
+        rows=st.integers(1, 40),
+        convex=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(dim, rows, convex, seed):
+        obj = random_quadratic(dim, seed=seed % 1000, convex=convex)
+        pts = np.random.default_rng(seed).uniform(-3.0, 3.0, (rows, dim))
+        single = [obj.value(p) for p in pts]
+        assert obj.value_many(pts).tobytes() == np.array(single).tobytes()
 
     check()
 
