@@ -109,4 +109,4 @@ def run_rgf(
         x_new = np.clip(mixed, ctx.stacked.box_lo, ctx.stacked.box_hi)
         return x_new.reshape(-1), lam, grads.reshape(-1)
 
-    return _drive(ctx, params, trial, step, "rgf", params.total_iters, None)
+    return _drive(ctx, params, trial, step, "rgf", None)

@@ -11,13 +11,16 @@ The primal closed form comes from the first-order condition of the proximal
 subproblem g + A' lam + rho A'A x + 2 rho D (x+ - x) = 0.
 
 Randomness is hierarchical: every draw comes from a substream keyed by
-(seed, trial, role, ...). Each estimating role draws one block per iteration,
-keyed by (seed, trial, role, iteration) and read by agent i at row i; an
-agent whose row needs box retries continues from (seed, trial, role, agent,
-iteration). So the centralized run and the distributed message-passing run
-consume identical streams, and a resumed run reproduces the remaining
-iterations bit for bit. Both runs apply the consensus operators through
-graph.scatter_add in one fixed order, so they also agree bit for bit.
+(seed, trial, role, ...), and every role lays out its draws the same way,
+one block per draw with agent i reading its row. x^0 is one (seed, trial,
+init) block of N M uniforms, agent i's M entries in its row, shared by all
+executions of a trial. Each estimating role draws one block per iteration,
+keyed by (seed, trial, role, iteration); an agent whose row needs box
+retries continues from (seed, trial, role, agent, iteration). So the
+centralized run and the distributed message-passing run consume identical
+streams, and a resumed run reproduces the remaining iterations bit for bit.
+Both runs apply the consensus operators through graph.scatter_add in one
+fixed order, so they also agree bit for bit.
 """
 from __future__ import annotations
 
@@ -220,30 +223,30 @@ def dual_step(
 
 class _Estimator:
     """Every agent's estimates for one role of a trial, from the role's block
-    and retry streams; the oracles count each agent's queries."""
+    and retry streams."""
 
     def __init__(self, stacked: StackedObjective, params: AlgoParams, trial: int, role: int):
         self.stacked, self.params, self.trial, self.role = stacked, params, trial, role
-        self.oracles = [SZOracle(o, params.noise) for o in stacked.locals_]
+
+    def _failure(self, exc: BoxExhausted | OutsideBox, iteration: int) -> RuntimeError:
+        return RuntimeError(
+            f"{_ROLE_NAMES[self.role]} estimate of agent {exc.agent + 1} "
+            f"at iteration {iteration}: {exc}"
+        )
 
     def __call__(
         self, xb: np.ndarray, smoothing: SmoothingParams, iteration: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(N, M) gradients, (N, J) noisy values and (N,) noise-free values at
         the blocks xb (N, M)."""
-        seed, trial, role = self.params.seed, self.trial, self.role
+        key = (self.params.seed, self.trial, self.role)
         try:
             return estimate_batch(
-                self.stacked, self.oracles, xb, smoothing,
-                substream(seed, trial, role, iteration),
-                lambda i: substream(seed, trial, role, i, iteration),
-                self.params.retry_cap,
+                self.stacked, self.params.noise, xb, smoothing, substream(*key, iteration),
+                lambda i: substream(*key, i, iteration), self.params.retry_cap,
             )
         except (BoxExhausted, OutsideBox) as exc:
-            raise RuntimeError(
-                f"{_ROLE_NAMES[role]} estimate of agent {exc.agent + 1} "
-                f"at iteration {iteration}: {exc}"
-            ) from exc
+            raise self._failure(exc, iteration) from exc
 
 
 class _TraceMeter(_Estimator):
@@ -275,21 +278,23 @@ class _TraceMeter(_Estimator):
         if self.mode == "estimator":
             g, noisy, base = self(xb, p.smoothing, iteration)
             return g.reshape(-1), float(np.sum(np.mean(noisy, axis=1))), float(np.sum(base))
-        grads = []
-        total = 0.0
-        for i, oracle in enumerate(self.oracles):  # mc
+        grads, total = [], 0.0
+        for i, obj in enumerate(st.locals_):  # mc
             rng = substream(p.seed, self.trial, self.role, i, iteration)
-            g, _ = smoothed_gradient_mc(
-                oracle.objective, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap
-            )
+            try:
+                g, _ = smoothed_gradient_mc(obj, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap)
+                total += smoothed_value(
+                    SZOracle(obj, p.noise), xb[i], mu, p.mc_gap_samples, rng, p.retry_cap
+                )
+            except (BoxExhausted, OutsideBox) as exc:
+                exc.agent = i  # the single-agent samplers name agent 0
+                raise self._failure(exc, iteration) from exc
             grads.append(g)
-            total += smoothed_value(oracle, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap)
         return np.concatenate(grads), total, st.value(x)
 
 
 @dataclass
 class _RunContext:
-    topo: Topology
     mats: NetworkMatrices
     stacked: StackedObjective
     estimate: _Estimator
@@ -313,12 +318,11 @@ def _prepare(
         raise ValueError(
             f"need one objective per node: got {len(objectives)} for {topo.num_nodes} nodes"
         )
-    for o in objectives:
-        if o.dim != topo.block_dim:
-            raise ValueError("objective dim does not match topology block_dim")
+    stacked = StackedObjective(list(objectives))
+    if stacked.block_dim != topo.block_dim:
+        raise ValueError("objective dim does not match topology block_dim")
     if mats is None:
         mats = build_matrices(topo)
-    stacked = StackedObjective(list(objectives))
     params.check_init_box(objectives)
     if params.gradient_mode == "reference" and not stacked.has_smoothed_closed_form:
         raise ValueError("gradient_mode=reference needs closed-form smoothed gradients")
@@ -331,14 +335,11 @@ def _prepare(
         params.potential_weight_for(mats), params.rho,
     )
 
-    m = topo.block_dim
-    blocks = [
-        substream(params.seed, trial, ROLE_INIT, i).uniform(params.init_lo, params.init_hi, m)
-        for i in range(topo.num_nodes)
-    ]
-    x0 = np.concatenate(blocks)
+    x0 = substream(params.seed, trial, ROLE_INIT).uniform(
+        params.init_lo, params.init_hi, stacked.total_dim
+    )
     output_pick = int(substream(params.seed, trial, ROLE_OUTPUT).integers(params.total_iters))
-    return _RunContext(topo, mats, stacked, estimate, meter, consts, x0, output_pick)
+    return _RunContext(mats, stacked, estimate, meter, consts, x0, output_pick)
 
 
 def _step_gradients(ctx: _RunContext, params: AlgoParams, xb: np.ndarray, r: int) -> np.ndarray:
@@ -354,14 +355,15 @@ def _check_finite(method: str, r: int, ctx: _RunContext, x: np.ndarray, lam: np.
     edge) whose block is not, and that block."""
     if np.isfinite(x).all() and np.isfinite(lam).all():
         return
-    xb, lb = (v.reshape(-1, ctx.topo.block_dim) for v in (x, lam))
+    topo = ctx.mats.topology
+    xb, lb = (v.reshape(-1, topo.block_dim) for v in (x, lam))
     bad = ~np.isfinite(xb).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         where = f"agent {i + 1} has x = {xb[i].tolist()}"
     else:
         e = int(np.argmax(~np.isfinite(lb).all(axis=1)))
-        where = f"edge {ctx.topo.edges[e]} has lam = {lb[e].tolist()}"
+        where = f"edge {topo.edges[e]} has lam = {lb[e].tolist()}"
     raise RuntimeError(f"{method} diverged at iteration {r}: {where}")
 
 
@@ -374,7 +376,6 @@ def _drive(
     trial: int,
     step: _Step,
     method: str,
-    horizon: int,
     output_pick: int | None,
     resume: Checkpoint | None = None,
     on_record: Callable[[MetricRecord], None] | None = None,
@@ -382,11 +383,12 @@ def _drive(
     """The run loop every method shares.
 
     step(x, lam, r) returns (x^{r+1}, lam^{r+1}, g^r). Emits one metric row
-    per iteration start+1..horizon; row r grades the pair (x^r, lam^{r-1})
+    per iteration start+1..T; row r grades the pair (x^r, lam^{r-1})
     and the potential at (x^r, lam^r). The output pair is the iterate at
     output_pick, when given.
     """
     t0 = time.perf_counter()
+    horizon = params.total_iters
     if resume is None:
         start = 0
         x = ctx.x0.copy()
@@ -465,10 +467,7 @@ def run_centralized(
         x_new = primal_step(x, lam, g, ctx.mats, params.rho)
         return x_new, dual_step(x_new, lam, ctx.mats, params.rho), g
 
-    return _drive(
-        ctx, params, trial, step, "primal_dual", params.total_iters, ctx.output_pick,
-        resume, on_record,
-    )
+    return _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, resume, on_record)
 
 
 class _Agent:
@@ -541,9 +540,6 @@ def run_distributed(
         lam_blocks[owned_edges] = np.concatenate([a.duals[a.owns[:, 0]] for a in agents])
         return new_blocks.reshape(-1), lam_blocks.reshape(-1), grads.reshape(-1)
 
-    result = _drive(
-        ctx, params, trial, step, "primal_dual", params.total_iters, ctx.output_pick,
-        on_record=on_record,
-    )
+    result = _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, on_record=on_record)
     result.messages_per_agent = {a.index: 2 * a.neighbors.size for a in agents}
     return result

@@ -5,23 +5,24 @@ noise realization xi shared by the two oracle queries of that sample:
 
     g_j = (H(x + mu phi_j, xi_j) - H(x, xi_j)) / mu * phi_j
 
-and averages the batch. `estimate_batch` does this for N agents from one
-(N, J, M + k) draw, agent i owning row i, with one StackedObjective.values
-call; `measure_gradient_and_value` is its N = 1 view and `estimate_gradient`
-that view's gradient. Every routine draws through one primitive, `_draw`, in
-one fixed order per agent: per sample phi, then a fresh phi for each in-box
-retry, then xi unless the noise kind is 'none' (a std_dev of 0.0 still
-draws). Retries past the end of an agent's row draw from its retry
-generator, which for the N = 1 views is their own generator. So a batch of J
-samples consumes the stream exactly as J consecutive single-sample calls do,
-and the batch mean is bitwise the mean of those single-sample estimates, near
-the domain boundary too. The Monte-Carlo surrogates draw the same way, one
-chunk at a time.
+and averages the batch. `estimate_batch` does this for N agents under one
+NoiseModel from one (N, J, M + k) draw, agent i owning row i, with one
+StackedObjective.values call and no per-agent object.
+`measure_gradient_and_value` is its N = 1 view, charging 2 J queries to its
+oracle, and `estimate_gradient` that view's gradient. Every routine draws
+through one primitive, `_draw`, in one fixed order per agent: per sample
+phi, then a fresh phi for each in-box retry, then xi unless the noise kind
+is 'none' (a std_dev of 0.0 still draws). Retries past the end of an
+agent's row draw from its retry generator, for the N = 1 views their own
+generator. So a batch of J samples consumes the stream exactly as J
+consecutive single-sample calls do, and the batch mean is bitwise the mean
+of those single-sample estimates, near the domain boundary too. The
+Monte-Carlo surrogates draw the same way, `_MC_CHUNK` samples at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -109,8 +110,11 @@ class OutsideBox(ValueError):
     """One agent's query point lies outside its domain box."""
 
     def __init__(self, agent: int):
-        super().__init__(f"query point of agent {agent + 1} outside the domain box")
+        super().__init__(agent)
         self.agent = agent
+
+    def __str__(self) -> str:
+        return f"query point of agent {self.agent + 1} outside the domain box"
 
 
 def _walk(lo, hi, x, mu, row, more, retry_cap, agent):
@@ -145,7 +149,7 @@ def _draw(
     mu: float,
     count: int,
     rng: np.random.Generator,
-    retry_rng: Callable[[int], np.random.Generator] | None,
+    retry_rng: Callable[[int], np.random.Generator],
     retry_cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one sampling primitive: count in-box directions with their noise
@@ -154,9 +158,9 @@ def _draw(
     Returns phis (N, count, M), xis (N, count) and the points xb + mu phis.
     Row i of one standard_normal((N, count, M + k)) block is agent i's
     stream; a row with an out-of-box point is walked, continuing from
-    retry_rng(i), or from rng itself when retry_rng is None. Every caller's
-    points are checked here: a misshapen xb raises ValueError, and a point
-    outside its box raises OutsideBox naming the first such agent.
+    retry_rng(i). Every caller's points are checked here: a misshapen xb
+    raises ValueError, and a point outside its box raises OutsideBox naming
+    the first such agent.
     """
     if xb.shape != lo.shape:
         raise ValueError(f"points must have shape {lo.shape}")
@@ -169,7 +173,7 @@ def _draw(
     inside = (pts >= lo[:, None, :]) & (pts <= hi[:, None, :])
     walked = np.flatnonzero(~np.all(inside, axis=(1, 2)))
     for i in walked:
-        more = (rng if retry_rng is None else retry_rng(i)).standard_normal
+        more = retry_rng(i).standard_normal
         block[i] = _walk(lo[i], hi[i], xb[i], mu, block[i], more, retry_cap, i)
     if walked.size:
         pts = xb[:, None, :] + mu * block[..., :m]
@@ -189,37 +193,34 @@ def _sample(
     """Single-agent entry: (phis, xis, f(x + mu phis)) at the point x,
     retrying from rng itself."""
     lo, hi = objective.box.lo[None], objective.box.hi[None]
-    phis, xis, pts = _draw(lo, hi, noise, x[None], mu, count, rng, None, retry_cap)
+    phis, xis, pts = _draw(lo, hi, noise, x[None], mu, count, rng, lambda i: rng, retry_cap)
     return phis[0], xis[0], objective.value_many(pts[0])
 
 
 def estimate_batch(
     stacked: StackedObjective,
-    oracles: Sequence[SZOracle],
+    noise: NoiseModel,
     xb: np.ndarray,
     smoothing: SmoothingParams,
     rng: np.random.Generator,
-    retry_rng: Callable[[int], np.random.Generator] | None = None,
+    retry_rng: Callable[[int], np.random.Generator],
     retry_cap: int = 100,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-point estimates for N agents from one draw; agent i's box retries
-    continue from retry_rng(i), or from rng when retry_rng is None.
+    continue from retry_rng(i).
 
-    oracles[i] queries stacked.locals_[i], and all share oracles[0]'s noise
-    model. Returns the (N, M) batch-averaged gradients, the (N, J) noisy
-    perturbed values and the (N,) noise-free values f_i(xb[i]), and adds 2 J
-    to each oracle's query_count (two queries per sample, shared xi; box
-    retries are not queries). Raises BoxExhausted naming the agent whose
-    retries ran out.
+    Every agent queries its row of stacked under the one noise model, two
+    queries per sample sharing xi (2 J per agent; box retries are not
+    queries). Returns the (N, M) batch-averaged gradients, the (N, J) noisy
+    perturbed values and the (N,) noise-free values f_i(xb[i]). Raises
+    BoxExhausted naming the agent whose retries ran out.
     """
     mu, j = smoothing.mu, smoothing.samples
     lo, hi = stacked.box_lo, stacked.box_hi
-    phis, xis, pts = _draw(lo, hi, oracles[0].noise, xb, mu, j, rng, retry_rng, retry_cap)
+    phis, xis, pts = _draw(lo, hi, noise, xb, mu, j, rng, retry_rng, retry_cap)
     vals = stacked.values(np.concatenate([pts, xb[:, None, :]], axis=1))
     noisy = vals[:, :j] + xis
     diffs = noisy - (vals[:, j:] + xis)
-    for oracle in oracles:
-        oracle.query_count += 2 * j
     return np.mean((diffs / mu)[:, :, None] * phis, axis=1), noisy, vals[:, j]
 
 
@@ -243,11 +244,30 @@ def measure_gradient_and_value(
 ) -> tuple[np.ndarray, float]:
     """Gradient estimate plus an unbiased smoothed-value estimate from the
     same samples (mean of the perturbed noisy values): the N = 1 view of
-    estimate_batch, retrying from rng itself."""
+    estimate_batch, retrying from rng itself and charging 2 J queries."""
     xb = np.asarray(x, dtype=float)[None]
     stacked = StackedObjective([oracle.objective])
-    grads, noisy, _ = estimate_batch(stacked, [oracle], xb, smoothing, rng, None, retry_cap)
+    grads, noisy, _ = estimate_batch(
+        stacked, oracle.noise, xb, smoothing, rng, lambda i: rng, retry_cap
+    )
+    oracle.query_count += 2 * smoothing.samples
     return grads[0], float(np.mean(noisy[0]))
+
+
+_MC_CHUNK = 1 << 16  # Monte-Carlo samples per draw
+
+
+def _mc_chunks(objective, noise, x, mu, mc_samples, rng, retry_cap):
+    """The Monte-Carlo surrogates' one sampling loop: (phis, xis, values)
+    of mc_samples draws at x, at most _MC_CHUNK at a time. The arguments are
+    checked before the first draw."""
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
+    x = np.asarray(x, dtype=float)
+    counts = [min(_MC_CHUNK, mc_samples - done) for done in range(0, mc_samples, _MC_CHUNK)]
+    return (_sample(objective, noise, x, mu, c, rng, retry_cap) for c in counts)
 
 
 def smoothed_value(
@@ -257,21 +277,11 @@ def smoothed_value(
     mc_samples: int,
     rng: np.random.Generator,
     retry_cap: int = 100,
-    chunk: int = 1 << 16,
 ) -> float:
-    """Monte-Carlo estimate of E_phi[f(x + mu phi)] from noisy queries,
-    drawn in chunks of at most `chunk` samples."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for done in range(0, mc_samples, chunk):
-        c = min(chunk, mc_samples - done)
-        _, xis, vals = _sample(oracle.objective, oracle.noise, x, mu, c, rng, retry_cap)
-        total += float(np.sum(vals + xis))
-        oracle.query_count += c
+    """Monte-Carlo estimate of E_phi[f(x + mu phi)] from noisy queries."""
+    chunks = _mc_chunks(oracle.objective, oracle.noise, x, mu, mc_samples, rng, retry_cap)
+    total = sum(float(np.sum(vals + xis)) for _, xis, vals in chunks)
+    oracle.query_count += mc_samples
     return total / mc_samples
 
 
@@ -282,24 +292,17 @@ def smoothed_gradient_mc(
     mc_samples: int,
     rng: np.random.Generator,
     retry_cap: int = 100,
-    chunk: int = 1 << 16,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free Monte-Carlo reference of the smoothed gradient.
 
     Averages ((f(x + mu phi) - f(x)) / mu) phi; returns (estimate,
     per-coordinate standard error).
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    x = np.asarray(x, dtype=float)
-    base = float(objective.value_many(x.reshape(1, objective.dim))[0])
+    chunks = _mc_chunks(objective, NoiseModel(), x, mu, mc_samples, rng, retry_cap)
+    base = float(objective.value_many(np.asarray(x, dtype=float).reshape(1, objective.dim))[0])
     acc = np.zeros(objective.dim)
     acc_sq = np.zeros(objective.dim)
-    for done in range(0, mc_samples, chunk):
-        c = min(chunk, mc_samples - done)
-        phis, _, vals = _sample(objective, NoiseModel(), x, mu, c, rng, retry_cap)
+    for phis, _, vals in chunks:
         g = ((vals - base) / mu)[:, None] * phis
         acc += np.sum(g, axis=0)
         acc_sq += np.sum(g * g, axis=0)

@@ -137,9 +137,7 @@ class TestCentralizedRun:
         ]
         params = _params(total_iters=1, gradient_mode="reference", seed=9)
         result = run_centralized(topo, objs, params)
-        x0 = np.concatenate(
-            [substream(9, 0, ROLE_INIT, i).uniform(-1.0, 1.0, 1) for i in range(2)]
-        )
+        x0 = substream(9, 0, ROLE_INIT).uniform(-1.0, 1.0, 2)
         np.testing.assert_array_equal(result.states_x[0], x0)
         grad = np.array([2.0 * x0[0] + 0.5, 1.0 * x0[1] - 0.25])
         expected = primal_step(x0, np.zeros(1), grad, mats, params.rho)
@@ -459,7 +457,16 @@ class TestMeterModes:
             smoothing=SmoothingParams(0.5, 4), init_lo=5.0, init_hi=5.0, total_iters=1,
         )
         assert len(run_centralized(topo, objs, _params(**kw)).records) == 1
-        with pytest.raises(RuntimeError, match="left the domain box"):
+        with pytest.raises(
+            RuntimeError,
+            match=r"^meter estimate of agent 1 at iteration 1: smoothing perturbation "
+            "left the domain box 1 times",
+        ):
+            run_centralized(topo, objs, _params(retry_cap=0, **kw))
+        # only agent 2 sits near its box face: the failure names it, not the
+        # single-agent sampler's agent 1
+        objs = [toy_objective(box_lo=-10.0, box_hi=10.0), toy_objective()]
+        with pytest.raises(RuntimeError, match=r"^meter estimate of agent 2 at iteration 1: "):
             run_centralized(topo, objs, _params(retry_cap=0, **kw))
 
     def test_estimator_meter_tracks_closed_form(self):
