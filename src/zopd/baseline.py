@@ -57,32 +57,33 @@ def build_mixing(topo: Topology) -> np.ndarray:
     return w
 
 
-def apply_mixing(weights: np.ndarray, topo: Topology, blocks: np.ndarray) -> np.ndarray:
+def apply_mixing(weights: np.ndarray, mats: NetworkMatrices, blocks: np.ndarray) -> np.ndarray:
     """Difference-form mixing: x_i + sum_j W_ij (x_j - x_i).
 
     Equal to W x row by row, but consensual inputs are fixed points exactly
     (every difference vanishes), which the dense product cannot guarantee in
     floating point. The terms are added per node in edge order through the
-    same scatter_add as the primal-dual engines.
+    same scatter_add and incidence list as the primal-dual engines.
     """
-    node, _, nbr, _ = incidence_list(topo)
+    node, nbr = mats.node, mats.neighbor
     coupling = weights[node, nbr][:, None]
-    return scatter_add(blocks, node, coupling * (blocks[nbr] - blocks[node]))
+    return scatter_add(blocks, node, coupling * (blocks[nbr] - blocks[node]), mats.slots)
 
 
 def rgf_step(
     blocks: np.ndarray,
     grads: np.ndarray,
     weights: np.ndarray,
-    topo: Topology,
+    mats: NetworkMatrices,
     step_scale: float,
     round_index: int,
 ) -> np.ndarray:
-    """One baseline round; round_index counts from 1 for the 1/sqrt decay."""
+    """One baseline round, mixing over the run's operators mats;
+    round_index counts from 1 for the 1/sqrt decay."""
     if round_index < 1:
         raise ValueError("round_index counts from 1")
     step = step_scale / np.sqrt(float(round_index))
-    return apply_mixing(weights, topo, blocks) - step * grads
+    return apply_mixing(weights, mats, blocks) - step * grads
 
 
 def run_rgf(
@@ -105,7 +106,7 @@ def run_rgf(
     def step(x, lam, r):
         blocks = ctx.stacked.blocks(x)
         grads = ctx.estimate(blocks, single, r)[0]
-        mixed = rgf_step(blocks, grads, weights, topo, rgf.step_scale, r + 1)
+        mixed = rgf_step(blocks, grads, weights, ctx.mats, rgf.step_scale, r + 1)
         x_new = np.clip(mixed, ctx.stacked.box_lo, ctx.stacked.box_hi)
         return x_new.reshape(-1), lam, grads.reshape(-1)
 

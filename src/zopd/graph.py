@@ -5,6 +5,10 @@ incidence operator: +1 on node i's block, -1 on node j's. Per-node variables
 live in R^M, so stacked operators act on R^{N*M} blockwise; they are never
 formed as matrices, only applied through the edge list and the node-major
 incidence list.
+
+scatter_add sums each node's entries in list order: through a padded
+(dmax, N) slot index (the ELLPACK sparse layout) on large near-regular
+graphs, through np.add.at on small or degree-skewed ones, with equal bits.
 """
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ __all__ = [
     "NetworkMatrices",
     "check_connected",
     "incidence_list",
+    "pad_slots",
     "scatter_add",
     "build_matrices",
     "generate_graph",
@@ -63,11 +68,8 @@ class Topology:
         return sorted(out)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes)
-        for i, j in self.edges:
-            deg[i - 1] += 1
-            deg[j - 1] += 1
-        return deg
+        ends = np.asarray(self.edges, dtype=np.intp).reshape(-1) - 1
+        return np.bincount(ends, minlength=self.num_nodes).astype(float)
 
     def to_dict(self) -> dict:
         return {
@@ -115,14 +117,44 @@ def incidence_list(topo: Topology) -> tuple[np.ndarray, ...]:
     return ends.ravel()[order], order // 2, ends[:, ::-1].ravel()[order], sign
 
 
-def scatter_add(start: np.ndarray, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
+# A graph takes the padded slot layout when it has at least this many nodes
+# and the padding at most doubles its entries; below that, np.add.at's
+# per-call cost is the smaller one.
+PAD_MIN_NODES = 32
+PAD_MAX_FILL = 2
+
+
+def pad_slots(rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """The (dmax, num_rows) slot index of a row-sorted entry list: slot k of
+    row v holds the list position of v's k-th entry, and an empty slot holds
+    len(rows), the position of the pad entry scatter_add appends."""
+    counts = np.bincount(rows, minlength=num_rows)
+    first = np.cumsum(counts) - counts
+    slots = np.full((int(counts.max()), num_rows), rows.size, dtype=np.intp)
+    slots[np.arange(rows.size) - first[rows], rows] = np.arange(rows.size)
+    return slots
+
+
+def scatter_add(
+    start: np.ndarray, rows: np.ndarray, terms: np.ndarray, slots: np.ndarray | None = None
+) -> np.ndarray:
     """A copy of start with each terms[k] added to row rows[k], one entry at
     a time in list order. The one accumulation behind every consensus
     product: each row sums its own entries in sequence, so a caller holding
     only one node's slice of the incidence list gets exactly the bits that
-    the full product gives that node."""
+    the full product gives that node.
+
+    With slots (pad_slots of a row-sorted rows), the dmax gathered slices
+    are added onto start in order; an empty slot adds -0.0, which leaves the
+    bits of every x (signed zeros, infinities, NaN) as they are under
+    round-to-nearest. Without slots it is np.add.at."""
     out = np.array(start, dtype=float)
-    np.add.at(out, rows, terms)
+    if slots is None:
+        np.add.at(out, rows, terms)
+        return out
+    pad = np.full((1, *terms.shape[1:]), -0.0)
+    for part in np.concatenate((terms, pad)).take(slots, axis=0):
+        out += part
     return out
 
 
@@ -132,10 +164,11 @@ class NetworkMatrices:
 
     A x is the gather x_i - x_j over each edge (tail i, head j); A' lam and
     the neighbor sums in L+ x = D x + sum over neighbors are scatter_add over
-    the node-major incidence list, blockwise across M. sigma_min is the
-    smallest nonzero eigenvalue of the scalar Laplacian L- = A'A, lplus_norm
-    the spectral norm of the scalar L+ = 2D - L-; the block operators repeat
-    those spectra M times.
+    the node-major incidence list, blockwise across M, through its padded
+    slots where the graph's shape favours them (None otherwise). sigma_min is
+    the smallest nonzero eigenvalue of the scalar Laplacian L- = A'A,
+    lplus_norm the spectral norm of the scalar L+ = 2D - L-; the block
+    operators repeat those spectra M times.
     """
 
     topology: Topology
@@ -145,6 +178,7 @@ class NetworkMatrices:
     edge: np.ndarray
     neighbor: np.ndarray
     sign: np.ndarray
+    slots: np.ndarray | None
     degree: np.ndarray
     sigma_min: float
     lplus_norm: float
@@ -163,13 +197,13 @@ class NetworkMatrices:
     def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
         """Each node's sum of its neighbors' blocks, as (N, M) blocks."""
         xb = self.node_blocks(x)
-        return scatter_add(np.zeros_like(xb), self.node, xb[self.neighbor])
+        return scatter_add(np.zeros_like(xb), self.node, xb[self.neighbor], self.slots)
 
     def dual_pressure(self, lam: np.ndarray) -> np.ndarray:
         """A' lam, as (N, M) blocks."""
         lb = np.asarray(lam, dtype=float).reshape(self.topology.num_edges, -1)
         start = np.zeros((self.topology.num_nodes, lb.shape[1]))
-        return scatter_add(start, self.node, self.sign * lb[self.edge])
+        return scatter_add(start, self.node, self.sign * lb[self.edge], self.slots)
 
     def incidence(self, x: np.ndarray) -> np.ndarray:
         """A x, stacked."""
@@ -199,10 +233,13 @@ def build_matrices(topo: Topology) -> NetworkMatrices:
         raise ValueError("unexpected Laplacian nullspace; graph connectivity is broken")
     lplus_norm = float(np.linalg.eigvalsh(2.0 * np.diag(deg) - scalar_lminus)[-1])
 
+    n = topo.num_nodes
+    padded = n >= PAD_MIN_NODES and deg.max() * n <= PAD_MAX_FILL * node.size
     ends = np.asarray(topo.edges, dtype=np.intp) - 1
     return NetworkMatrices(
         topology=topo, tail=ends[:, 0], head=ends[:, 1], node=node, edge=edge, neighbor=nbr,
-        sign=sign, degree=deg, sigma_min=float(nonzero[0]), lplus_norm=lplus_norm,
+        sign=sign, slots=pad_slots(node, n) if padded else None, degree=deg,
+        sigma_min=float(nonzero[0]), lplus_norm=lplus_norm,
     )
 
 

@@ -99,11 +99,14 @@ class BoxExhausted(RuntimeError):
     """One agent's smoothing perturbation kept leaving its domain box."""
 
     def __init__(self, agent: int, tries: int):
-        super().__init__(
-            f"smoothing perturbation left the domain box {tries} times; "
+        super().__init__(agent, tries)
+        self.agent, self.tries = agent, tries
+
+    def __str__(self) -> str:
+        return (
+            f"smoothing perturbation left the domain box {self.tries} times; "
             "move the point away from the boundary or shrink mu"
         )
-        self.agent = agent
 
 
 class OutsideBox(ValueError):

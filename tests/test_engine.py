@@ -337,6 +337,19 @@ class TestDistributedRun:
         np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
         np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
 
+    @pytest.mark.parametrize("kind,n", [("ring", 40), ("path", 64)])
+    def test_matches_centralized_on_padded_layout(self, kind, n):
+        # large near-regular graphs sum through the padded slot index
+        topo = generate_graph(kind, n, block_dim=3, seed=0)
+        assert build_matrices(topo).slots is not None
+        objs = _quad_objectives(n, 3, seed=60)
+        params = _params(total_iters=12, noise=NoiseModel("additive_gaussian", 0.05))
+        cen = run_centralized(topo, objs, params)
+        dis = run_distributed(topo, objs, params)
+        np.testing.assert_array_equal(cen.states_x, dis.states_x)
+        np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
+        np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
+
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(
         n=st.integers(2, 12),

@@ -1,12 +1,16 @@
 """Graph operator construction and validation."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zopd.graph import (
     Topology,
     build_matrices,
     check_connected,
     generate_graph,
+    pad_slots,
+    scatter_add,
 )
 
 
@@ -112,6 +116,60 @@ def test_sigma_min_independent_of_block_dim(m):
     topo = generate_graph("random_connected", 7, extra_edge_prob=0.3, seed=4, block_dim=m)
     scalar = generate_graph("random_connected", 7, extra_edge_prob=0.3, seed=4, block_dim=1)
     assert build_matrices(topo).sigma_min == build_matrices(scalar).sigma_min
+
+
+def _sequential_sum(start, rows, terms):
+    """Reference accumulation: each entry added to its row in list order."""
+    out = np.array(start, dtype=float)
+    for row, term in zip(rows, terms):
+        out[row] = out[row] + term
+    return out
+
+
+def _extreme_values(rng, shape, zero_share):
+    """Normals scaled up to 1e308, so sums overflow to inf and reach NaN,
+    with a share of the entries set to -0.0."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(0.0, 308.0, shape)
+    values[rng.random(shape) < zero_share] = -0.0
+    return values
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["ring", "path", "star", "complete", "random_connected"]),
+    n=st.integers(2, 64),
+    m=st.integers(1, 4),
+    graph_seed=st.integers(0, 2**16),
+    extra=st.sampled_from([0.0, 0.1, 0.5]),
+    data_seed=st.integers(0, 2**31 - 1),
+)
+def test_scatter_add_is_the_sequential_sum_bitwise(kind, n, m, graph_seed, extra, data_seed):
+    assume(kind != "ring" or n >= 3)
+    topo = generate_graph(kind, n, extra_edge_prob=extra, seed=graph_seed, block_dim=m)
+    mats = build_matrices(topo)
+    slots = pad_slots(mats.node, n)
+    if mats.slots is not None:
+        np.testing.assert_array_equal(mats.slots, slots)
+
+    rng = np.random.default_rng(data_seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _extreme_values(rng, (mats.node.size, m), 0.2)
+        start = _extreme_values(rng, (n, m), 0.3)
+        expected = _sequential_sum(start, mats.node, terms).tobytes()
+        # both layouts, whichever one the graph's shape picks
+        assert scatter_add(start, mats.node, terms).tobytes() == expected
+        assert scatter_add(start, mats.node, terms, slots).tobytes() == expected
+
+
+def test_padded_layout_follows_graph_shape():
+    # near-regular and large: padded; small or degree-skewed: np.add.at
+    assert build_matrices(generate_graph("ring", 40)).slots is not None
+    assert build_matrices(generate_graph("ring", 31)).slots is None
+    assert build_matrices(generate_graph("star", 40)).slots is None
+    slots = build_matrices(generate_graph("path", 40)).slots
+    # the end nodes have one entry each, so their second slot is the pad
+    assert slots.shape == (2, 40)
+    assert slots[1, 0] == slots[1, 39] == 78
 
 
 def test_check_connected_examples():

@@ -1,5 +1,6 @@
 """Two-point gradient estimator: bias, variance scaling, rng discipline."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from zopd.objectives import (
     toy_objective,
 )
 from zopd.szo import (
+    BoxExhausted,
     NoiseModel,
     SmoothingParams,
     SZOracle,
@@ -232,6 +234,15 @@ class TestRngDiscipline:
             estimate_gradient(
                 SZOracle(tight), np.zeros(1), SmoothingParams(1.0, 1), _rng(8)
             )
+
+    def test_box_exhausted_survives_pickling(self):
+        # a pool worker's exhaustion reaches the parent as itself
+        exc = BoxExhausted(1, 3)
+        again = pickle.loads(pickle.dumps(exc))
+        assert type(again) is BoxExhausted
+        assert (again.agent, again.tries) == (1, 3)
+        assert str(again) == str(exc)
+        assert str(again).startswith("smoothing perturbation left the domain box 3 times")
 
     def test_retries_near_boundary_succeed(self):
         obj = toy_objective()
