@@ -7,7 +7,7 @@ benchmark objectives, centralized and message-passing engines, a random
 gradient-free baseline, convergence diagnostics, and a reproducible
 experiment harness with a CLI.
 """
-from .baseline import RGFParams, apply_mixing, build_mixing, rgf_step, run_rgf
+from .baseline import RGFParams, apply_mixing, build_mixing, mixing_coupling, rgf_step, run_rgf
 from .engine import (
     AlgoParams,
     Checkpoint,

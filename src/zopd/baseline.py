@@ -24,11 +24,11 @@ from .engine import (
     _drive,
     _prepare,
 )
-from .graph import NetworkMatrices, Topology, incidence_list, scatter_add
+from .graph import NetworkMatrices, Topology, build_matrices, scatter_add
 from .objectives import LocalObjective
 from .szo import SmoothingParams
 
-__all__ = ["RGFParams", "build_mixing", "apply_mixing", "rgf_step", "run_rgf"]
+__all__ = ["RGFParams", "mixing_coupling", "build_mixing", "apply_mixing", "rgf_step", "run_rgf"]
 
 
 @dataclass(frozen=True)
@@ -46,19 +46,26 @@ class RGFParams:
             raise ValueError("mu must be positive")
 
 
+def mixing_coupling(mats: NetworkMatrices) -> np.ndarray:
+    """Metropolis-Hastings weights W_ij = 1 / (1 + max(d_i, d_j)), one per
+    incidence-list entry (node i, neighbor j), as an (entries, 1) column."""
+    return 1.0 / (1.0 + np.maximum(mats.degree[mats.node], mats.degree[mats.neighbor]))[:, None]
+
+
 def build_mixing(topo: Topology) -> np.ndarray:
-    """Metropolis-Hastings weights: W_ij = 1 / (1 + max(d_i, d_j)) on edges,
-    diagonal filled to make rows sum to one. Symmetric, doubly stochastic."""
-    deg = topo.degrees()
-    node, _, nbr, _ = incidence_list(topo)
+    """The dense Metropolis-Hastings matrix: mixing_coupling off the
+    diagonal, the diagonal filled to make rows sum to one. Symmetric, doubly
+    stochastic. Rejects a disconnected topology, as build_matrices does."""
+    mats = build_matrices(topo)
     w = np.zeros((topo.num_nodes, topo.num_nodes))
-    w[node, nbr] = 1.0 / (1.0 + np.maximum(deg[node], deg[nbr]))
+    w[mats.node, mats.neighbor] = mixing_coupling(mats)[:, 0]
     w[np.diag_indices_from(w)] = 1.0 - w.sum(axis=1)
     return w
 
 
-def apply_mixing(weights: np.ndarray, mats: NetworkMatrices, blocks: np.ndarray) -> np.ndarray:
-    """Difference-form mixing: x_i + sum_j W_ij (x_j - x_i).
+def apply_mixing(coupling: np.ndarray, mats: NetworkMatrices, blocks: np.ndarray) -> np.ndarray:
+    """Difference-form mixing: x_i + sum_j W_ij (x_j - x_i), with coupling
+    the mixing_coupling column.
 
     Equal to W x row by row, but consensual inputs are fixed points exactly
     (every difference vanishes), which the dense product cannot guarantee in
@@ -66,24 +73,23 @@ def apply_mixing(weights: np.ndarray, mats: NetworkMatrices, blocks: np.ndarray)
     same scatter_add and incidence list as the primal-dual engines.
     """
     node, nbr = mats.node, mats.neighbor
-    coupling = weights[node, nbr][:, None]
     return scatter_add(blocks, node, coupling * (blocks[nbr] - blocks[node]), mats.slots)
 
 
 def rgf_step(
     blocks: np.ndarray,
     grads: np.ndarray,
-    weights: np.ndarray,
+    coupling: np.ndarray,
     mats: NetworkMatrices,
     step_scale: float,
     round_index: int,
 ) -> np.ndarray:
-    """One baseline round, mixing over the run's operators mats;
-    round_index counts from 1 for the 1/sqrt decay."""
+    """One baseline round, mixing with the mixing_coupling column over the
+    run's operators mats; round_index counts from 1 for the 1/sqrt decay."""
     if round_index < 1:
         raise ValueError("round_index counts from 1")
     step = step_scale / np.sqrt(float(round_index))
-    return apply_mixing(weights, mats, blocks) - step * grads
+    return apply_mixing(coupling, mats, blocks) - step * grads
 
 
 def run_rgf(
@@ -100,13 +106,13 @@ def run_rgf(
     ctx = _prepare(
         topo, objectives, params, trial, mats, (ROLE_BASELINE_STEP, ROLE_BASELINE_METER)
     )
-    weights = build_mixing(topo)
+    coupling = mixing_coupling(ctx.mats)
     single = SmoothingParams(mu=rgf.mu, samples=1)
 
     def step(x, lam, r):
         blocks = ctx.stacked.blocks(x)
         grads = ctx.estimate(blocks, single, r)[0]
-        mixed = rgf_step(blocks, grads, weights, ctx.mats, rgf.step_scale, r + 1)
+        mixed = rgf_step(blocks, grads, coupling, ctx.mats, rgf.step_scale, r + 1)
         x_new = np.clip(mixed, ctx.stacked.box_lo, ctx.stacked.box_hi)
         return x_new.reshape(-1), lam, grads.reshape(-1)
 

@@ -41,16 +41,7 @@ from .metrics import (
     stationarity_gap,
 )
 from .objectives import LocalObjective, StackedObjective
-from .szo import (
-    BoxExhausted,
-    NoiseModel,
-    OutsideBox,
-    SmoothingParams,
-    SZOracle,
-    estimate_batch,
-    smoothed_gradient_mc,
-    smoothed_value,
-)
+from .szo import BoxExhausted, NoiseModel, OutsideBox, SmoothingParams, estimate_batch
 
 __all__ = [
     "AlgoParams",
@@ -228,12 +219,6 @@ class _Estimator:
     def __init__(self, stacked: StackedObjective, params: AlgoParams, trial: int, role: int):
         self.stacked, self.params, self.trial, self.role = stacked, params, trial, role
 
-    def _failure(self, exc: BoxExhausted | OutsideBox, iteration: int) -> RuntimeError:
-        return RuntimeError(
-            f"{_ROLE_NAMES[self.role]} estimate of agent {exc.agent + 1} "
-            f"at iteration {iteration}: {exc}"
-        )
-
     def __call__(
         self, xb: np.ndarray, smoothing: SmoothingParams, iteration: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,15 +231,19 @@ class _Estimator:
                 lambda i: substream(*key, i, iteration), self.params.retry_cap,
             )
         except (BoxExhausted, OutsideBox) as exc:
-            raise self._failure(exc, iteration) from exc
+            raise RuntimeError(
+                f"{_ROLE_NAMES[self.role]} estimate of agent {exc.agent + 1} "
+                f"at iteration {iteration}: {exc}"
+            ) from exc
 
 
 class _TraceMeter(_Estimator):
     """Resolves the smoothed gradient/value used by the per-iteration trace.
 
-    Modes: closed_form (exact), estimator (independent J-sample measurement
-    per agent), mc (high-sample Monte-Carlo). The measurement never feeds the
-    algorithm; it only grades iterates.
+    Modes: closed_form (exact), estimator (an independent J-sample batched
+    estimate on the meter role's streams), mc (the same at mc_gap_samples
+    samples). The measurement never feeds the algorithm; it only grades
+    iterates.
     """
 
     def __init__(self, stacked: StackedObjective, params: AlgoParams, trial: int, role: int):
@@ -264,33 +253,19 @@ class _TraceMeter(_Estimator):
             mode = "closed_form" if stacked.has_smoothed_closed_form else "estimator"
         if mode == "closed_form" and not stacked.has_smoothed_closed_form:
             raise ValueError("gap_gradient=closed_form but the objective has no closed form")
-        self.mode = mode
+        self.mode, self.smoothing = mode, params.smoothing
+        if mode == "mc":
+            self.smoothing = SmoothingParams(params.smoothing.mu, params.mc_gap_samples)
 
     def measure(self, x: np.ndarray, iteration: int) -> tuple[np.ndarray, float, float]:
-        """(smoothed gradient, smoothed value, objective value) at x. The
-        estimator takes the objective from its own noise-free base values."""
-        st, p = self.stacked, self.params
-        mu = p.smoothing.mu
+        """(smoothed gradient, smoothed value, objective value) at x; an
+        estimate takes the objective from its noise-free base values."""
+        st, mu = self.stacked, self.smoothing.mu
         if self.mode == "closed_form":
             g, f_mu = st.smoothed_gradient_stacked(x, mu), st.smoothed_value_stacked(x, mu)
             return g, f_mu, st.value(x)
-        xb = st.blocks(x)
-        if self.mode == "estimator":
-            g, noisy, base = self(xb, p.smoothing, iteration)
-            return g.reshape(-1), float(np.sum(np.mean(noisy, axis=1))), float(np.sum(base))
-        grads, total = [], 0.0
-        for i, obj in enumerate(st.locals_):  # mc
-            rng = substream(p.seed, self.trial, self.role, i, iteration)
-            try:
-                g, _ = smoothed_gradient_mc(obj, xb[i], mu, p.mc_gap_samples, rng, p.retry_cap)
-                total += smoothed_value(
-                    SZOracle(obj, p.noise), xb[i], mu, p.mc_gap_samples, rng, p.retry_cap
-                )
-            except (BoxExhausted, OutsideBox) as exc:
-                exc.agent = i  # the single-agent samplers name agent 0
-                raise self._failure(exc, iteration) from exc
-            grads.append(g)
-        return np.concatenate(grads), total, st.value(x)
+        g, noisy, base = self(st.blocks(x), self.smoothing, iteration)
+        return g.reshape(-1), float(np.sum(np.mean(noisy, axis=1))), float(np.sum(base))
 
 
 @dataclass

@@ -4,16 +4,18 @@ Each agent holds a LocalObjective: a scalar function on R^M together with the
 metadata the analysis needs (domain box, Lipschitz constant, lower bound) and,
 where available, closed forms for the Gaussian-smoothed value and gradient.
 
-An objective that belongs to a Family (logistic regression) also names a
-kernel that evaluates many agents' rows in one call; StackedObjective calls it
-once for all of the family's agents, and the agent's own value_many is the
-N = 1 view of the same kernel. The stacked call writes its scratch arrays into
-a reused Workspace: at the logreg shape (15 agents x 31 rows x 100 data points)
-each scratch array is 372 KB, above glibc malloc's 128 KiB mmap threshold, so
-a fresh temporary is a fresh mapping whose every page faults on first touch.
-With fresh arrays the one stacked call was no faster than the per-agent loop;
-one perfbench logreg experiment took 30,000-90,000 minor page faults that way
-and about 800 with the workspace (2-core x86-64 host, numpy 2.4.6).
+Every built-in objective (the toy, the quadratic, logistic regression) is a
+Family member: its value kernel and closed forms act on many agents' stacked
+data in one call. StackedObjective makes one such call per family for all of
+its agents, and the agent's own value_many, smoothed_gradient and
+smoothed_value are N = 1 views of the same kernels. A value kernel writes its
+scratch arrays into a reused Workspace: at the logreg shape (15 agents x 31
+rows x 100 data points) each scratch array is 372 KB, above glibc malloc's
+128 KiB mmap threshold, so a fresh temporary is a fresh mapping whose every
+page faults on first touch. With fresh arrays the one stacked call was no
+faster than the per-agent loop; one perfbench logreg experiment took
+30,000-90,000 minor page faults that way and about 800 with the workspace
+(2-core x86-64 host, numpy 2.4.6).
 """
 from __future__ import annotations
 
@@ -102,21 +104,45 @@ class Workspace:
 class Family:
     """One agent's member of a batched objective family.
 
-    kernel(data, params, pts, work) maps (n, S, M) points to (n, S) values
-    row-stably, where data stacks the n agents' arrays along a new first axis,
-    params are the scalars the agents share and work is a Workspace for its
-    scratch arrays. Agents whose kernel, params and array shape agree are
-    evaluated in one call.
+    Each kernel maps n agents' (n, S, M) points row-stably, with data the
+    agents' arrays stacked along a new first axis and params the scalars
+    they share: kernel(data, params, pts, work) to (n, S) values, its scratch
+    arrays in the Workspace work; smoothed_gradient / smoothed_value(data,
+    params, pts, mu) to the closed forms' (n, S, M) / (n, S), or None.
+    Agents whose kernels, params and array shapes agree share one call.
     """
 
-    kernel: Callable[[np.ndarray, tuple, np.ndarray, Workspace], np.ndarray]
-    data: np.ndarray
-    params: tuple
+    kernel: Callable
+    data: tuple[np.ndarray, ...]
+    params: tuple = ()
+    smoothed_gradient: Callable | None = None
+    smoothed_value: Callable | None = None
+
+    def key(self) -> tuple:
+        """What the agents of one kernel call share."""
+        shapes = tuple(a.shape for a in self.data)
+        return (self.kernel, self.params, shapes, self.smoothed_gradient, self.smoothed_value)
+
+    def view(self, name: str) -> Callable | None:
+        """The N = 1 view of kernel `name`, None where that kernel is."""
+        kernel = getattr(self, name)
+        return kernel and partial(_view, kernel, tuple(a[None] for a in self.data), self.params)
 
 
-def _family_view(data, kernel, params, pts: np.ndarray) -> np.ndarray:
-    """The N = 1 view of a family kernel: one agent's (S, M) rows."""
-    return kernel(data[None], params, np.asarray(pts, dtype=float)[None], Workspace())[0]
+def _view(kernel, data, params, x, mu=None) -> np.ndarray:
+    """One agent's points x (..., M) as its rows; a value kernel (mu None)
+    gets a fresh Workspace. The output keeps x's leading shape."""
+    x = np.asarray(x, dtype=float)
+    out = kernel(data, params, x.reshape(1, -1, x.shape[-1]), Workspace() if mu is None else mu)
+    return out.reshape(x.shape[:-1] + out.shape[2:])
+
+
+def _own(name, data, params, pts, arg):
+    """Kernel of an objective outside every family: its own callable `name`
+    on the group's one row block, looked up per call (it may be replaced on
+    the instance)."""
+    fn = getattr(params[0], name)
+    return np.asarray(fn(pts[0]) if name == "value_many" else fn(pts[0], arg))[None]
 
 
 @dataclass
@@ -126,10 +152,10 @@ class LocalObjective:
     value_many evaluates a (S, dim) batch row-stably. smoothed_gradient /
     smoothed_value, when set, are exact closed forms of the Gaussian-smoothed
     surrogate E_phi[f(x + mu phi)] and its gradient, at a point (dim,) or row
-    by row on a batch (K, dim). The factories set them to module-level
-    functions or functools.partial bindings of them, so an objective pickles
-    and pool workers can receive it. An objective given a family and no
-    value_many gets the family's N = 1 view as its value_many.
+    by row on a batch (K, dim). An objective built with a family and none of
+    these three gets the family's N = 1 views; one built with its own
+    (dataclasses.replace of a member, say) belongs to no family. Callables
+    are module-level functions or partials of them, so objectives pickle.
     """
 
     dim: int
@@ -143,11 +169,14 @@ class LocalObjective:
     family: Family | None = None
 
     def __post_init__(self):
+        own = (self.value_many, self.smoothed_gradient, self.smoothed_value)
+        if self.family is None or any(f is not None for f in own):
+            self.family = None
+        else:
+            views = map(self.family.view, ("kernel", "smoothed_gradient", "smoothed_value"))
+            self.value_many, self.smoothed_gradient, self.smoothed_value = views
         if self.value_many is None:
-            if self.family is None:
-                raise ValueError("objective needs value_many or a family")
-            fam = self.family
-            self.value_many = partial(_family_view, fam.data, fam.kernel, fam.params)
+            raise ValueError("objective needs value_many or a family")
         if self.dim < 1:
             raise ValueError("objective dim must be >= 1")
         if self.box.dim != self.dim:
@@ -164,12 +193,12 @@ class LocalObjective:
 class StackedObjective:
     """The sum of per-agent objectives over the stacked variable in R^{N*M}.
 
-    values makes one call per group on all of its agents' rows: a group is the
-    agents of one family, whose arrays are stacked once and whose kernel
-    writes into the group's Workspace, or the agents that share one objective
-    object, evaluated through its value_many. The closed forms make one call
-    per shared object. By the row-stability rule the results equal the
-    per-agent calls bitwise.
+    Its agents are grouped once, by family description; an objective outside
+    every family forms its own group. values and the closed forms make one
+    kernel call per group. A group whose agents all hold one object passes
+    its data once and all their rows as one agent's rows; any other group
+    stacks its agents' arrays once and has its own Workspace. By the
+    row-stability rule the results equal the per-agent calls bitwise.
     """
 
     locals_: Sequence[LocalObjective]
@@ -186,20 +215,21 @@ class StackedObjective:
         self.block_dim = self.locals_[0].dim
         self.box_lo = np.array([o.box.lo for o in self.locals_])
         self.box_hi = np.array([o.box.hi for o in self.locals_])
-        shared: dict[int, tuple[LocalObjective, list[int]]] = {}
-        families: dict[tuple, list[int]] = {}
+        groups: dict[tuple, list[int]] = {}
         for i, o in enumerate(self.locals_):
-            shared.setdefault(id(o), (o, []))[1].append(i)
-            if o.family is not None:
-                fam = o.family
-                families.setdefault((fam.kernel, fam.params, fam.data.shape), []).append(i)
-        self._shared = [(o, np.array(idx)) for o, idx in shared.values()]
-        self._evaluated = [(o, rows) for o, rows in self._shared if o.family is None]
-        self._families = [
-            (self.locals_[idx[0]].family, np.array(idx),
-             np.stack([self.locals_[i].family.data for i in idx]), Workspace())
-            for idx in families.values()
-        ]
+            key = (id(o),) if o.family is None else o.family.key()
+            groups.setdefault(key, []).append(i)
+        self._groups = []
+        for idx in groups.values():
+            objs = [self.locals_[i] for i in idx]
+            one = all(o is objs[0] for o in objs)
+            fam = objs[0].family or Family(
+                partial(_own, "value_many"), (), (objs[0],),
+                partial(_own, "smoothed_gradient"), partial(_own, "smoothed_value"),
+            )
+            members = [fam] if one else [o.family for o in objs]
+            data = tuple(np.stack(arrays) for arrays in zip(*(f.data for f in members)))
+            self._groups.append((fam, np.array(idx), data, one, Workspace()))
 
     @property
     def num_agents(self) -> int:
@@ -212,17 +242,21 @@ class StackedObjective:
     def blocks(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.num_agents, self.block_dim)
 
+    def _apply(self, name: str, pts: np.ndarray, mu: float | None = None) -> np.ndarray:
+        """Every group's kernel `name` on its agents' rows of pts (N, S, M):
+        (N, S) values, or (N, S, M) smoothed gradients."""
+        n, s, m = pts.shape
+        out = np.empty((n, s, m) if name == "smoothed_gradient" else (n, s))
+        for fam, idx, data, one, work in self._groups:
+            rows = pts[idx].reshape(1, -1, m) if one else pts[idx]
+            got = getattr(fam, name)(data, fam.params, rows, work if mu is None else mu)
+            out[idx] = got.reshape((idx.size,) + out.shape[1:])
+        return out
+
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Agent i's objective at its rows pts[i]: (N, S, M) points to (N, S)
-        values, with one call per family and per other distinct objective."""
-        n, s, m = pts.shape
-        out = np.empty((n, s))
-        for fam, rows, data, work in self._families:
-            out[rows] = fam.kernel(data, fam.params, pts[rows], work)
-        for obj, rows in self._evaluated:
-            # value_many is looked up per call: it may be replaced on the instance
-            out[rows] = obj.value_many(pts[rows].reshape(-1, m)).reshape(-1, s)
-        return out
+        values, with one kernel call per group."""
+        return self._apply("kernel", pts)
 
     def value(self, x: np.ndarray) -> float:
         return float(np.sum(self.values(self.blocks(x)[:, None, :])))
@@ -238,23 +272,13 @@ class StackedObjective:
 
     @property
     def has_smoothed_closed_form(self) -> bool:
-        return all(o.smoothed_gradient is not None for o in self.locals_) and all(
-            o.smoothed_value is not None for o in self.locals_
-        )
+        return all(o.smoothed_gradient and o.smoothed_value for o in self.locals_)
 
     def smoothed_gradient_stacked(self, x: np.ndarray, mu: float) -> np.ndarray:
-        xb = self.blocks(x)
-        out = np.empty_like(xb)
-        for obj, rows in self._shared:
-            out[rows] = obj.smoothed_gradient(xb[rows], mu)
-        return out.reshape(-1)
+        return self._apply("smoothed_gradient", self.blocks(x)[:, None, :], mu).reshape(-1)
 
     def smoothed_value_stacked(self, x: np.ndarray, mu: float) -> float:
-        xb = self.blocks(x)
-        out = np.empty(self.num_agents)
-        for obj, rows in self._shared:
-            out[rows] = obj.smoothed_value(xb[rows], mu)
-        return float(np.sum(out))
+        return float(np.sum(self._apply("smoothed_value", self.blocks(x)[:, None, :], mu)[:, 0]))
 
 
 def estimate_lipschitz(
@@ -277,25 +301,26 @@ def estimate_lipschitz(
 # 1-D nonsmooth nonconvex benchmark
 
 
-def _toy_values(phase: float, pts: np.ndarray) -> np.ndarray:
-    x = np.asarray(pts, dtype=float)[:, 0]
-    return np.abs(np.cos(x + phase) + np.abs(x) + np.exp(x))
+def _toy_rows(data, params, pts: np.ndarray, work: Workspace) -> np.ndarray:
+    """Family kernel: n agents' (n, 1) phases and (n, S, 1) points to (n, S)."""
+    (phases,) = data
+    x = pts[..., 0]
+    return np.abs(np.cos(x + phases) + np.abs(x) + np.exp(x))
 
 
-# Closed forms of the phase-0 toy, on a point (1,) or a row batch (K, 1).
-# E|N(x, mu^2)| = x erf(x/(mu sqrt2)) + mu sqrt(2/pi) exp(-x^2/(2 mu^2)); its
-# derivative telescopes to erf(x/(mu sqrt2)).
-def _toy_smoothed_gradient(x: np.ndarray, mu: float) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+# Closed forms of the phase-0 toy, on (n, S, 1) points. E|N(x, mu^2)| =
+# x erf(x/(mu sqrt2)) + mu sqrt(2/pi) exp(-x^2/(2 mu^2)); its derivative
+# telescopes to erf(x/(mu sqrt2)).
+def _toy_smoothed_gradient(data, params, pts: np.ndarray, mu: float) -> np.ndarray:
     return (
-        -np.sin(v) * math.exp(-0.5 * mu * mu)
-        + erf(v / (mu * math.sqrt(2.0)))
-        + np.exp(v + 0.5 * mu * mu)
+        -np.sin(pts) * math.exp(-0.5 * mu * mu)
+        + erf(pts / (mu * math.sqrt(2.0)))
+        + np.exp(pts + 0.5 * mu * mu)
     )
 
 
-def _toy_smoothed_value(x: np.ndarray, mu: float) -> np.ndarray:
-    v = np.asarray(x, dtype=float)[..., 0]
+def _toy_smoothed_value(data, params, pts: np.ndarray, mu: float) -> np.ndarray:
+    v = pts[..., 0]
     abs_part = v * erf(v / (mu * math.sqrt(2.0))) + mu * math.sqrt(2.0 / math.pi) * np.exp(
         -(v * v) / (2.0 * mu * mu)
     )
@@ -312,19 +337,20 @@ def toy_objective(
     outer |.| is inactive and the Gaussian-smoothed value and gradient have
     exact closed forms, attached for that phase only.
     """
-    value_many = partial(_toy_values, phase)
-    box = Box.cube(1, box_lo, box_hi)
     closed = phase == 0.0
+    family = Family(
+        _toy_rows, (np.array([float(phase)]),), (),
+        _toy_smoothed_gradient if closed else None, _toy_smoothed_value if closed else None,
+    )
+    box = Box.cube(1, box_lo, box_hi)
     return LocalObjective(
         dim=1,
         box=box,
         # Sampled slope maximization; 1.05 guards the audit re-sampling.
-        lipschitz_l0=1.05 * estimate_lipschitz(value_many, box, seed=17),
+        lipschitz_l0=1.05 * estimate_lipschitz(family.view("kernel"), box, seed=17),
         lower_bound=0.0,
-        value_many=value_many,
-        smoothed_gradient=_toy_smoothed_gradient if closed else None,
-        smoothed_value=_toy_smoothed_value if closed else None,
         name="toy" if closed else f"toy(phase={phase:g})",
+        family=family,
     )
 
 
@@ -358,9 +384,10 @@ class ClassificationData:
         return self.features.shape[1]
 
 
-def _logreg_rows(signed, params, pts: np.ndarray, work: Workspace) -> np.ndarray:
+def _logreg_rows(data, params, pts: np.ndarray, work: Workspace) -> np.ndarray:
     """Family kernel: n agents' label-folded (n, M, B) columns y_j v_j and
     (n, S, M) points to (n, S) values."""
+    (signed,) = data
     alpha, epsilon, scale = params
     shape = pts.shape[:2] + signed.shape[2:]
     margins = np.einsum("nsm,nmb->nsb", pts, signed, out=work.array(0, shape))  # y_j x.v_j
@@ -408,7 +435,7 @@ def logistic_regression_objective(
         box=Box.cube(m, box_lo, box_hi),
         lipschitz_l0=l0,
         lower_bound=min(lower, 0.0),
-        family=Family(_logreg_rows, signed_t, (alpha, epsilon, scale)),
+        family=Family(_logreg_rows, (signed_t,), (alpha, epsilon, scale)),
         name="logreg",
     )
 
@@ -472,22 +499,23 @@ def read_classification_csv(path: str | Path) -> ClassificationData:
 # Quadratic family with exact smoothed forms (test / calibration oracle)
 
 
-def _quadratic_values(h, b, pts: np.ndarray) -> np.ndarray:
-    x = np.asarray(pts, dtype=float)
+def _quadratic_rows(data, params, pts: np.ndarray, work: Workspace | None) -> np.ndarray:
+    """Family kernel: n agents' (n, M, M) Hessians, (n, M) linear terms and
+    (n,) traces, and (n, S, M) points, to (n, S) values."""
+    h, b, _ = data
     # two two-operand contractions: a three-operand einsum is not row-stable
-    hx = np.einsum("sn,nm->sm", x, h)
-    return 0.5 * np.einsum("sm,sm->s", x, hx) + np.einsum("sm,m->s", x, b)
+    hx = np.einsum("ksn,knm->ksm", pts, h)
+    return 0.5 * np.einsum("ksm,ksm->ks", pts, hx) + np.einsum("ksm,km->ks", pts, b)
 
 
-# Closed forms on a point (M,) or a row batch (K, M).
-def _quadratic_smoothed_gradient(h, b, x: np.ndarray, mu: float) -> np.ndarray:
-    return np.einsum("mn,...n->...m", h, np.asarray(x, dtype=float)) + b
+# Closed forms on (n, S, M) points.
+def _quadratic_smoothed_gradient(data, params, pts: np.ndarray, mu: float) -> np.ndarray:
+    h, b, _ = data
+    return np.einsum("kmn,ksn->ksm", h, pts) + b[:, None, :]
 
 
-def _quadratic_smoothed_value(h, b, trace_h: float, x: np.ndarray, mu: float) -> np.ndarray:
-    xv = np.asarray(x, dtype=float)
-    f = _quadratic_values(h, b, xv.reshape(-1, xv.shape[-1])).reshape(xv.shape[:-1])
-    return f + 0.5 * mu * mu * trace_h
+def _quadratic_smoothed_value(data, params, pts: np.ndarray, mu: float) -> np.ndarray:
+    return _quadratic_rows(data, params, pts, None) + 0.5 * mu * mu * data[2][:, None]
 
 
 def quadratic_objective(
@@ -522,25 +550,22 @@ def quadratic_objective(
 
     # Global lower bound: exact for positive semidefinite H with consistent b,
     # -inf otherwise (an indefinite quadratic is unbounded below).
-    eigmin = float(np.linalg.eigvalsh(h)[0])
-    if eigmin >= -1e-10:
+    lower = -math.inf
+    if float(np.linalg.eigvalsh(h)[0]) >= -1e-10:
         xstar, *_ = np.linalg.lstsq(h, -b, rcond=None)
         if np.linalg.norm(h @ xstar + b) <= 1e-8 * (1.0 + np.linalg.norm(b)):
             lower = float(0.5 * xstar @ h @ xstar + b @ xstar) - 1e-9
-        else:
-            lower = -math.inf
-    else:
-        lower = -math.inf
 
     return LocalObjective(
         dim=m,
         box=box,
         lipschitz_l0=l0,
         lower_bound=lower,
-        value_many=partial(_quadratic_values, h, b),
-        smoothed_gradient=partial(_quadratic_smoothed_gradient, h, b),
-        smoothed_value=partial(_quadratic_smoothed_value, h, b, float(np.trace(h))),
         name="quadratic",
+        family=Family(
+            _quadratic_rows, (h, b, np.array(float(np.trace(h)))), (),
+            _quadratic_smoothed_gradient, _quadratic_smoothed_value,
+        ),
     )
 
 

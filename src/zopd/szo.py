@@ -16,11 +16,13 @@ is 'none' (a std_dev of 0.0 still draws). Retries past the end of an
 agent's row draw from its retry generator, for the N = 1 views their own
 generator. So a batch of J samples consumes the stream exactly as J
 consecutive single-sample calls do, and the batch mean is bitwise the mean
-of those single-sample estimates, near the domain boundary too. The
-Monte-Carlo surrogates draw the same way, `_MC_CHUNK` samples at a time.
+of those single-sample estimates, near the domain boundary too. A draw holds
+at most `_MC_CHUNK` rows (agents x samples); a larger estimate takes several,
+each agent continuing one retry stream across them.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -184,20 +186,17 @@ def _draw(
     return block[..., :m], xis, pts
 
 
-def _sample(
-    objective: LocalObjective,
-    noise: NoiseModel,
-    x: np.ndarray,
-    mu: float,
-    count: int,
-    rng: np.random.Generator,
-    retry_cap: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-agent entry: (phis, xis, f(x + mu phis)) at the point x,
-    retrying from rng itself."""
-    lo, hi = objective.box.lo[None], objective.box.hi[None]
-    phis, xis, pts = _draw(lo, hi, noise, x[None], mu, count, rng, lambda i: rng, retry_cap)
-    return phis[0], xis[0], objective.value_many(pts[0])
+_MC_CHUNK = 1 << 16  # rows (agents x samples) per draw
+
+
+def _draws(lo, hi, noise, xb, mu, count, rng, retry_rng, retry_cap):
+    """_draw of count samples per agent, in draws of at most _MC_CHUNK rows
+    (one sample per agent at least). Agent i's box retries continue one
+    retry_rng(i) stream across the draws."""
+    retry = functools.cache(retry_rng)
+    per = max(1, _MC_CHUNK // len(xb))
+    for done in range(0, count, per):
+        yield _draw(lo, hi, noise, xb, mu, min(per, count - done), rng, retry, retry_cap)
 
 
 def estimate_batch(
@@ -214,17 +213,23 @@ def estimate_batch(
 
     Every agent queries its row of stacked under the one noise model, two
     queries per sample sharing xi (2 J per agent; box retries are not
-    queries). Returns the (N, M) batch-averaged gradients, the (N, J) noisy
-    perturbed values and the (N,) noise-free values f_i(xb[i]). Raises
-    BoxExhausted naming the agent whose retries ran out.
+    queries). A J too large for one draw takes several (see _draws), each
+    with one StackedObjective.values call. Returns the (N, M) batch-averaged
+    gradients, the (N, J) noisy perturbed values and the (N,) noise-free
+    values f_i(xb[i]). Raises BoxExhausted naming the agent whose retries
+    ran out.
     """
     mu, j = smoothing.mu, smoothing.samples
-    lo, hi = stacked.box_lo, stacked.box_hi
-    phis, xis, pts = _draw(lo, hi, noise, xb, mu, j, rng, retry_rng, retry_cap)
-    vals = stacked.values(np.concatenate([pts, xb[:, None, :]], axis=1))
-    noisy = vals[:, :j] + xis
-    diffs = noisy - (vals[:, j:] + xis)
-    return np.mean((diffs / mu)[:, :, None] * phis, axis=1), noisy, vals[:, j]
+    sums, noisy = [], []
+    for phis, xis, pts in _draws(
+        stacked.box_lo, stacked.box_hi, noise, xb, mu, j, rng, retry_rng, retry_cap
+    ):
+        count = xis.shape[1]
+        vals = stacked.values(np.concatenate([pts, xb[:, None, :]], axis=1))
+        noisy.append(vals[:, :count] + xis)
+        diffs = noisy[-1] - (vals[:, count:] + xis)
+        sums.append(np.sum((diffs / mu)[:, :, None] * phis, axis=1))
+    return functools.reduce(np.add, sums) / j, np.concatenate(noisy, axis=1), vals[:, count]
 
 
 def estimate_gradient(
@@ -257,22 +262,6 @@ def measure_gradient_and_value(
     return grads[0], float(np.mean(noisy[0]))
 
 
-_MC_CHUNK = 1 << 16  # Monte-Carlo samples per draw
-
-
-def _mc_chunks(objective, noise, x, mu, mc_samples, rng, retry_cap):
-    """The Monte-Carlo surrogates' one sampling loop: (phis, xis, values)
-    of mc_samples draws at x, at most _MC_CHUNK at a time. The arguments are
-    checked before the first draw."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    x = np.asarray(x, dtype=float)
-    counts = [min(_MC_CHUNK, mc_samples - done) for done in range(0, mc_samples, _MC_CHUNK)]
-    return (_sample(objective, noise, x, mu, c, rng, retry_cap) for c in counts)
-
-
 def smoothed_value(
     oracle: SZOracle,
     x: np.ndarray,
@@ -281,11 +270,13 @@ def smoothed_value(
     rng: np.random.Generator,
     retry_cap: int = 100,
 ) -> float:
-    """Monte-Carlo estimate of E_phi[f(x + mu phi)] from noisy queries."""
-    chunks = _mc_chunks(oracle.objective, oracle.noise, x, mu, mc_samples, rng, retry_cap)
-    total = sum(float(np.sum(vals + xis)) for _, xis, vals in chunks)
+    """Monte-Carlo estimate of E_phi[f(x + mu phi)] from noisy queries: the
+    value of measure_gradient_and_value at mc_samples samples, charging only
+    the mc_samples perturbed queries."""
+    probe = SZOracle(oracle.objective, oracle.noise)
+    _, value = measure_gradient_and_value(probe, x, SmoothingParams(mu, mc_samples), rng, retry_cap)
     oracle.query_count += mc_samples
-    return total / mc_samples
+    return value
 
 
 def smoothed_gradient_mc(
@@ -298,21 +289,23 @@ def smoothed_gradient_mc(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free Monte-Carlo reference of the smoothed gradient.
 
-    Averages ((f(x + mu phi) - f(x)) / mu) phi; returns (estimate,
-    per-coordinate standard error).
+    Averages ((f(x + mu phi) - f(x)) / mu) phi over the N = 1 draws, retrying
+    from rng itself; returns (estimate, per-coordinate standard error).
     """
-    chunks = _mc_chunks(objective, NoiseModel(), x, mu, mc_samples, rng, retry_cap)
-    base = float(objective.value_many(np.asarray(x, dtype=float).reshape(1, objective.dim))[0])
-    acc = np.zeros(objective.dim)
-    acc_sq = np.zeros(objective.dim)
-    for phis, _, vals in chunks:
-        g = ((vals - base) / mu)[:, None] * phis
+    SmoothingParams(mu, mc_samples)  # checked before the first draw
+    x = np.asarray(x, dtype=float)
+    base = objective.value(x)
+    acc = acc_sq = 0.0
+    for phis, _, pts in _draws(
+        objective.box.lo[None], objective.box.hi[None], NoiseModel(), x[None], mu,
+        mc_samples, rng, lambda i: rng, retry_cap,
+    ):
+        g = ((objective.value_many(pts[0]) - base) / mu)[:, None] * phis[0]
         acc += np.sum(g, axis=0)
         acc_sq += np.sum(g * g, axis=0)
     mean = acc / mc_samples
     var = np.maximum(acc_sq / mc_samples - mean**2, 0.0)
-    stderr = np.sqrt(var / mc_samples)
-    return mean, stderr
+    return mean, np.sqrt(var / mc_samples)
 
 
 def smoothed_gradient_reference(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zopd.baseline import RGFParams, apply_mixing, build_mixing, rgf_step, run_rgf
+from zopd.baseline import RGFParams, apply_mixing, build_mixing, mixing_coupling, rgf_step, run_rgf
 from zopd import engine
 from zopd.engine import ROLE_BASELINE_STEP, AlgoParams, run_centralized, substream
 from zopd.graph import Topology, build_matrices, generate_graph
@@ -61,9 +61,9 @@ class TestMixingMatrix:
 
     def test_consensual_input_is_exact_fixed_point(self):
         topo = generate_graph("random_connected", 7, block_dim=3, seed=5)
-        w = build_mixing(topo)
+        mats = build_matrices(topo)
         blocks = np.tile(np.array([0.1, -2.7, 3.3]), (7, 1))
-        np.testing.assert_array_equal(apply_mixing(w, build_matrices(topo), blocks), blocks)
+        np.testing.assert_array_equal(apply_mixing(mixing_coupling(mats), mats, blocks), blocks)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
@@ -81,14 +81,16 @@ class TestMixingMatrix:
             kind, n, extra_edge_prob=0.2, seed=graph_seed, block_dim=len(value)
         )
         blocks = np.tile(np.array(value), (n, 1))
-        mixed = apply_mixing(build_mixing(topo), build_matrices(topo), blocks)
+        mats = build_matrices(topo)
+        mixed = apply_mixing(mixing_coupling(mats), mats, blocks)
         np.testing.assert_array_equal(mixed, blocks)
 
     def test_difference_form_equals_dense_product(self):
         topo = generate_graph("random_connected", 6, block_dim=2, seed=9)
         w = build_mixing(topo)
         blocks = np.random.default_rng(70).standard_normal((6, 2))
-        np.testing.assert_allclose(apply_mixing(w, build_matrices(topo), blocks), w @ blocks, atol=1e-13)
+        mats = build_matrices(topo)
+        np.testing.assert_allclose(apply_mixing(mixing_coupling(mats), mats, blocks), w @ blocks, atol=1e-13)
 
     def test_matches_edge_loop_bitwise(self):
         # reference: the per-edge loop, adding each edge's two terms in edge order
@@ -107,24 +109,25 @@ class TestMixingMatrix:
             topo = generate_graph("random_connected", n, extra_edge_prob=0.4, seed=k, block_dim=m)
             w = build_mixing(topo)
             blocks = rng.standard_normal((n, m))
-            np.testing.assert_array_equal(apply_mixing(w, build_matrices(topo), blocks), loop_mixing(w, topo, blocks))
+            mats = build_matrices(topo)
+            np.testing.assert_array_equal(apply_mixing(mixing_coupling(mats), mats, blocks), loop_mixing(w, topo, blocks))
 
 
 class TestBaselineStep:
     def test_decay_halves_at_round_four(self):
         topo = Topology(2, ((1, 2),), 1)
-        w = build_mixing(topo)
+        mats = build_matrices(topo)
         blocks = np.full((2, 1), 0.5)  # consensual, so mixing is the identity
         grads = np.array([[1.0], [-2.0]])
-        d1 = blocks - rgf_step(blocks, grads, w, build_matrices(topo), 0.3, 1)
-        d4 = blocks - rgf_step(blocks, grads, w, build_matrices(topo), 0.3, 4)
+        d1 = blocks - rgf_step(blocks, grads, mixing_coupling(mats), mats, 0.3, 1)
+        d4 = blocks - rgf_step(blocks, grads, mixing_coupling(mats), mats, 0.3, 4)
         np.testing.assert_allclose(d1, 0.3 * grads)
         np.testing.assert_allclose(d4, 0.15 * grads)
 
     def test_round_index_counts_from_one(self):
-        topo = Topology(2, ((1, 2),), 1)
+        mats = build_matrices(Topology(2, ((1, 2),), 1))
         with pytest.raises(ValueError, match="round_index"):
-            rgf_step(np.zeros((2, 1)), np.zeros((2, 1)), build_mixing(topo), build_matrices(topo), 1.0, 0)
+            rgf_step(np.zeros((2, 1)), np.zeros((2, 1)), mixing_coupling(mats), mats, 1.0, 0)
 
     def test_params_rejections(self):
         with pytest.raises(ValueError, match="step_scale"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from zopd import engine
+from zopd import engine, szo
 from zopd.baseline import RGFParams, run_rgf
 from zopd.engine import (
     ROLE_INIT,
@@ -481,6 +481,35 @@ class TestMeterModes:
         objs = [toy_objective(box_lo=-10.0, box_hi=10.0), toy_objective()]
         with pytest.raises(RuntimeError, match=r"^meter estimate of agent 2 at iteration 1: "):
             run_centralized(topo, objs, _params(retry_cap=0, **kw))
+
+    def test_mc_meter_draws_in_chunks_on_one_retry_stream(self, monkeypatch):
+        """An mc meter above _MC_CHUNK rows takes several draws, none above
+        _MC_CHUNK rows, and an agent walked in several of them continues one
+        retry stream: no direction repeats."""
+        draws = []
+        draw = szo._draw
+
+        def recorded(*args):
+            out = draw(*args)
+            draws.append(out[0])
+            return out
+
+        monkeypatch.setattr(szo, "_MC_CHUNK", 4)
+        monkeypatch.setattr(szo, "_draw", recorded)
+        topo, _ = _single_edge()
+        # agent 2 sits within mu of its box face x = 5, so about half its
+        # draws leave the box
+        objs = [toy_objective(box_lo=-10.0, box_hi=10.0), toy_objective()]
+        kw = dict(
+            gap_gradient="mc", mc_gap_samples=40, gradient_mode="reference", rho=600.0,
+            smoothing=SmoothingParams(0.5, 4), init_lo=5.0, init_hi=5.0, total_iters=1,
+        )
+        run_centralized(topo, objs, _params(**kw))
+        assert len(draws) == 20
+        assert max(phis.shape[0] * phis.shape[1] for phis in draws) <= 4
+        walked = np.concatenate([phis[1, :, 0] for phis in draws])
+        assert walked.size == 40
+        assert np.unique(walked).size == walked.size
 
     def test_estimator_meter_tracks_closed_form(self):
         topo, _ = _single_edge()

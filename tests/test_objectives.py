@@ -183,7 +183,7 @@ class TestLogisticRegression:
     def test_label_folded_margins_are_exact(self):
         data = self._tiny(batch=30, dim=5, seed=9)
         obj = logistic_regression_objective(data, num_agents=2)
-        signed_t = obj.value_many.args[0]
+        signed_t = obj.family.data[0]
         pts = np.random.default_rng(4).uniform(-10.0, 10.0, (25, 5))
         plain = data.labels * np.einsum("sm,mb->sb", pts, np.ascontiguousarray(data.features.T))
         assert np.einsum("sm,mb->sb", pts, signed_t).tobytes() == plain.tobytes()
@@ -303,12 +303,16 @@ def test_stacked_assembly_matches_blockwise_sum():
 
 def _families(n):
     """Agents' objectives per family; logreg and the toy with phases give
-    each agent its own object, the shared families one object for all."""
+    each agent its own object, the shared families one object for all, and
+    the copies families distinct objects with equal data (the stacked kernel
+    call, where the shared ones take the one-object view)."""
     data, _ = synthesize_classification_data(n, 7, 3, seed=2)
     quads = [random_quadratic(3, seed=40 + i) for i in range(n)]
     return {
         "toy-phases": [toy_objective(phase=0.1 * (i + 1)) for i in range(n)],
         "toy-shared": [toy_objective()] * n,
+        "toy-copies": [toy_objective() for _ in range(n)],
+        "quadratic-copies": [random_quadratic(3, seed=40) for _ in range(n)],
         "logreg": [logistic_regression_objective(d, n) for d in data],
         "quadratic-shared": [quads[0]] * n,
         "quadratic-per-agent": quads,

@@ -286,6 +286,14 @@ def _per_sample_walk(oracle, x, smoothing, rng, retry_cap):
     return (phis, xis, pert_vals, base_val), retries
 
 
+def _sample(obj, noise, x, mu, j, rng, retry_cap):
+    """The sampling primitive on one agent, retrying from rng itself:
+    (phis, xis, f(x + mu phis))."""
+    lo, hi = obj.box.lo[None], obj.box.hi[None]
+    phis, xis, pts = szo._draw(lo, hi, noise, x[None], mu, j, rng, lambda i: rng, retry_cap)
+    return phis[0], xis[0], obj.value_many(pts[0])
+
+
 def test_sampling_primitive_matches_per_sample_walk():
     retried = []
 
@@ -313,10 +321,10 @@ def test_sampling_primitive_matches_per_sample_walk():
             ref, retries = _per_sample_walk(ref_oracle, x, smoothing, ref_rng, retry_cap)
         except RuntimeError:
             with pytest.raises(RuntimeError, match="left the domain box"):
-                szo._sample(obj, noise, x, mu, j, _rng(seed), retry_cap)
+                _sample(obj, noise, x, mu, j, _rng(seed), retry_cap)
             return
         rng = _rng(seed)
-        phis, xis, vals = szo._sample(obj, noise, x, mu, j, rng, retry_cap)
+        phis, xis, vals = _sample(obj, noise, x, mu, j, rng, retry_cap)
         for got, want in zip((phis, xis, vals), ref[:3]):
             assert got.tobytes() == want.tobytes()
         assert rng.standard_normal() == ref_rng.standard_normal()
