@@ -69,11 +69,14 @@ def apply_mixing(coupling: np.ndarray, mats: NetworkMatrices, blocks: np.ndarray
 
     Equal to W x row by row, but consensual inputs are fixed points exactly
     (every difference vanishes), which the dense product cannot guarantee in
-    floating point. The terms are added per node in edge order through the
-    same scatter_add and incidence list as the primal-dual engines.
+    floating point. Each node's own block comes first in its row, then its
+    terms in edge order, through the same scatter_add and incidence list as
+    the primal-dual engines.
     """
     node, nbr = mats.node, mats.neighbor
-    return scatter_add(blocks, node, coupling * (blocks[nbr] - blocks[node]), mats.slots)
+    terms = np.concatenate((blocks, coupling * (blocks[nbr] - blocks[node])))
+    index = np.concatenate((np.arange(blocks.size), mats.sum_index))
+    return scatter_add(index, terms, len(blocks))
 
 
 def rgf_step(

@@ -19,8 +19,8 @@ keyed by (seed, trial, role, iteration); an agent whose row needs box
 retries continues from (seed, trial, role, agent, iteration). So the
 centralized run and the distributed message-passing run consume identical
 streams, and a resumed run reproduces the remaining iterations bit for bit.
-Both runs apply the consensus operators through graph.scatter_add in one
-fixed order, so they also agree bit for bit.
+Both runs sum the consensus operators through graph.scatter_add, one
+np.bincount in incidence-list order, so they also agree bit for bit.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import NetworkMatrices, Topology, build_matrices, scatter_add
+from .graph import NetworkMatrices, Topology, build_matrices, flat_index, scatter_add
 from .metrics import (
     AnalysisConstants,
     MetricRecord,
@@ -463,14 +463,13 @@ class _Agent:
         self.sign = mats.sign[mine]
         self.owns = self.sign > 0
         self.degree = mats.degree[index - 1]
-        self.rows = np.zeros(self.neighbors.size, dtype=np.intp)
+        self.sum_index = flat_index(np.zeros(self.neighbors.size, dtype=np.intp), self.x.size)
         self.neighbor_x = mats.node_blocks(x0)[self.neighbors]
         self.duals = np.zeros_like(self.neighbor_x)
 
     def primal_update(self, grad: np.ndarray, rho: float) -> np.ndarray:
-        start = np.zeros((1, self.x.size))
-        neighbor_sum = scatter_add(start, self.rows, self.neighbor_x)[0]
-        dual_pressure = scatter_add(start, self.rows, self.sign * self.duals)[0]
+        neighbor_sum = scatter_add(self.sum_index, self.neighbor_x, 1)[0]
+        dual_pressure = scatter_add(self.sum_index, self.sign * self.duals, 1)[0]
         return _primal_update(self.x, neighbor_sum, dual_pressure, grad, self.degree, rho)
 
     def dual_update(self, x_new: np.ndarray, rho: float) -> None:

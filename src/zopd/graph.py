@@ -6,9 +6,8 @@ live in R^M, so stacked operators act on R^{N*M} blockwise; they are never
 formed as matrices, only applied through the edge list and the node-major
 incidence list.
 
-scatter_add sums each node's entries in list order: through a padded
-(dmax, N) slot index (the ELLPACK sparse layout) on large near-regular
-graphs, through np.add.at on small or degree-skewed ones, with equal bits.
+scatter_add sums each node's entries in list order through one np.bincount
+over a flat index, on every graph shape.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ __all__ = [
     "NetworkMatrices",
     "check_connected",
     "incidence_list",
-    "pad_slots",
+    "flat_index",
     "scatter_add",
     "build_matrices",
     "generate_graph",
@@ -117,45 +116,21 @@ def incidence_list(topo: Topology) -> tuple[np.ndarray, ...]:
     return ends.ravel()[order], order // 2, ends[:, ::-1].ravel()[order], sign
 
 
-# A graph takes the padded slot layout when it has at least this many nodes
-# and the padding at most doubles its entries; below that, np.add.at's
-# per-call cost is the smaller one.
-PAD_MIN_NODES = 32
-PAD_MAX_FILL = 2
+def flat_index(rows: np.ndarray, width: int) -> np.ndarray:
+    """The scatter_add index of an (entries, width) term array: entry k,
+    column c goes to cell rows[k] * width + c of the raveled output."""
+    return (rows[:, None] * width + np.arange(width)).ravel()
 
 
-def pad_slots(rows: np.ndarray, num_rows: int) -> np.ndarray:
-    """The (dmax, num_rows) slot index of a row-sorted entry list: slot k of
-    row v holds the list position of v's k-th entry, and an empty slot holds
-    len(rows), the position of the pad entry scatter_add appends."""
-    counts = np.bincount(rows, minlength=num_rows)
-    first = np.cumsum(counts) - counts
-    slots = np.full((int(counts.max()), num_rows), rows.size, dtype=np.intp)
-    slots[np.arange(rows.size) - first[rows], rows] = np.arange(rows.size)
-    return slots
-
-
-def scatter_add(
-    start: np.ndarray, rows: np.ndarray, terms: np.ndarray, slots: np.ndarray | None = None
-) -> np.ndarray:
-    """A copy of start with each terms[k] added to row rows[k], one entry at
-    a time in list order. The one accumulation behind every consensus
-    product: each row sums its own entries in sequence, so a caller holding
-    only one node's slice of the incidence list gets exactly the bits that
-    the full product gives that node.
-
-    With slots (pad_slots of a row-sorted rows), the dmax gathered slices
-    are added onto start in order; an empty slot adds -0.0, which leaves the
-    bits of every x (signed zeros, infinities, NaN) as they are under
-    round-to-nearest. Without slots it is np.add.at."""
-    out = np.array(start, dtype=float)
-    if slots is None:
-        np.add.at(out, rows, terms)
-        return out
-    pad = np.full((1, *terms.shape[1:]), -0.0)
-    for part in np.concatenate((terms, pad)).take(slots, axis=0):
-        out += part
-    return out
+def scatter_add(index: np.ndarray, terms: np.ndarray, num_rows: int) -> np.ndarray:
+    """The (num_rows, width) sums of the rows of terms (entries, width), with
+    index the flat_index of their output rows. The one accumulation behind
+    every consensus product: np.bincount adds each output cell's entries one
+    at a time, in list order, starting from +0.0, so a caller holding only
+    one node's slice of the incidence list gets exactly the bits that the
+    full product gives that node."""
+    width = terms.shape[1]
+    return np.bincount(index, terms.ravel(), num_rows * width).reshape(num_rows, width)
 
 
 @dataclass
@@ -164,11 +139,11 @@ class NetworkMatrices:
 
     A x is the gather x_i - x_j over each edge (tail i, head j); A' lam and
     the neighbor sums in L+ x = D x + sum over neighbors are scatter_add over
-    the node-major incidence list, blockwise across M, through its padded
-    slots where the graph's shape favours them (None otherwise). sigma_min is
-    the smallest nonzero eigenvalue of the scalar Laplacian L- = A'A,
-    lplus_norm the spectral norm of the scalar L+ = 2D - L-; the block
-    operators repeat those spectra M times.
+    the node-major incidence list, blockwise across M, through sum_index, its
+    flat_index at width M, computed once. sigma_min is the smallest nonzero
+    eigenvalue of the scalar Laplacian L- = A'A, lplus_norm the spectral norm
+    of the scalar L+ = 2D - L-; the block operators repeat those spectra M
+    times.
     """
 
     topology: Topology
@@ -178,7 +153,7 @@ class NetworkMatrices:
     edge: np.ndarray
     neighbor: np.ndarray
     sign: np.ndarray
-    slots: np.ndarray | None
+    sum_index: np.ndarray
     degree: np.ndarray
     sigma_min: float
     lplus_norm: float
@@ -197,13 +172,12 @@ class NetworkMatrices:
     def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
         """Each node's sum of its neighbors' blocks, as (N, M) blocks."""
         xb = self.node_blocks(x)
-        return scatter_add(np.zeros_like(xb), self.node, xb[self.neighbor], self.slots)
+        return scatter_add(self.sum_index, xb[self.neighbor], self.topology.num_nodes)
 
     def dual_pressure(self, lam: np.ndarray) -> np.ndarray:
         """A' lam, as (N, M) blocks."""
         lb = np.asarray(lam, dtype=float).reshape(self.topology.num_edges, -1)
-        start = np.zeros((self.topology.num_nodes, lb.shape[1]))
-        return scatter_add(start, self.node, self.sign * lb[self.edge], self.slots)
+        return scatter_add(self.sum_index, self.sign * lb[self.edge], self.topology.num_nodes)
 
     def incidence(self, x: np.ndarray) -> np.ndarray:
         """A x, stacked."""
@@ -233,12 +207,10 @@ def build_matrices(topo: Topology) -> NetworkMatrices:
         raise ValueError("unexpected Laplacian nullspace; graph connectivity is broken")
     lplus_norm = float(np.linalg.eigvalsh(2.0 * np.diag(deg) - scalar_lminus)[-1])
 
-    n = topo.num_nodes
-    padded = n >= PAD_MIN_NODES and deg.max() * n <= PAD_MAX_FILL * node.size
     ends = np.asarray(topo.edges, dtype=np.intp) - 1
     return NetworkMatrices(
         topology=topo, tail=ends[:, 0], head=ends[:, 1], node=node, edge=edge, neighbor=nbr,
-        sign=sign, slots=pad_slots(node, n) if padded else None, degree=deg,
+        sign=sign, sum_index=flat_index(node, topo.block_dim), degree=deg,
         sigma_min=float(nonzero[0]), lplus_norm=lplus_norm,
     )
 

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
+import scipy
 
 from .baseline import RGFParams, run_rgf
 from .engine import AlgoParams, run_centralized, run_distributed
@@ -631,6 +632,7 @@ def _versions() -> dict:
         "package": pkg,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
     }
 
 

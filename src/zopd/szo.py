@@ -186,7 +186,7 @@ def _draw(
     return block[..., :m], xis, pts
 
 
-_MC_CHUNK = 1 << 16  # rows (agents x samples) per draw
+_MC_CHUNK = 1 << 13  # rows (agents x samples) per draw
 
 
 def _draws(lo, hi, noise, xb, mu, count, rng, retry_rng, retry_cap):

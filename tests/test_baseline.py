@@ -75,7 +75,7 @@ class TestMixingMatrix:
         ),
     )
     def test_consensual_input_is_fixed_on_generated_graphs(self, kind, n, graph_seed, value):
-        # graphs on both sides of the padded-layout threshold
+        # small and large graphs, near-regular and degree-skewed
         assume(kind != "ring" or n >= 3)
         topo = generate_graph(
             kind, n, extra_edge_prob=0.2, seed=graph_seed, block_dim=len(value)
@@ -104,9 +104,17 @@ class TestMixingMatrix:
             return out
 
         rng = np.random.default_rng(71)
-        for k in range(30):
-            n, m = int(rng.integers(2, 13)), int(rng.integers(1, 5))
-            topo = generate_graph("random_connected", n, extra_edge_prob=0.4, seed=k, block_dim=m)
+
+        def graphs():
+            for k in range(30):
+                n, m = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+                yield generate_graph("random_connected", n, extra_edge_prob=0.4, seed=k, block_dim=m)
+            # large near-regular and degree-skewed graphs
+            for kind, n, m in (("ring", 40, 3), ("path", 64, 2), ("star", 40, 3), ("star", 33, 1)):
+                yield generate_graph(kind, n, block_dim=m)
+
+        for topo in graphs():
+            n, m = topo.num_nodes, topo.block_dim
             w = build_mixing(topo)
             blocks = rng.standard_normal((n, m))
             mats = build_matrices(topo)

@@ -8,8 +8,8 @@ from zopd.graph import (
     Topology,
     build_matrices,
     check_connected,
+    flat_index,
     generate_graph,
-    pad_slots,
     scatter_add,
 )
 
@@ -147,29 +147,14 @@ def test_scatter_add_is_the_sequential_sum_bitwise(kind, n, m, graph_seed, extra
     assume(kind != "ring" or n >= 3)
     topo = generate_graph(kind, n, extra_edge_prob=extra, seed=graph_seed, block_dim=m)
     mats = build_matrices(topo)
-    slots = pad_slots(mats.node, n)
-    if mats.slots is not None:
-        np.testing.assert_array_equal(mats.slots, slots)
+    np.testing.assert_array_equal(mats.sum_index, flat_index(mats.node, m))
 
     rng = np.random.default_rng(data_seed)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _extreme_values(rng, (mats.node.size, m), 0.2)
-        start = _extreme_values(rng, (n, m), 0.3)
+        start = np.zeros((n, m))
         expected = _sequential_sum(start, mats.node, terms).tobytes()
-        # both layouts, whichever one the graph's shape picks
-        assert scatter_add(start, mats.node, terms).tobytes() == expected
-        assert scatter_add(start, mats.node, terms, slots).tobytes() == expected
-
-
-def test_padded_layout_follows_graph_shape():
-    # near-regular and large: padded; small or degree-skewed: np.add.at
-    assert build_matrices(generate_graph("ring", 40)).slots is not None
-    assert build_matrices(generate_graph("ring", 31)).slots is None
-    assert build_matrices(generate_graph("star", 40)).slots is None
-    slots = build_matrices(generate_graph("path", 40)).slots
-    # the end nodes have one entry each, so their second slot is the pad
-    assert slots.shape == (2, 40)
-    assert slots[1, 0] == slots[1, 39] == 78
+        assert scatter_add(mats.sum_index, terms, n).tobytes() == expected
 
 
 def test_check_connected_examples():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -453,6 +454,13 @@ class TestRunExperiment:
         assert gaps.shape == (5,)
         assert result.meta["config_hash"] == config_from_dict(_tiny_raw(tmp_path / "o")).config_hash
         assert len(result.records["rgf"]) == 2
+
+    def test_meta_records_numpy_and_scipy_versions(self, tmp_path):
+        # trace bytes depend on numpy's kernels and on scipy's erf (toy closed forms)
+        result = run_experiment(config_from_dict(_tiny_raw(tmp_path / "o")))
+        versions = json.loads((result.output_dir / "meta.json").read_text())["versions"]
+        assert versions["numpy"] == np.__version__
+        assert versions["scipy"] == scipy.__version__
 
     def test_plot_script_contents(self, tmp_path):
         result = run_experiment(config_from_dict(_tiny_raw(tmp_path / "o")))
