@@ -19,8 +19,10 @@ keyed by (seed, trial, role, iteration); an agent whose row needs box
 retries continues from (seed, trial, role, agent, iteration). So the
 centralized run and the distributed message-passing run consume identical
 streams, and a resumed run reproduces the remaining iterations bit for bit.
-Both runs sum the consensus operators through graph.scatter_add, one
-np.bincount in incidence-list order, so they also agree bit for bit.
+The message-passing run keeps each agent's inbox and dual copies as arrays
+over the node-major incidence list. Both runs sum the consensus operators
+through graph.scatter_add, one np.bincount that adds each node's own slice
+in list order, so they also agree bit for bit.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import NetworkMatrices, Topology, build_matrices, flat_index, scatter_add
+from .graph import NetworkMatrices, Topology, build_matrices, scatter_add
 from .metrics import (
     AnalysisConstants,
     MetricRecord,
@@ -174,9 +176,11 @@ class RunResult:
 def _primal_update(x, neighbor_sum, dual_pressure, grad, degree, rho):
     """(rho (d x + sum_nbr x) - g - A'lam) / (2 rho d), blockwise.
 
-    The one primal formula: the centralized step applies it to all (N, M)
-    blocks at once, each agent to its own block, on operands that the same
-    scatter_add accumulated in the same order, so the two agree bit for bit.
+    The one primal formula, applied by both engines to all (N, M) blocks at
+    once: the centralized step on sums gathered from the stacked state, the
+    message-passing round on each agent's inbox and dual copies. The same
+    scatter_add accumulates each node's own slice in the same order, so the
+    two agree bit for bit.
     """
     return (rho * (degree * x + neighbor_sum) - grad - dual_pressure) / (2.0 * rho * degree)
 
@@ -445,40 +449,6 @@ def run_centralized(
     return _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, resume, on_record)
 
 
-class _Agent:
-    """One node of the message-passing simulation.
-
-    Holds its primal block and its slice of the incidence list: per incident
-    edge, in list order, the neighbor's last primal block and its own copy of
-    the edge dual. Both endpoints update their copies from the exchanged
-    primals, so the copies never diverge; the listed-first endpoint is the
-    owner whose copy assembles the stacked dual.
-    """
-
-    def __init__(self, index: int, mats: NetworkMatrices, x0: np.ndarray):
-        mine = mats.node == index - 1
-        self.index = index
-        self.x = mats.node_blocks(x0)[index - 1]
-        self.neighbors = mats.neighbor[mine]
-        self.sign = mats.sign[mine]
-        self.owns = self.sign > 0
-        self.degree = mats.degree[index - 1]
-        self.sum_index = flat_index(np.zeros(self.neighbors.size, dtype=np.intp), self.x.size)
-        self.neighbor_x = mats.node_blocks(x0)[self.neighbors]
-        self.duals = np.zeros_like(self.neighbor_x)
-
-    def primal_update(self, grad: np.ndarray, rho: float) -> np.ndarray:
-        neighbor_sum = scatter_add(self.sum_index, self.neighbor_x, 1)[0]
-        dual_pressure = scatter_add(self.sum_index, self.sign * self.duals, 1)[0]
-        return _primal_update(self.x, neighbor_sum, dual_pressure, grad, self.degree, rho)
-
-    def dual_update(self, x_new: np.ndarray, rho: float) -> None:
-        """lam_e + rho (x_tail - x_head) per incident edge, on this copy."""
-        tail = np.where(self.owns, x_new, self.neighbor_x)
-        head = np.where(self.owns, self.neighbor_x, x_new)
-        self.duals = self.duals + rho * (tail - head)
-
-
 def run_distributed(
     topo: Topology,
     objectives: Sequence[LocalObjective],
@@ -489,31 +459,41 @@ def run_distributed(
 ) -> RunResult:
     """Message-passing execution of the same iteration.
 
-    Per round each agent sends every neighbor two messages: its updated
-    primal block and its copy of the shared edge dual. The trace is computed
-    by an observer from the gathered stacked state, with the same meter
-    streams as the centralized mode.
+    Per entry of the node-major incidence list, the entry's agent holds its
+    neighbor's last block (inbox) and its own copy of the edge dual (duals),
+    kept as one array over all agents; each agent's update reads only its
+    own slice. Per round each agent sends every neighbor two messages: its
+    updated primal block and its dual copy. Both endpoints update their
+    copies from the exchanged primals, so the copies never diverge; the
+    listed-first endpoint's copy assembles the stacked dual, which only the
+    observer reads. The observer computes the trace with the centralized
+    mode's meter streams.
     """
     ctx = _prepare(topo, objectives, params, trial, mats, (ROLE_STEP, ROLE_METER))
-    n, m = topo.num_nodes, topo.block_dim
-    agents = [_Agent(i + 1, ctx.mats, ctx.x0) for i in range(n)]
-    owned_edges = ctx.mats.edge[ctx.mats.sign[:, 0] > 0]
+    mats, n, rho = ctx.mats, topo.num_nodes, params.rho
+    owns = mats.sign > 0  # (entries, 1): the agent is the edge's listed-first endpoint
+    owner = owns[:, 0]
+    blocks = mats.node_blocks(ctx.x0)
+    inbox = blocks[mats.neighbor]
+    duals = np.zeros_like(inbox)
 
     def step(x, lam, r):
+        nonlocal blocks, inbox, duals
         # each agent estimates at its own block and takes its row of the batch
-        grads = _step_gradients(ctx, params, np.array([a.x for a in agents]), r)
-        new_blocks = np.empty((n, m))
-        for i, agent in enumerate(agents):
-            new_blocks[i] = agent.primal_update(grads[i], params.rho)
-        # exchange round: each agent receives every neighbor's new primal block
-        for i, agent in enumerate(agents):
-            agent.neighbor_x = new_blocks[agent.neighbors]
-            agent.dual_update(new_blocks[i], params.rho)
-            agent.x = new_blocks[i]
-        lam_blocks = np.empty((topo.num_edges, m))
-        lam_blocks[owned_edges] = np.concatenate([a.duals[a.owns[:, 0]] for a in agents])
-        return new_blocks.reshape(-1), lam_blocks.reshape(-1), grads.reshape(-1)
+        grads = _step_gradients(ctx, params, blocks, r)
+        neighbor_sum = scatter_add(mats.sum_index, inbox, n)
+        dual_pressure = scatter_add(mats.sum_index, mats.sign * duals, n)
+        new = _primal_update(blocks, neighbor_sum, dual_pressure, grads, mats.degree[:, None], rho)
+        # exchange round: each agent receives every neighbor's new primal
+        # block and updates its dual copies, lam_e + rho (x_tail - x_head)
+        blocks, inbox, own = new, new[mats.neighbor], new[mats.node]
+        tail, head = np.where(owns, own, inbox), np.where(owns, inbox, own)
+        duals = duals + rho * (tail - head)
+        lam_blocks = np.empty((topo.num_edges, topo.block_dim))
+        lam_blocks[mats.edge[owner]] = duals[owner]
+        return new.reshape(-1), lam_blocks.reshape(-1), grads.reshape(-1)
 
     result = _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, on_record=on_record)
-    result.messages_per_agent = {a.index: 2 * a.neighbors.size for a in agents}
+    messages = 2 * np.bincount(mats.node, minlength=n)
+    result.messages_per_agent = dict(zip(range(1, n + 1), messages.tolist()))
     return result

@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from .baseline import RGFParams, run_rgf
-from .engine import AlgoParams, run_centralized, run_distributed
+from .engine import AlgoParams, RunResult, run_centralized, run_distributed
 from .graph import NetworkMatrices, Topology, build_matrices, check_connected, generate_graph
 from .metrics import (
     MetricRecord,
@@ -586,29 +586,47 @@ class ExperimentResult:
         return self.mean[method][column]
 
 
+def _check_equivalent(trial: int, cen: RunResult, dis: RunResult, topo: Topology) -> None:
+    """Raise at the earliest iterate, dual or step gradient where the two
+    executions differ, naming the quantity, the iteration, the first agent
+    (or edge) and the largest difference in its block."""
+    found = []
+    for name in ("x", "lam", "grad"):
+        a, b = (getattr(v, f"states_{name}") for v in (cen, dis))
+        a, b = (v.reshape(v.shape[0], -1, topo.block_dim) for v in (a, b))
+        bad = np.argwhere((a != b).any(axis=2))
+        if bad.size:
+            r, k = (int(v) for v in bad[0])
+            who = f"edge {topo.edges[k]}" if name == "lam" else f"agent {k + 1}"
+            diff = float(np.max(np.abs(a[r, k] - b[r, k])))
+            found.append((r, f"{name} of {who} at iteration {r} differs by {diff:.3e}"))
+    if found:
+        raise RuntimeError(
+            f"centralized/distributed mismatch in trial {trial}: {min(found, key=lambda f: f[0])[1]}"
+        )
+
+
 def _run_one_trial(
     cfg: ExperimentConfig, mats: NetworkMatrices, out_dir: Path, trial: int
 ) -> dict[str, list[MetricRecord]]:
-    """Run one trial of every configured method and write its trace CSV."""
+    """Run one trial of every configured method and write its trace CSV.
+
+    Each listed engine mode runs once. The rows come from the centralized
+    run when it is listed, else from the distributed one; with both listed,
+    their histories must agree bit for bit."""
     rows: dict[str, list[MetricRecord]] = {"primal_dual": []}
     csv_path = out_dir / f"trial_{trial:03d}.csv"
+    source = "centralized" if "centralized" in cfg.modes else "distributed"
     try:
-        result_c = run_centralized(
-            cfg.topology, cfg.objectives, cfg.params, trial, mats,
-            on_record=rows["primal_dual"].append,
-        )
-        if "distributed" in cfg.modes:
-            result_d = run_distributed(cfg.topology, cfg.objectives, cfg.params, trial, mats)
-            same = np.array_equal(result_c.states_x, result_d.states_x) and np.array_equal(
-                result_c.states_lam, result_d.states_lam
-            )
-            if not same:
-                dx = float(np.max(np.abs(result_c.states_x - result_d.states_x)))
-                dl = float(np.max(np.abs(result_c.states_lam - result_d.states_lam)))
-                raise RuntimeError(
-                    f"centralized/distributed mismatch in trial {trial}: "
-                    f"max primal discrepancy {dx:.3e}, dual {dl:.3e}"
+        results = {}
+        for mode, run in (("centralized", run_centralized), ("distributed", run_distributed)):
+            if mode in cfg.modes:
+                results[mode] = run(
+                    cfg.topology, cfg.objectives, cfg.params, trial, mats,
+                    on_record=rows["primal_dual"].append if mode == source else None,
                 )
+        if len(results) == 2:
+            _check_equivalent(trial, results["centralized"], results["distributed"], cfg.topology)
         if cfg.baseline is not None:
             rows["rgf"] = run_rgf(
                 cfg.topology, cfg.objectives, cfg.params, cfg.baseline, trial, mats

@@ -339,10 +339,18 @@ class TestDistributedRun:
         np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
         np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
 
-    @pytest.mark.parametrize("kind,n", [("ring", 40), ("path", 64), ("star", 40)])
+    @pytest.mark.parametrize("kind,n", [("ring", 40), ("path", 64), ("star", 40), ("reversed", 30)])
     def test_matches_centralized_on_large_graphs(self, kind, n):
-        # near-regular and degree-skewed graphs alike sum through one bincount
-        topo = generate_graph(kind, n, block_dim=3, seed=0)
+        # near-regular and degree-skewed graphs alike sum through one bincount;
+        # "reversed" lists every edge of a random graph as (larger, smaller),
+        # so the larger endpoint owns each dual, where generated graphs list
+        # the smaller node first
+        if kind == "reversed":
+            drawn = generate_graph("random_connected", n, extra_edge_prob=0.2, seed=4)
+            topo = Topology(n, tuple((j, i) for i, j in drawn.edges), block_dim=3)
+            assert all(i > j for i, j in topo.edges)
+        else:
+            topo = generate_graph(kind, n, block_dim=3, seed=0)
         objs = _quad_objectives(n, 3, seed=60)
         params = _params(total_iters=12, noise=NoiseModel("additive_gaussian", 0.05))
         cen = run_centralized(topo, objs, params)

@@ -473,16 +473,46 @@ class TestRunExperiment:
     def test_equivalence_guard_trips_on_divergence(self, tmp_path, monkeypatch):
         real = harness.run_distributed
 
-        def skewed(*args, **kwargs):
-            result = real(*args, **kwargs)
-            result.states_x = result.states_x + 1e-9
-            return result
+        def skew(name, index):
+            def skewed(*args, **kwargs):
+                result = real(*args, **kwargs)
+                states = getattr(result, f"states_{name}").copy()
+                states[index] += 1e-9
+                setattr(result, f"states_{name}", states)
+                return result
 
-        monkeypatch.setattr(harness, "run_distributed", skewed)
-        raw = _tiny_raw(tmp_path / "o", modes=["centralized", "distributed"])
-        raw["trials"] = 1
-        with pytest.raises(RuntimeError, match="centralized/distributed mismatch"):
-            run_experiment(config_from_dict(raw))
+            return skewed
+
+        cases = [
+            # every entry of every iterate: the first agent at x^0
+            ("x", ..., r"x of agent 1 at iteration 0 differs by 1\.000e-09$"),
+            # one agent's block at one iteration
+            ("x", (3, 1), r"x of agent 2 at iteration 3 differs by 1\.0\d\de-09$"),
+            # the step gradient alone, with x and lam left equal
+            ("grad", (2, 2), r"grad of agent 3 at iteration 2 differs by 1\.0\d\de-09$"),
+        ]
+        for k, (name, index, named) in enumerate(cases):
+            monkeypatch.setattr(harness, "run_distributed", skew(name, index))
+            raw = _tiny_raw(tmp_path / f"o{k}", modes=["centralized", "distributed"])
+            raw["trials"] = 1
+            message = "centralized/distributed mismatch in trial 0: " + named
+            with pytest.raises(RuntimeError, match=message):
+                run_experiment(config_from_dict(raw))
+
+    def test_distributed_only_runs_one_engine_with_the_same_bytes(self, tmp_path, monkeypatch):
+        raw = _tiny_raw(tmp_path / "c", modes=["centralized"])
+        raw["workers"] = 1  # the patched engine must be the one that runs
+        run_experiment(config_from_dict(raw))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a distributed-only config ran the centralized engine")
+
+        monkeypatch.setattr(harness, "run_centralized", refuse)
+        raw = _tiny_raw(tmp_path / "d", modes=["distributed"])
+        raw["workers"] = 1
+        run_experiment(config_from_dict(raw))
+        for name in ("trial_000.csv", "trial_001.csv", "mean.csv"):
+            assert (tmp_path / "d" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
 
     def test_dual_mode_config_passes_guard(self, tmp_path):
         raw = _tiny_raw(tmp_path / "o", modes=["centralized", "distributed"])
