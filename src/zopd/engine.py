@@ -26,7 +26,6 @@ in list order, so they also agree bit for bit.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,13 +33,7 @@ import numpy as np
 
 from .graph import NetworkMatrices, Topology, build_matrices, scatter_add
 from .metrics import (
-    AnalysisConstants,
-    MetricRecord,
-    constraint_violation,
-    default_potential_weight,
-    derive_constants,
-    potential,
-    stationarity_gap,
+    AnalysisConstants, MetricRecord, default_potential_weight, derive_constants, trace_row,
 )
 from .objectives import LocalObjective, StackedObjective
 from .szo import BoxExhausted, NoiseModel, OutsideBox, SmoothingParams, estimate_batch
@@ -366,7 +359,6 @@ def _drive(
     and the potential at (x^r, lam^r). The output pair is the iterate at
     output_pick, when given.
     """
-    t0 = time.perf_counter()
     horizon = params.total_iters
     if resume is None:
         start = 0
@@ -391,14 +383,8 @@ def _drive(
             out_x, out_lam, out_iter = x.copy(), lam.copy(), r
         if r > start:
             grad_gap, f_mu, f = ctx.meter.measure(x, r)
-            rec = MetricRecord(
-                iteration=r,
-                stationarity_gap=stationarity_gap(x, lam_prev, grad_gap, ctx.mats, params.rho),
-                constraint_violation=constraint_violation(x, ctx.mats),
-                potential=potential(x, x_prev, lam, ctx.mats, ctx.consts, f_mu),
-                objective=f,
-                wall_time=time.perf_counter() - t0,
-            )
+            row = trace_row(x, x_prev, lam_prev, lam, grad_gap, f_mu, ctx.mats, ctx.consts)
+            rec = MetricRecord(r, *row, f)
             records.append(rec)
             if on_record is not None:
                 on_record(rec)

@@ -57,15 +57,6 @@ class Topology:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, node: int) -> list[int]:
-        out = []
-        for i, j in self.edges:
-            if i == node:
-                out.append(j)
-            elif j == node:
-                out.append(i)
-        return sorted(out)
-
     def degrees(self) -> np.ndarray:
         ends = np.asarray(self.edges, dtype=np.intp).reshape(-1) - 1
         return np.bincount(ends, minlength=self.num_nodes).astype(float)

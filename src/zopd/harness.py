@@ -498,16 +498,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # Persistence
 
 
-def _format_row(method: str, trial: int, iteration: int, vals) -> str:
-    return f"{method},{trial},{iteration}," + ",".join(f"{v:.17g}" for v in vals)
-
-
 def _write_trace_csv(path: Path, rows: dict[str, list[MetricRecord]], trial: int) -> None:
     lines = [CSV_HEADER]
     for method in ("primal_dual", "rgf"):
         for rec in rows.get(method, []):
-            vals = [getattr(rec, c) for c in _COLUMNS]
-            lines.append(_format_row(method, trial, rec.iteration, vals))
+            vals = ",".join(f"{getattr(rec, c):.17g}" for c in _COLUMNS)
+            lines.append(f"{method},{trial},{rec.iteration},{vals}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -683,12 +679,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     # single-threaded merge: averaged trace, metadata, plot script
     mean = {m: _mean_table(per_trial[m]) for m in methods}
-    lines = [CSV_HEADER]
-    for method in methods:
-        cols = mean[method]
-        for j, it in enumerate(cols["iter"]):
-            lines.append(_format_row(method, -1, int(it), [cols[c][j] for c in _COLUMNS]))
-    (out / "mean.csv").write_text("\n".join(lines) + "\n")
+    mean_rows = {}
+    for method, cols in mean.items():
+        table = zip(cols["iter"], *(cols[c] for c in _COLUMNS))
+        mean_rows[method] = [MetricRecord(int(it), *vals) for it, *vals in table]
+    _write_trace_csv(out / "mean.csv", mean_rows, -1)
 
     meta = {
         "experiment": cfg.name,

@@ -8,6 +8,10 @@ primal gradient plus the squared consensus residual:
 
 The potential adds a weighted history term to the smoothed augmented
 Lagrangian and is the quantity whose descent the step-size conditions certify.
+
+One trace row comes from one A x: trace_row takes the gap, the violation
+||A x|| and the potential from it. stationarity_gap, constraint_violation
+and potential are views of the same formulas, each computing its own A x.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ __all__ = [
     "smoothed_lipschitz",
     "default_potential_weight",
     "derive_constants",
+    "trace_row",
     "stationarity_gap",
     "constraint_violation",
     "potential",
@@ -37,14 +42,13 @@ __all__ = [
 
 @dataclass
 class MetricRecord:
-    """One trace row; wall_time stays out of the CSV schema."""
+    """One trace row, its fields in the CSV's column order."""
 
     iteration: int
     stationarity_gap: float
     constraint_violation: float
     potential: float
     objective: float
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -97,17 +101,35 @@ def derive_constants(
     )
 
 
-def stationarity_gap(
-    x: np.ndarray,
-    lam_prev: np.ndarray,
-    grad_smoothed: np.ndarray,
-    mats: NetworkMatrices,
-    rho: float,
-) -> float:
-    ax = mats.incidence(x)
+def _gap(ax, lam_prev, grad_smoothed, mats, rho) -> float:
     # A' lam + rho A'A x, as one scatter of the edge terms
     primal_grad = grad_smoothed + mats.dual_pressure(lam_prev + rho * ax).reshape(-1)
     return float(primal_grad @ primal_grad + ax @ ax)
+
+
+def _potential(ax, x, x_prev, lam, mats, consts, f_mu_value) -> float:
+    lagrangian = f_mu_value + float(lam @ ax) + 0.5 * consts.rho * float(ax @ ax)
+    d = x - x_prev
+    b_quad = float(d @ mats.lplus(d)) + (consts.k / (consts.c * consts.rho)) * float(d @ d)
+    history = 0.5 * consts.rho * (float(ax @ ax) + b_quad)
+    return lagrangian + consts.c * history
+
+
+def trace_row(
+    x: np.ndarray, x_prev: np.ndarray, lam_prev: np.ndarray, lam: np.ndarray,
+    grad_smoothed: np.ndarray, f_mu_value: float, mats: NetworkMatrices, consts: AnalysisConstants,
+) -> tuple[float, float, float]:
+    """(gap at (x, lam_prev), ||A x||, potential at (x, lam)) from one A x."""
+    ax = mats.incidence(x)
+    gap = _gap(ax, lam_prev, grad_smoothed, mats, consts.rho)
+    pot = _potential(ax, x, x_prev, lam, mats, consts, f_mu_value)
+    return gap, float(np.linalg.norm(ax)), pot
+
+
+def stationarity_gap(
+    x: np.ndarray, lam_prev: np.ndarray, grad_smoothed: np.ndarray, mats: NetworkMatrices, rho: float
+) -> float:
+    return _gap(mats.incidence(x), lam_prev, grad_smoothed, mats, rho)
 
 
 def constraint_violation(x: np.ndarray, mats: NetworkMatrices) -> float:
@@ -115,19 +137,10 @@ def constraint_violation(x: np.ndarray, mats: NetworkMatrices) -> float:
 
 
 def potential(
-    x: np.ndarray,
-    x_prev: np.ndarray,
-    lam: np.ndarray,
-    mats: NetworkMatrices,
-    consts: AnalysisConstants,
-    f_mu_value: float,
+    x: np.ndarray, x_prev: np.ndarray, lam: np.ndarray, mats: NetworkMatrices,
+    consts: AnalysisConstants, f_mu_value: float,
 ) -> float:
-    ax = mats.incidence(x)
-    lagrangian = f_mu_value + float(lam @ ax) + 0.5 * consts.rho * float(ax @ ax)
-    d = x - x_prev
-    b_quad = float(d @ mats.lplus(d)) + (consts.k / (consts.c * consts.rho)) * float(d @ d)
-    history = 0.5 * consts.rho * (float(ax @ ax) + b_quad)
-    return lagrangian + consts.c * history
+    return _potential(mats.incidence(x), x, x_prev, lam, mats, consts, f_mu_value)
 
 
 def potential_lower_bound(consts: AnalysisConstants, f_lower: float, samples: int) -> float:

@@ -22,8 +22,9 @@ from zopd.engine import (
     run_distributed,
     substream,
 )
-from zopd.graph import Topology, build_matrices, generate_graph
+from zopd.graph import NetworkMatrices, Topology, build_matrices, generate_graph
 from zopd.harness import config_from_dict, replica_b_config
+from zopd.metrics import MetricRecord, constraint_violation, potential, stationarity_gap
 from zopd.objectives import (
     StackedObjective,
     logistic_regression_objective,
@@ -293,10 +294,7 @@ class TestCheckpointResume:
         np.testing.assert_array_equal(part.states_x, full.states_x[at:])
         np.testing.assert_array_equal(part.states_lam, full.states_lam[at:])
         np.testing.assert_array_equal(part.states_grad, full.states_grad[at:])
-        assert part.records == [
-            dataclasses.replace(r, wall_time=p.wall_time)
-            for r, p in zip(full.records[at:], part.records)
-        ]
+        assert part.records == full.records[at:]
 
     def test_final_checkpoint_round_trip(self):
         topo, _ = _single_edge()
@@ -314,6 +312,57 @@ class TestCheckpointResume:
         bad = Checkpoint(iteration=6, x=np.zeros(2), lam=np.zeros(1))
         with pytest.raises(ValueError, match="checkpoint iteration"):
             run_centralized(topo, objs, _params(total_iters=6), resume=bad)
+
+
+class TestTraceRows:
+    """Row r grades the gap at (x^r, lam^{r-1}) and the potential at
+    (x^r, x^{r-1}, lam^r), from one A x^r per row."""
+
+    def _setup(self):
+        topo = generate_graph("random_connected", 6, extra_edge_prob=0.3, seed=4, block_dim=2)
+        objs = _quad_objectives(6, 2, seed=11)
+        params = _params(total_iters=12, rho=4.0, gap_gradient="closed_form")
+        return topo, build_matrices(topo), objs, params
+
+    def _graded(self, result, objs, mats, mu):
+        """The records the functionals give at the run's states."""
+        stacked, consts = StackedObjective(objs), result.constants
+        xs, lams = result.states_x, result.states_lam
+        graded = []
+        for r in range(1, len(xs)):
+            x = xs[r]
+            grad = stacked.smoothed_gradient_stacked(x, mu)
+            f_mu = stacked.smoothed_value_stacked(x, mu)
+            gap = stationarity_gap(x, lams[r - 1], grad, mats, consts.rho)
+            pot = potential(x, xs[r - 1], lams[r], mats, consts, f_mu)
+            graded.append(MetricRecord(r, gap, constraint_violation(x, mats), pot, stacked.value(x)))
+        return graded
+
+    def test_records_are_the_functionals_at_the_states(self):
+        topo, mats, objs, params = self._setup()
+        mu = params.smoothing.mu
+        cen = run_centralized(topo, objs, params, mats=mats)
+        assert cen.records == self._graded(cen, objs, mats, mu)
+        rgf = run_rgf(topo, objs, params, RGFParams(step_scale=0.1), mats=mats)
+        assert rgf.records == self._graded(rgf, objs, mats, mu)
+
+    @pytest.mark.parametrize("method,per_iteration", [("centralized", 2), ("rgf", 1)])
+    def test_one_incidence_product_per_row(self, monkeypatch, method, per_iteration):
+        # the centralized dual step takes one A x^{r+1}, and grading one A x^r
+        topo, mats, objs, params = self._setup()
+        calls = []
+        incidence = NetworkMatrices.incidence
+
+        def counted(self, x):
+            calls.append(1)
+            return incidence(self, x)
+
+        monkeypatch.setattr(NetworkMatrices, "incidence", counted)
+        if method == "centralized":
+            run_centralized(topo, objs, params, mats=mats)
+        else:
+            run_rgf(topo, objs, params, RGFParams(step_scale=0.1), mats=mats)
+        assert len(calls) == per_iteration * params.total_iters
 
 
 class TestDistributedRun:

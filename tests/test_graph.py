@@ -10,6 +10,7 @@ from zopd.graph import (
     check_connected,
     flat_index,
     generate_graph,
+    incidence_list,
     scatter_add,
 )
 
@@ -218,6 +219,8 @@ def test_serialization_round_trip():
 
 def test_neighbors_and_degrees():
     topo = Topology(4, ((1, 2), (1, 3), (2, 3), (3, 4)))
-    assert topo.neighbors(3) == [1, 2, 4]
-    assert topo.neighbors(4) == [3]
+    # 0-based (node, neighbor) entries, each node's in edge order
+    node, _, neighbor, _ = incidence_list(topo)
+    assert (neighbor[node == 2] + 1).tolist() == [1, 2, 4]
+    assert (neighbor[node == 3] + 1).tolist() == [3]
     np.testing.assert_array_equal(topo.degrees(), [2.0, 2.0, 3.0, 1.0])
