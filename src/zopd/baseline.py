@@ -12,6 +12,7 @@ CSV traces overlay directly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +64,21 @@ def build_mixing(topo: Topology) -> np.ndarray:
     return w
 
 
-def apply_mixing(coupling: np.ndarray, mats: NetworkMatrices, blocks: np.ndarray) -> np.ndarray:
+class _Mixing:
+    """A run's mixing rounds, set up once: the mixing_coupling column, the
+    scatter index with every node's own block first and then its incidence
+    entries, and the term array each round fills in place in that order."""
+
+    def __init__(self, coupling: np.ndarray, mats: NetworkMatrices):
+        n, m = mats.topology.num_nodes, mats.topology.block_dim
+        self.coupling = coupling
+        self.index = np.concatenate((np.arange(n * m), mats.sum_index))
+        self.terms = np.empty((n + len(mats.node), m))
+
+
+def apply_mixing(coupling, mats: NetworkMatrices, blocks: np.ndarray) -> np.ndarray:
     """Difference-form mixing: x_i + sum_j W_ij (x_j - x_i), with coupling
-    the mixing_coupling column.
+    the mixing_coupling column, or a run's rounds built from it once.
 
     Equal to W x row by row, but consensual inputs are fixed points exactly
     (every difference vanishes), which the dense product cannot guarantee in
@@ -73,10 +86,12 @@ def apply_mixing(coupling: np.ndarray, mats: NetworkMatrices, blocks: np.ndarray
     terms in edge order, through the same scatter_add and incidence list as
     the primal-dual engines.
     """
-    node, nbr = mats.node, mats.neighbor
-    terms = np.concatenate((blocks, coupling * (blocks[nbr] - blocks[node])))
-    index = np.concatenate((np.arange(blocks.size), mats.sum_index))
-    return scatter_add(index, terms, len(blocks))
+    mix = coupling if isinstance(coupling, _Mixing) else _Mixing(coupling, mats)
+    own, edges = mix.terms[: len(blocks)], mix.terms[len(blocks) :]
+    own[...] = blocks
+    np.subtract(blocks.take(mats.neighbor, 0), blocks.take(mats.node, 0), out=edges)
+    edges *= mix.coupling
+    return scatter_add(mix.index, mix.terms, len(blocks))
 
 
 def rgf_step(
@@ -87,11 +102,12 @@ def rgf_step(
     step_scale: float,
     round_index: int,
 ) -> np.ndarray:
-    """One baseline round, mixing with the mixing_coupling column over the
-    run's operators mats; round_index counts from 1 for the 1/sqrt decay."""
+    """One baseline round, mixing with the mixing_coupling column (or the
+    run's rounds, as apply_mixing takes it) over the run's operators mats;
+    round_index counts from 1 for the 1/sqrt decay."""
     if round_index < 1:
         raise ValueError("round_index counts from 1")
-    step = step_scale / np.sqrt(float(round_index))
+    step = step_scale / math.sqrt(round_index)
     return apply_mixing(coupling, mats, blocks) - step * grads
 
 
@@ -109,14 +125,14 @@ def run_rgf(
     ctx = _prepare(
         topo, objectives, params, trial, mats, (ROLE_BASELINE_STEP, ROLE_BASELINE_METER)
     )
-    coupling = mixing_coupling(ctx.mats)
+    mixing = _Mixing(mixing_coupling(ctx.mats), ctx.mats)
     single = SmoothingParams(mu=rgf.mu, samples=1)
 
     def step(x, lam, r):
         blocks = ctx.stacked.blocks(x)
-        grads = ctx.estimate(blocks, single, r)[0]
-        mixed = rgf_step(blocks, grads, coupling, ctx.mats, rgf.step_scale, r + 1)
+        grads, _, values = ctx.estimate(blocks, single, r)
+        mixed = rgf_step(blocks, grads, mixing, ctx.mats, rgf.step_scale, r + 1)
         x_new = np.clip(mixed, ctx.stacked.box_lo, ctx.stacked.box_hi)
-        return x_new.reshape(-1), lam, grads.reshape(-1)
+        return x_new.reshape(-1), lam, grads.reshape(-1), values
 
     return _drive(ctx, params, trial, step, "rgf", None)

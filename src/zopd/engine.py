@@ -23,6 +23,12 @@ The message-passing run keeps each agent's inbox and dual copies as arrays
 over the node-major incidence list. Both runs sum the consensus operators
 through graph.scatter_add, one np.bincount that adds each node's own slice
 in list order, so they also agree bit for bit.
+
+One loop drives both runs and the baseline. A step returns fresh arrays,
+or an input passed through unchanged, and never writes into an array it was
+given or has returned, so the loop keeps each iterate as the step returned
+it, with no copy. The step also hands over the noise-free values its
+estimate read at x^r, which give the trace row's objective column.
 """
 from __future__ import annotations
 
@@ -62,8 +68,16 @@ _ROLE_NAMES = ("init", "output", "step", "meter", "baseline step", "baseline met
 
 
 def substream(*path: int) -> np.random.Generator:
-    """Deterministic generator for a (seed, trial, role, ...) path."""
-    return np.random.default_rng(np.random.SeedSequence(tuple(int(p) for p in path)))
+    """Deterministic generator for a (seed, trial, role, ...) path.
+
+    A path of entries below 2^32 keys SeedSequence with one uint32 array,
+    which fills the same entropy pool as the tuple of ints without coercing
+    each int on its own."""
+    if 0 <= min(path) and max(path) < 1 << 32:
+        key = np.array(path, dtype=np.uint32)
+    else:
+        key = tuple(int(p) for p in path)
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
 @dataclass(frozen=True)
@@ -120,17 +134,23 @@ class AlgoParams:
 
 @dataclass
 class Checkpoint:
-    """Resumable snapshot: iteration counter plus the primal-dual pair."""
+    """Resumable snapshot: iteration counter plus the primal-dual pair, and
+    the trial and seed whose streams produced it (None: not recorded, so not
+    checked on resume)."""
 
     iteration: int
     x: np.ndarray
     lam: np.ndarray
+    trial: int | None = None
+    seed: int | None = None
 
     def to_dict(self) -> dict:
         return {
             "iteration": int(self.iteration),
             "x": [float(v) for v in np.asarray(self.x).ravel()],
             "lam": [float(v) for v in np.asarray(self.lam).ravel()],
+            "trial": self.trial,
+            "seed": self.seed,
         }
 
     @staticmethod
@@ -139,6 +159,8 @@ class Checkpoint:
             iteration=int(d["iteration"]),
             x=np.asarray(d["x"], dtype=float),
             lam=np.asarray(d["lam"], dtype=float),
+            trial=d.get("trial"),
+            seed=d.get("seed"),
         )
 
 
@@ -156,6 +178,7 @@ class RunResult:
     constants: AnalysisConstants
     start_iteration: int = 0
     messages_per_agent: dict[int, int] | None = None
+    seed: int | None = None
 
     @property
     def final_checkpoint(self) -> Checkpoint:
@@ -163,6 +186,8 @@ class RunResult:
             iteration=self.start_iteration + self.states_x.shape[0] - 1,
             x=self.states_x[-1].copy(),
             lam=self.states_lam[-1].copy(),
+            trial=self.trial,
+            seed=self.seed,
         )
 
 
@@ -254,13 +279,16 @@ class _TraceMeter(_Estimator):
         if mode == "mc":
             self.smoothing = SmoothingParams(params.smoothing.mu, params.mc_gap_samples)
 
-    def measure(self, x: np.ndarray, iteration: int) -> tuple[np.ndarray, float, float]:
-        """(smoothed gradient, smoothed value, objective value) at x; an
-        estimate takes the objective from its noise-free base values."""
+    def measure(
+        self, x: np.ndarray, iteration: int, values: np.ndarray | None = None
+    ) -> tuple[np.ndarray, float, float]:
+        """(smoothed gradient, smoothed value, objective value) at x; the
+        objective sums the agents' values at x where given, and an estimate
+        takes it from its noise-free base values."""
         st, mu = self.stacked, self.smoothing.mu
         if self.mode == "closed_form":
-            g, f_mu = st.smoothed_gradient_stacked(x, mu), st.smoothed_value_stacked(x, mu)
-            return g, f_mu, st.value(x)
+            f = st.value(x) if values is None else float(values.sum())
+            return (*st._smoothed_pair(x, mu), f)
         g, noisy, base = self(st.blocks(x), self.smoothing, iteration)
         return g.reshape(-1), float(np.sum(np.mean(noisy, axis=1))), float(np.sum(base))
 
@@ -314,12 +342,17 @@ def _prepare(
     return _RunContext(mats, stacked, estimate, meter, consts, x0, output_pick)
 
 
-def _step_gradients(ctx: _RunContext, params: AlgoParams, xb: np.ndarray, r: int) -> np.ndarray:
-    """Every agent's step gradient at its block of xb (N, M); both engines
-    call this, and agent i takes row i."""
+def _step_gradients(
+    ctx: _RunContext, params: AlgoParams, xb: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every agent's step gradient at its block of xb (N, M), and an
+    estimate's (N,) noise-free values there (None for reference gradients);
+    both engines call this, and agent i takes row i."""
     if params.gradient_mode == "reference":
-        return ctx.stacked.smoothed_gradient_stacked(xb, params.smoothing.mu).reshape(xb.shape)
-    return ctx.estimate(xb, params.smoothing, r)[0]
+        g = ctx.stacked.smoothed_gradient_stacked(xb, params.smoothing.mu)
+        return g.reshape(xb.shape), None
+    g, _, values = ctx.estimate(xb, params.smoothing, r)
+    return g, values
 
 
 def _check_finite(method: str, r: int, ctx: _RunContext, x: np.ndarray, lam: np.ndarray) -> None:
@@ -339,7 +372,7 @@ def _check_finite(method: str, r: int, ctx: _RunContext, x: np.ndarray, lam: np.
     raise RuntimeError(f"{method} diverged at iteration {r}: {where}")
 
 
-_Step = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
+_Step = Callable[[np.ndarray, np.ndarray, int], tuple]
 
 
 def _drive(
@@ -354,25 +387,36 @@ def _drive(
 ) -> RunResult:
     """The run loop every method shares.
 
-    step(x, lam, r) returns (x^{r+1}, lam^{r+1}, g^r). Emits one metric row
-    per iteration start+1..T; row r grades the pair (x^r, lam^{r-1})
-    and the potential at (x^r, lam^r). The output pair is the iterate at
-    output_pick, when given.
+    step(x, lam, r) returns (x^{r+1}, lam^{r+1}, g^r) and the agents'
+    noise-free values at x^r that its estimate read, or None; it keeps the
+    contract in the module docstring. Emits one metric row per iteration
+    start+1..T; row r grades the pair (x^r, lam^{r-1}) and the potential at
+    (x^r, lam^r), and takes its objective from step r's values when there
+    are any. When step r fails, row r is still recorded before the failure
+    is raised. The output pair is the iterate at output_pick, when given. A
+    resume checkpoint must match the run's trial and seed, where it records
+    them, and its shapes.
     """
     horizon = params.total_iters
     if resume is None:
         start = 0
-        x = ctx.x0.copy()
+        x = ctx.x0
         lam = np.zeros(ctx.mats.edge_dim)
     else:
         start = int(resume.iteration)
         if not 0 <= start < horizon:
             raise ValueError("checkpoint iteration outside 0..T-1")
-        x = np.asarray(resume.x, dtype=float).copy()
-        lam = np.asarray(resume.lam, dtype=float).copy()
+        x = np.array(resume.x, dtype=float).reshape(-1)
+        lam = np.array(resume.lam, dtype=float).reshape(-1)
+        for what, got, want in (
+            ("trial", resume.trial, trial), ("seed", resume.seed, params.seed),
+            ("len(x)", len(x), ctx.mats.total_dim), ("len(lam)", len(lam), ctx.mats.edge_dim),
+        ):
+            if got is not None and got != want:
+                raise ValueError(f"checkpoint {what} is {got}, but this run's is {want}")
 
-    xs = [x.copy()]
-    lams = [lam.copy()]
+    xs = [x]
+    lams = [lam]
     gs = []
     records: list[MetricRecord] = []
     x_prev = lam_prev = None
@@ -380,22 +424,26 @@ def _drive(
 
     for r in range(start, horizon + 1):
         if r == output_pick:
-            out_x, out_lam, out_iter = x.copy(), lam.copy(), r
-        if r > start:
-            grad_gap, f_mu, f = ctx.meter.measure(x, r)
-            row = trace_row(x, x_prev, lam_prev, lam, grad_gap, f_mu, ctx.mats, ctx.consts)
-            rec = MetricRecord(r, *row, f)
-            records.append(rec)
-            if on_record is not None:
-                on_record(rec)
+            out_x, out_lam, out_iter = x, lam, r
+        values = None
+        try:
+            if r < horizon:
+                x_new, lam_new, g, values = step(x, lam, r)
+        finally:
+            if r > start:
+                grad_gap, f_mu, f = ctx.meter.measure(x, r, values)
+                row = trace_row(x, x_prev, lam_prev, lam, grad_gap, f_mu, ctx.mats, ctx.consts)
+                rec = MetricRecord(r, *row, f)
+                records.append(rec)
+                if on_record is not None:
+                    on_record(rec)
         if r == horizon:
             break
-        x_new, lam_new, g = step(x, lam, r)
         _check_finite(method, r + 1, ctx, x_new, lam_new)
         x_prev, lam_prev = x, lam
         x, lam = x_new, lam_new
-        xs.append(x.copy())
-        lams.append(lam.copy())
+        xs.append(x)
+        lams.append(lam)
         gs.append(g)
 
     return RunResult(
@@ -410,6 +458,7 @@ def _drive(
         output_lam=out_lam,
         constants=ctx.consts,
         start_iteration=start,
+        seed=params.seed,
     )
 
 
@@ -428,9 +477,10 @@ def run_centralized(
     ctx = _prepare(topo, objectives, params, trial, mats, (ROLE_STEP, ROLE_METER))
 
     def step(x, lam, r):
-        g = _step_gradients(ctx, params, ctx.mats.node_blocks(x), r).reshape(-1)
+        g, values = _step_gradients(ctx, params, ctx.mats.node_blocks(x), r)
+        g = g.reshape(-1)
         x_new = primal_step(x, lam, g, ctx.mats, params.rho)
-        return x_new, dual_step(x_new, lam, ctx.mats, params.rho), g
+        return x_new, dual_step(x_new, lam, ctx.mats, params.rho), g, values
 
     return _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, resume, on_record)
 
@@ -457,27 +507,29 @@ def run_distributed(
     """
     ctx = _prepare(topo, objectives, params, trial, mats, (ROLE_STEP, ROLE_METER))
     mats, n, rho = ctx.mats, topo.num_nodes, params.rho
-    owns = mats.sign > 0  # (entries, 1): the agent is the edge's listed-first endpoint
-    owner = owns[:, 0]
+    # Per entry, its edge's listed-first (tail) and second (head) endpoint,
+    # one the agent itself and the other its neighbor; per edge, the entry of
+    # its tail endpoint, whose dual copy the observer reads.
+    tail_of, head_of = mats.tail[mats.edge], mats.head[mats.edge]
+    owns = mats.sign[:, 0] > 0
+    owner_entry = np.empty(topo.num_edges, dtype=np.intp)
+    owner_entry[mats.edge[owns]] = np.flatnonzero(owns)
     blocks = mats.node_blocks(ctx.x0)
-    inbox = blocks[mats.neighbor]
+    inbox = blocks.take(mats.neighbor, 0)
     duals = np.zeros_like(inbox)
 
     def step(x, lam, r):
         nonlocal blocks, inbox, duals
         # each agent estimates at its own block and takes its row of the batch
-        grads = _step_gradients(ctx, params, blocks, r)
+        grads, values = _step_gradients(ctx, params, blocks, r)
         neighbor_sum = scatter_add(mats.sum_index, inbox, n)
         dual_pressure = scatter_add(mats.sum_index, mats.sign * duals, n)
         new = _primal_update(blocks, neighbor_sum, dual_pressure, grads, mats.degree[:, None], rho)
         # exchange round: each agent receives every neighbor's new primal
         # block and updates its dual copies, lam_e + rho (x_tail - x_head)
-        blocks, inbox, own = new, new[mats.neighbor], new[mats.node]
-        tail, head = np.where(owns, own, inbox), np.where(owns, inbox, own)
-        duals = duals + rho * (tail - head)
-        lam_blocks = np.empty((topo.num_edges, topo.block_dim))
-        lam_blocks[mats.edge[owner]] = duals[owner]
-        return new.reshape(-1), lam_blocks.reshape(-1), grads.reshape(-1)
+        blocks, inbox = new, new.take(mats.neighbor, 0)
+        duals = duals + rho * (new.take(tail_of, 0) - new.take(head_of, 0))
+        return new.reshape(-1), duals.take(owner_entry, 0).reshape(-1), grads.reshape(-1), values
 
     result = _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, on_record=on_record)
     messages = 2 * np.bincount(mats.node, minlength=n)

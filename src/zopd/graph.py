@@ -7,7 +7,9 @@ formed as matrices, only applied through the edge list and the node-major
 incidence list.
 
 scatter_add sums each node's entries in list order through one np.bincount
-over a flat index, on every graph shape.
+over a flat index, on every graph shape. Blocks are gathered with take along
+the first axis, which copies the same rows as fancy indexing at a fraction
+of its per-call cost on small graphs.
 """
 from __future__ import annotations
 
@@ -163,21 +165,23 @@ class NetworkMatrices:
     def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
         """Each node's sum of its neighbors' blocks, as (N, M) blocks."""
         xb = self.node_blocks(x)
-        return scatter_add(self.sum_index, xb[self.neighbor], self.topology.num_nodes)
+        return scatter_add(self.sum_index, xb.take(self.neighbor, 0), self.topology.num_nodes)
 
     def dual_pressure(self, lam: np.ndarray) -> np.ndarray:
         """A' lam, as (N, M) blocks."""
         lb = np.asarray(lam, dtype=float).reshape(self.topology.num_edges, -1)
-        return scatter_add(self.sum_index, self.sign * lb[self.edge], self.topology.num_nodes)
+        terms = self.sign * lb.take(self.edge, 0)
+        return scatter_add(self.sum_index, terms, self.topology.num_nodes)
 
     def incidence(self, x: np.ndarray) -> np.ndarray:
         """A x, stacked."""
         xb = self.node_blocks(x)
-        return (xb[self.tail] - xb[self.head]).reshape(-1)
+        return (xb.take(self.tail, 0) - xb.take(self.head, 0)).reshape(-1)
 
     def lplus(self, x: np.ndarray) -> np.ndarray:
         """L+ x, stacked."""
-        return (self.degree[:, None] * self.node_blocks(x) + self.neighbor_sum(x)).reshape(-1)
+        xb = self.node_blocks(x)
+        return (self.degree[:, None] * xb + self.neighbor_sum(xb)).reshape(-1)
 
 
 def build_matrices(topo: Topology) -> NetworkMatrices:

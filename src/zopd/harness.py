@@ -12,9 +12,10 @@ import copy
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -635,6 +636,20 @@ def _run_one_trial(
     return rows
 
 
+_stop = None  # set in each pool worker only, by _join_pool: the experiment's stop event
+
+
+def _join_pool(stop) -> None:
+    global _stop
+    _stop = stop
+
+
+def _pooled_trial(run_trial: Callable, trial: int):
+    """run_trial(trial) in a pool worker; None, without running it, once
+    the experiment has stopped."""
+    return None if _stop.is_set() else run_trial(trial)
+
+
 def _versions() -> dict:
     try:
         from importlib.metadata import version
@@ -669,8 +684,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # built or changed in code runs the same at any worker count.
     run_trial = partial(_run_one_trial, cfg, build_matrices(cfg.topology), out)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trial_rows = list(pool.map(run_trial, range(cfg.trials)))
+        # The first failure stops the experiment: trials still queued are
+        # cancelled, or skipped when a worker already holds them, and the
+        # lowest-numbered failure is raised once the running trials end.
+        stop = multiprocessing.Event()
+        with ProcessPoolExecutor(workers, initializer=_join_pool, initargs=(stop,)) as pool:
+            futures = [pool.submit(_pooled_trial, run_trial, t) for t in range(cfg.trials)]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:
+                stop.set()
+                pool.shutdown(cancel_futures=True)
+        for f in futures:
+            if not f.cancelled() and f.exception() is not None:
+                raise f.exception()
+        trial_rows = [f.result() for f in futures]
     else:
         trial_rows = list(map(run_trial, range(cfg.trials)))
     for rows in trial_rows:

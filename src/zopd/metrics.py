@@ -101,17 +101,24 @@ def derive_constants(
     )
 
 
-def _gap(ax, lam_prev, grad_smoothed, mats, rho) -> float:
+def _incidence(mats, x) -> tuple[np.ndarray, float]:
+    """A x and ||A x||^2, the one product every functional reads; the norm
+    ||A x|| is its square root, as np.linalg.norm computes it."""
+    ax = mats.incidence(x)
+    return ax, float(ax @ ax)
+
+
+def _gap(ax, axax, lam_prev, grad_smoothed, mats, rho) -> float:
     # A' lam + rho A'A x, as one scatter of the edge terms
     primal_grad = grad_smoothed + mats.dual_pressure(lam_prev + rho * ax).reshape(-1)
-    return float(primal_grad @ primal_grad + ax @ ax)
+    return float(primal_grad @ primal_grad + axax)
 
 
-def _potential(ax, x, x_prev, lam, mats, consts, f_mu_value) -> float:
-    lagrangian = f_mu_value + float(lam @ ax) + 0.5 * consts.rho * float(ax @ ax)
+def _potential(ax, axax, x, x_prev, lam, mats, consts, f_mu_value) -> float:
+    lagrangian = f_mu_value + float(lam @ ax) + 0.5 * consts.rho * axax
     d = x - x_prev
     b_quad = float(d @ mats.lplus(d)) + (consts.k / (consts.c * consts.rho)) * float(d @ d)
-    history = 0.5 * consts.rho * (float(ax @ ax) + b_quad)
+    history = 0.5 * consts.rho * (axax + b_quad)
     return lagrangian + consts.c * history
 
 
@@ -120,27 +127,27 @@ def trace_row(
     grad_smoothed: np.ndarray, f_mu_value: float, mats: NetworkMatrices, consts: AnalysisConstants,
 ) -> tuple[float, float, float]:
     """(gap at (x, lam_prev), ||A x||, potential at (x, lam)) from one A x."""
-    ax = mats.incidence(x)
-    gap = _gap(ax, lam_prev, grad_smoothed, mats, consts.rho)
-    pot = _potential(ax, x, x_prev, lam, mats, consts, f_mu_value)
-    return gap, float(np.linalg.norm(ax)), pot
+    ax, axax = _incidence(mats, x)
+    gap = _gap(ax, axax, lam_prev, grad_smoothed, mats, consts.rho)
+    pot = _potential(ax, axax, x, x_prev, lam, mats, consts, f_mu_value)
+    return gap, math.sqrt(axax), pot
 
 
 def stationarity_gap(
     x: np.ndarray, lam_prev: np.ndarray, grad_smoothed: np.ndarray, mats: NetworkMatrices, rho: float
 ) -> float:
-    return _gap(mats.incidence(x), lam_prev, grad_smoothed, mats, rho)
+    return _gap(*_incidence(mats, x), lam_prev, grad_smoothed, mats, rho)
 
 
 def constraint_violation(x: np.ndarray, mats: NetworkMatrices) -> float:
-    return float(np.linalg.norm(mats.incidence(x)))
+    return math.sqrt(_incidence(mats, x)[1])
 
 
 def potential(
     x: np.ndarray, x_prev: np.ndarray, lam: np.ndarray, mats: NetworkMatrices,
     consts: AnalysisConstants, f_mu_value: float,
 ) -> float:
-    return _potential(mats.incidence(x), x, x_prev, lam, mats, consts, f_mu_value)
+    return _potential(*_incidence(mats, x), x, x_prev, lam, mats, consts, f_mu_value)
 
 
 def potential_lower_bound(consts: AnalysisConstants, f_lower: float, samples: int) -> float:

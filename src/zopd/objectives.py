@@ -142,7 +142,7 @@ def _own(name, data, params, pts, arg):
     on the group's one row block, looked up per call (it may be replaced on
     the instance)."""
     fn = getattr(params[0], name)
-    return np.asarray(fn(pts[0]) if name == "value_many" else fn(pts[0], arg))[None]
+    return np.asarray(fn(pts[0]) if name == "value_many" else fn(pts[0], arg), dtype=float)[None]
 
 
 @dataclass
@@ -242,15 +242,31 @@ class StackedObjective:
     def blocks(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.num_agents, self.block_dim)
 
+    @staticmethod
+    def _call(kernel: Callable, group: tuple, pts: np.ndarray, mu: float | None):
+        """kernel on a group's rows pts (n, S, M); a group whose agents hold
+        one object passes them as that object's rows."""
+        fam, _, data, one, work = group
+        rows = pts.reshape(1, -1, pts.shape[2]) if one else pts
+        return kernel(data, fam.params, rows, work if mu is None else mu)
+
     def _apply(self, name: str, pts: np.ndarray, mu: float | None = None) -> np.ndarray:
         """Every group's kernel `name` on its agents' rows of pts (N, S, M):
-        (N, S) values, or (N, S, M) smoothed gradients."""
+        (N, S) values, or (N, S, M) smoothed gradients. A lone group holds
+        every agent in order, so its kernel takes pts as given; several are
+        gathered and scattered."""
         n, s, m = pts.shape
-        out = np.empty((n, s, m) if name == "smoothed_gradient" else (n, s))
-        for fam, idx, data, one, work in self._groups:
-            rows = pts[idx].reshape(1, -1, m) if one else pts[idx]
-            got = getattr(fam, name)(data, fam.params, rows, work if mu is None else mu)
-            out[idx] = got.reshape((idx.size,) + out.shape[1:])
+        shape = (n, s, m) if name == "smoothed_gradient" else (n, s)
+        if len(self._groups) == 1:
+            # contiguous, as a gathered copy is, so einsum kernels sum alike
+            group = self._groups[0]
+            got = self._call(getattr(group[0], name), group, np.ascontiguousarray(pts), mu)
+            return got.reshape(shape)
+        out = np.empty(shape)
+        for group in self._groups:
+            idx = group[1]
+            got = self._call(getattr(group[0], name), group, pts[idx], mu)
+            out[idx] = got.reshape((idx.size,) + shape[1:])
         return out
 
     def values(self, pts: np.ndarray) -> np.ndarray:
@@ -259,7 +275,7 @@ class StackedObjective:
         return self._apply("kernel", pts)
 
     def value(self, x: np.ndarray) -> float:
-        return float(np.sum(self.values(self.blocks(x)[:, None, :])))
+        return float(self.values(self.blocks(x)[:, None, :]).sum())
 
     # Lipschitz constant of the stacked sum: blockwise bound composed in l2.
     @property
@@ -278,7 +294,19 @@ class StackedObjective:
         return self._apply("smoothed_gradient", self.blocks(x)[:, None, :], mu).reshape(-1)
 
     def smoothed_value_stacked(self, x: np.ndarray, mu: float) -> float:
-        return float(np.sum(self._apply("smoothed_value", self.blocks(x)[:, None, :], mu)[:, 0]))
+        return float(self._apply("smoothed_value", self.blocks(x)[:, None, :], mu)[:, 0].sum())
+
+    def _smoothed_pair(self, x: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
+        """(smoothed_gradient_stacked(x, mu), smoothed_value_stacked(x, mu))
+        from one blocks(x); one kernel call when the toy, whose two closed
+        forms share their terms, holds every agent."""
+        pts = self.blocks(x)[:, None, :]
+        group = self._groups[0]
+        if len(self._groups) == 1 and group[0].smoothed_gradient is _toy_smoothed_gradient:
+            g, v = self._call(_toy_smoothed, group, pts, mu)
+        else:
+            g, v = self._apply("smoothed_gradient", pts, mu), self._apply("smoothed_value", pts, mu)
+        return g.reshape(-1), float(v.reshape(-1).sum())
 
 
 def estimate_lipschitz(
@@ -311,20 +339,24 @@ def _toy_rows(data, params, pts: np.ndarray, work: Workspace) -> np.ndarray:
 # Closed forms of the phase-0 toy, on (n, S, 1) points. E|N(x, mu^2)| =
 # x erf(x/(mu sqrt2)) + mu sqrt(2/pi) exp(-x^2/(2 mu^2)); its derivative
 # telescopes to erf(x/(mu sqrt2)).
+def _toy_smoothed(data, params, pts: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both closed forms, (n, S, 1) gradients and (n, S) values, which share
+    erf(x/(mu sqrt2)) and exp(x + mu^2/2)."""
+    damp, bend = math.exp(-0.5 * mu * mu), erf(pts / (mu * math.sqrt(2.0)))
+    grow = np.exp(pts + 0.5 * mu * mu)
+    grad = -np.sin(pts) * damp + bend + grow
+    v, bend, grow = pts[..., 0], bend[..., 0], grow[..., 0]
+    abs_part = v * bend + mu * math.sqrt(2.0 / math.pi) * np.exp(-(v * v) / (2.0 * mu * mu))
+    return grad, np.cos(v) * damp + abs_part + grow
+
+
 def _toy_smoothed_gradient(data, params, pts: np.ndarray, mu: float) -> np.ndarray:
-    return (
-        -np.sin(pts) * math.exp(-0.5 * mu * mu)
-        + erf(pts / (mu * math.sqrt(2.0)))
-        + np.exp(pts + 0.5 * mu * mu)
-    )
+    return _toy_smoothed(data, params, pts, mu)[0]
 
 
 def _toy_smoothed_value(data, params, pts: np.ndarray, mu: float) -> np.ndarray:
-    v = pts[..., 0]
-    abs_part = v * erf(v / (mu * math.sqrt(2.0))) + mu * math.sqrt(2.0 / math.pi) * np.exp(
-        -(v * v) / (2.0 * mu * mu)
-    )
-    return np.cos(v) * math.exp(-0.5 * mu * mu) + abs_part + np.exp(v + 0.5 * mu * mu)
+    return _toy_smoothed(data, params, pts, mu)[1]
+
 
 
 def toy_objective(

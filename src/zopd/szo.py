@@ -169,21 +169,22 @@ def _draw(
     """
     if xb.shape != lo.shape:
         raise ValueError(f"points must have shape {lo.shape}")
-    outside = np.flatnonzero(~np.all((xb >= lo) & (xb <= hi), axis=1))
-    if outside.size:
-        raise OutsideBox(int(outside[0]))
+    inside = (xb >= lo) & (xb <= hi)
+    if not inside.all():
+        raise OutsideBox(int(np.argmin(inside.all(axis=1))))
     n, m = xb.shape
-    block = rng.standard_normal((n, count, m + int(noise.kind != "none")))
-    pts = xb[:, None, :] + mu * block[..., :m]
+    with_noise = noise.kind != "none"
+    block = rng.standard_normal((n, count, m + with_noise))
+    phis = block[..., :m] if with_noise else block
+    pts = xb[:, None, :] + mu * phis
     inside = (pts >= lo[:, None, :]) & (pts <= hi[:, None, :])
-    walked = np.flatnonzero(~np.all(inside, axis=(1, 2)))
-    for i in walked:
-        more = retry_rng(i).standard_normal
-        block[i] = _walk(lo[i], hi[i], xb[i], mu, block[i], more, retry_cap, i)
-    if walked.size:
-        pts = xb[:, None, :] + mu * block[..., :m]
-    xis = noise.std_dev * block[..., m] if noise.kind != "none" else np.zeros((n, count))
-    return block[..., :m], xis, pts
+    if not inside.all():
+        for i in np.flatnonzero(~inside.all(axis=(1, 2))):
+            more = retry_rng(i).standard_normal
+            block[i] = _walk(lo[i], hi[i], xb[i], mu, block[i], more, retry_cap, i)
+        pts = xb[:, None, :] + mu * phis
+    xis = noise.std_dev * block[..., m] if with_noise else np.zeros((n, count))
+    return phis, xis, pts
 
 
 _MC_CHUNK = 1 << 13  # rows (agents x samples) per draw
@@ -220,16 +221,23 @@ def estimate_batch(
     ran out.
     """
     mu, j = smoothing.mu, smoothing.samples
-    sums, noisy = [], []
-    for phis, xis, pts in _draws(
-        stacked.box_lo, stacked.box_hi, noise, xb, mu, j, rng, retry_rng, retry_cap
-    ):
-        count = xis.shape[1]
-        vals = stacked.values(np.concatenate([pts, xb[:, None, :]], axis=1))
-        noisy.append(vals[:, :count] + xis)
-        diffs = noisy[-1] - (vals[:, count:] + xis)
-        sums.append(np.sum((diffs / mu)[:, :, None] * phis, axis=1))
-    return functools.reduce(np.add, sums) / j, np.concatenate(noisy, axis=1), vals[:, count]
+    draw = (stacked.box_lo, stacked.box_hi, noise, xb, mu, j, rng, retry_rng, retry_cap)
+    if len(xb) * j <= _MC_CHUNK:
+        total, noisy, base = _two_point(stacked, xb, mu, *_draw(*draw))
+        return total / j, noisy, base
+    sums, noisy, base = zip(*(_two_point(stacked, xb, mu, *d) for d in _draws(*draw)))
+    return functools.reduce(np.add, sums) / j, np.concatenate(noisy, axis=1), base[-1]
+
+
+def _two_point(stacked, xb, mu, phis, xis, pts):
+    """One draw's (N, M) sums of ((noisy(x + mu phi) - noisy(x)) / mu) phi,
+    its (N, count) noisy perturbed values and the (N,) noise-free values at
+    xb, from one StackedObjective.values call."""
+    count = xis.shape[1]
+    vals = stacked.values(np.concatenate([pts, xb[:, None, :]], axis=1))
+    noisy = vals[:, :count] + xis
+    diffs = noisy - (vals[:, count:] + xis)
+    return ((diffs / mu)[:, :, None] * phis).sum(axis=1), noisy, vals[:, count]
 
 
 def estimate_gradient(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from zopd import engine, szo
+from zopd import engine, objectives, szo
 from zopd.baseline import RGFParams, run_rgf
 from zopd.engine import (
     ROLE_INIT,
@@ -305,6 +305,26 @@ class TestCheckpointResume:
         back = Checkpoint.from_dict(chk.to_dict())
         np.testing.assert_array_equal(back.x, chk.x)
         np.testing.assert_array_equal(back.lam, chk.lam)
+        assert (back.trial, back.seed) == (chk.trial, chk.seed) == (0, 123)
+
+    @pytest.mark.parametrize(
+        "field, change, message",
+        [
+            ("trial", {"trial": 3}, "checkpoint trial is 3, but this run's is 0"),
+            ("seed", {"seed": 124}, "checkpoint seed is 124, but this run's is 123"),
+            ("x", {"x": np.zeros(7)}, r"checkpoint len\(x\) is 7, but this run's is 3"),
+            ("lam", {"lam": np.zeros(2)}, r"checkpoint len\(lam\) is 2, but this run's is 3"),
+        ],
+    )
+    def test_checkpoint_of_another_run_is_refused(self, field, change, message):
+        topo = generate_graph("ring", 3, block_dim=1, seed=0)
+        objs = _quad_objectives(3, 1)
+        full = run_centralized(topo, objs, _params(total_iters=4))
+        chk = dataclasses.replace(
+            Checkpoint.from_dict(full.final_checkpoint.to_dict()), iteration=2, **change
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_centralized(topo, objs, _params(total_iters=4), resume=chk)
 
     def test_checkpoint_iteration_validated(self):
         topo, _ = _single_edge()
@@ -747,3 +767,67 @@ def test_substream_paths_are_independent():
     c = substream(1, 0, 2, 0, 0).standard_normal(4)
     np.testing.assert_array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+def test_substream_draws_as_the_tuple_keyed_seed_sequence():
+    # entries below 2^32 key SeedSequence with a uint32 array, larger ones
+    # with the tuple of ints; both must give the tuple's streams
+    entry = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**40]), st.integers(0, 2**41))
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(path=st.lists(entry, min_size=1, max_size=5))
+    def check(path):
+        want = np.random.default_rng(np.random.SeedSequence(tuple(path)))
+        got = substream(*path)
+        assert got.standard_normal(6).tobytes() == want.standard_normal(6).tobytes()
+        assert got.integers(2**62, size=3).tolist() == want.integers(2**62, size=3).tolist()
+
+    check()
+
+
+# T = 5 iterations: T step estimates, and per graded row one meter estimate,
+# or one closed-form call plus, at the last row only, one objective value
+@pytest.mark.parametrize(
+    "gap_gradient, value_calls, closed_form_calls",
+    [("closed_form", 5 + 1, 5), ("estimator", 5 + 5, 0), ("mc", 5 + 5, 0)],
+)
+def test_one_family_group_makes_one_kernel_call_per_evaluation(
+    monkeypatch, gap_gradient, value_calls, closed_form_calls
+):
+    """One toy object shared by every agent forms one group: each step
+    estimate and each graded row calls the family's kernels once, on the
+    very points StackedObjective was given. A closed-form row takes its
+    objective from the step's values, so only the last row evaluates one."""
+    calls, given_points = [], []
+
+    def spy(name, kernel):
+        def counted(data, params, pts, arg):
+            calls.append((name, pts))
+            return kernel(data, params, pts, arg)
+
+        return counted
+
+    values = StackedObjective.values
+
+    def recorded_values(self, pts):
+        given_points.append(pts)
+        return values(self, pts)
+
+    monkeypatch.setattr(objectives, "_toy_rows", spy("values", objectives._toy_rows))
+    monkeypatch.setattr(objectives, "_toy_smoothed", spy("closed forms", objectives._toy_smoothed))
+    monkeypatch.setattr(StackedObjective, "values", recorded_values)
+    n = 4
+    objs = [toy_objective()] * n
+    calls.clear()
+    params = _params(
+        total_iters=5, smoothing=SmoothingParams(0.01, 6), gap_gradient=gap_gradient,
+        mc_gap_samples=7, init_lo=-1.0, init_hi=1.0, rho=60.0,
+    )
+    run_centralized(generate_graph("ring", n, seed=0), objs, params)
+    counts = {name: sum(c[0] == name for c in calls) for name in ("values", "closed forms")}
+    assert counts == {"values": value_calls, "closed forms": closed_form_calls}
+    value_points = [pts for name, pts in calls if name == "values"]
+    assert len(given_points) == len(value_points)
+    for pts, given in zip(value_points, given_points):
+        assert pts.shape == (1, given.shape[0] * given.shape[1], 1)
+        assert np.shares_memory(pts, given)

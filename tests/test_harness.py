@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import time
 from pathlib import Path
 
 import numpy as np
@@ -581,6 +582,26 @@ class TestRunExperiment:
                 tmp_path / "pooled" / name
             ).read_bytes()
 
+
+    def test_failed_trial_cancels_the_queued_trials(self, tmp_path, monkeypatch):
+        # the forked pool workers inherit the patched engine: trial 0 fails at
+        # once and every other trial sleeps, so no trial after the two that
+        # were running (or about to run) when trial 0 failed starts
+        started = tmp_path / "started"
+        started.mkdir()
+
+        def engine_stub(topo, objectives, params, trial, *args, **kwargs):
+            (started / f"{trial}").touch()
+            if trial:
+                time.sleep(0.5)
+            raise RuntimeError(f"stub trial {trial}")
+
+        monkeypatch.setattr(harness, "run_centralized", engine_stub)
+        raw = _tiny_raw(tmp_path / "out")
+        raw.update(trials=8, workers=2, baseline={"enabled": False})
+        with pytest.raises(RuntimeError, match=r"^trial 0 failed after 0 rows: stub trial 0$"):
+            run_experiment(config_from_dict(raw))
+        assert "0" in {p.name for p in started.iterdir()} <= {"0", "1", "2"}
 
     def test_in_memory_config_same_bytes_at_any_worker_count(self, tmp_path):
         cfg = config_from_dict(_tiny_raw(tmp_path / "parsed"))

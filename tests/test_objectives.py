@@ -349,6 +349,23 @@ def test_stacked_values_equal_per_agent_rows():
     check()
 
 
+def test_smoothed_pair_is_both_closed_forms():
+    """The trace meter's one pass gives, as bytes, the two stacked closed
+    forms: through the toy's shared kernel for one group, with the agents
+    holding one object or copies of it, and through both kernels otherwise."""
+    families = _families(5)
+    cases = {name: families[name] for name in ("toy-shared", "toy-copies", "quadratic-shared")}
+    cases["toy-and-quadratic"] = [toy_objective(), random_quadratic(1, seed=3)] * 2
+    rng = np.random.default_rng(8)
+    for name, locals_ in cases.items():
+        stacked = StackedObjective(locals_)
+        for mu in (0.01, 0.7):
+            x = rng.uniform(-2.0, 2.0, stacked.total_dim)
+            grad, value = stacked._smoothed_pair(x, mu)
+            assert grad.tobytes() == stacked.smoothed_gradient_stacked(x, mu).tobytes(), name
+            assert value == stacked.smoothed_value_stacked(x, mu), name
+
+
 def _logreg_agents(n, batch, dim, seed, uneven=False):
     """n logistic agents; with uneven, odd agents hold 3 more data points, so
     the agents form two interleaved families."""
