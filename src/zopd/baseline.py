@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .engine import (
     _prepare,
 )
 from .graph import NetworkMatrices, Topology, build_matrices, scatter_add
+from .metrics import MetricRecord
 from .objectives import LocalObjective
 from .szo import SmoothingParams
 
@@ -118,10 +120,12 @@ def run_rgf(
     rgf: RGFParams,
     trial: int = 0,
     mats: NetworkMatrices | None = None,
+    on_record: Callable[[MetricRecord], None] | None = None,
 ) -> RunResult:
     """Baseline trial sharing the algorithm's init stream (same x^0) but its
     own estimator substreams. Each round ends by projecting every agent onto
-    its domain box. The dual is identically zero in every record."""
+    its domain box. The dual is identically zero in every record. on_record
+    receives each row as it is recorded, the failing round's row included."""
     ctx = _prepare(
         topo, objectives, params, trial, mats, (ROLE_BASELINE_STEP, ROLE_BASELINE_METER)
     )
@@ -135,4 +139,4 @@ def run_rgf(
         x_new = np.clip(mixed, ctx.stacked.box_lo, ctx.stacked.box_hi)
         return x_new.reshape(-1), lam, grads.reshape(-1), values
 
-    return _drive(ctx, params, trial, step, "rgf", None)
+    return _drive(ctx, params, trial, step, "rgf", None, on_record=on_record)

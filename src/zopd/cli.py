@@ -71,9 +71,8 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     result = run_experiment(cfg)
     print(f"experiment {cfg.name}: {cfg.trials} trial(s) -> {result.output_dir}")
-    for method in result.mean:
-        gap = result.mean[method]["stationarity_gap"][-1]
-        vio = result.mean[method]["constraint_violation"][-1]
+    for method, rows in result.mean.items():
+        gap, vio = rows[-1].stationarity_gap, rows[-1].constraint_violation
         print(f"  {method}: final mean gap {gap:.6g}, final mean violation {vio:.6g}")
     return 0
 

@@ -195,18 +195,15 @@ def build_matrices(topo: Topology) -> NetworkMatrices:
 
     scalar_lminus = np.diag(deg)
     scalar_lminus[node, nbr] = -1.0
-    evals = np.linalg.eigvalsh(scalar_lminus)
-    tol = 1e-9 * max(float(evals[-1]), 1.0)
-    nonzero = evals[evals > tol]
-    if nonzero.size != topo.num_nodes - 1:
-        raise ValueError("unexpected Laplacian nullspace; graph connectivity is broken")
+    # connected (checked above): one zero eigenvalue, then sigma_min
+    sigma_min = float(np.linalg.eigvalsh(scalar_lminus)[1])
     lplus_norm = float(np.linalg.eigvalsh(2.0 * np.diag(deg) - scalar_lminus)[-1])
 
     ends = np.asarray(topo.edges, dtype=np.intp) - 1
     return NetworkMatrices(
         topology=topo, tail=ends[:, 0], head=ends[:, 1], node=node, edge=edge, neighbor=nbr,
         sign=sign, sum_index=flat_index(node, topo.block_dim), degree=deg,
-        sigma_min=float(nonzero[0]), lplus_norm=lplus_norm,
+        sigma_min=sigma_min, lplus_norm=lplus_norm,
     )
 
 

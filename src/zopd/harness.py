@@ -557,17 +557,13 @@ def _plot_script(methods: list[str]) -> str:
     return _PLOT_SCRIPT.format(gap_series=series(4), violation_series=series(5))
 
 
-def _mean_table(trials_records: list[list[MetricRecord]]) -> dict[str, np.ndarray]:
-    iters = np.array([r.iteration for r in trials_records[0]])
-    for recs in trials_records[1:]:
-        if [r.iteration for r in recs] != list(iters):
-            raise RuntimeError("trials produced mismatched iteration grids")
-    cols = {}
-    for field in _COLUMNS:
-        stack = np.array([[getattr(r, field) for r in recs] for recs in trials_records])
-        cols[field] = stack.mean(axis=0)
-    cols["iter"] = iters
-    return cols
+def _trial_mean(trials: list[list[MetricRecord]]) -> list[MetricRecord]:
+    """The trials' rows averaged column by column on their common iteration grid."""
+    iters = [r.iteration for r in trials[0]]
+    if any([r.iteration for r in recs] != iters for recs in trials[1:]):
+        raise RuntimeError("trials produced mismatched iteration grids")
+    cols = [np.array([[getattr(r, c) for r in t] for t in trials]).mean(axis=0) for c in _COLUMNS]
+    return [MetricRecord(it, *vals) for it, *vals in zip(iters, *cols)]
 
 
 @dataclass
@@ -577,10 +573,10 @@ class ExperimentResult:
     output_dir: Path
     meta: dict
     records: dict[str, list[list[MetricRecord]]]
-    mean: dict[str, dict[str, np.ndarray]]
+    mean: dict[str, list[MetricRecord]]
 
     def mean_column(self, method: str, column: str) -> np.ndarray:
-        return self.mean[method][column]
+        return np.array([getattr(r, column) for r in self.mean[method]])
 
 
 def _check_equivalent(trial: int, cen: RunResult, dis: RunResult, topo: Topology) -> None:
@@ -610,7 +606,9 @@ def _run_one_trial(
 
     Each listed engine mode runs once. The rows come from the centralized
     run when it is listed, else from the distributed one; with both listed,
-    their histories must agree bit for bit."""
+    their histories must agree bit for bit. Every method streams its rows,
+    so a failed trial's CSV keeps all of them up to the failure, and the
+    error counts them."""
     rows: dict[str, list[MetricRecord]] = {"primal_dual": []}
     csv_path = out_dir / f"trial_{trial:03d}.csv"
     source = "centralized" if "centralized" in cfg.modes else "distributed"
@@ -625,13 +623,16 @@ def _run_one_trial(
         if len(results) == 2:
             _check_equivalent(trial, results["centralized"], results["distributed"], cfg.topology)
         if cfg.baseline is not None:
-            rows["rgf"] = run_rgf(
-                cfg.topology, cfg.objectives, cfg.params, cfg.baseline, trial, mats
-            ).records
+            rows["rgf"] = []
+            run_rgf(
+                cfg.topology, cfg.objectives, cfg.params, cfg.baseline, trial, mats,
+                on_record=rows["rgf"].append,
+            )
     except Exception as exc:
         # flush whatever the trial produced before failing
         _write_trace_csv(csv_path, rows, trial)
-        raise RuntimeError(f"trial {trial} failed after {len(rows['primal_dual'])} rows: {exc}") from exc
+        count = sum(map(len, rows.values()))
+        raise RuntimeError(f"trial {trial} failed after {count} rows: {exc}") from exc
     _write_trace_csv(csv_path, rows, trial)
     return rows
 
@@ -676,7 +677,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     out.mkdir(parents=True, exist_ok=True)
 
     methods = ["primal_dual"] + (["rgf"] if cfg.baseline is not None else [])
-    per_trial: dict[str, list[list[MetricRecord]]] = {m: [] for m in methods}
 
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     workers = min(workers, cfg.trials)
@@ -701,17 +701,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         trial_rows = [f.result() for f in futures]
     else:
         trial_rows = list(map(run_trial, range(cfg.trials)))
-    for rows in trial_rows:
-        for method in methods:
-            per_trial[method].append(rows[method])
+    per_trial = {m: [rows[m] for rows in trial_rows] for m in methods}
 
     # single-threaded merge: averaged trace, metadata, plot script
-    mean = {m: _mean_table(per_trial[m]) for m in methods}
-    mean_rows = {}
-    for method, cols in mean.items():
-        table = zip(cols["iter"], *(cols[c] for c in _COLUMNS))
-        mean_rows[method] = [MetricRecord(int(it), *vals) for it, *vals in table]
-    _write_trace_csv(out / "mean.csv", mean_rows, -1)
+    mean = {m: _trial_mean(per_trial[m]) for m in methods}
+    _write_trace_csv(out / "mean.csv", mean, -1)
 
     meta = {
         "experiment": cfg.name,

@@ -111,6 +111,11 @@ def test_operator_identities(kind, n, m, dense_ops):
     ones = np.ones(topo.num_nodes * m)
     np.testing.assert_array_equal(mats.incidence(ones), 0.0)
 
+    # sigma_min is the first scalar Laplacian eigenvalue above a 1e-9
+    # relative tolerance, bit for bit
+    scalar = np.linalg.eigvalsh(at.T @ at)
+    assert mats.sigma_min == scalar[scalar > 1e-9 * max(scalar[-1], 1.0)][0]
+
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_sigma_min_independent_of_block_dim(m):

@@ -448,6 +448,18 @@ class TestRunExperiment:
             for col in ("stationarity_gap", "constraint_violation", "potential", "objective"):
                 expected = float(np.mean([m[0][col] for m in matching]))
                 assert row[col] == pytest.approx(expected, rel=1e-15, abs=1e-300)
+        # the in-memory mean is the rows mean.csv holds, and mean_column its
+        # columns: the trial CSVs' column means, exactly
+        for method in ("primal_dual", "rgf"):
+            written = [r for r in mean_rows if r["method"] == method]
+            assert [dataclasses.asdict(r) for r in result.mean[method]] == [
+                {"iteration": r["iter"]} | {c: r[c] for c in harness._COLUMNS} for r in written
+            ]
+            for col in harness._COLUMNS:
+                stack = [[r[col] for r in trial if r["method"] == method] for trial in trials]
+                np.testing.assert_array_equal(
+                    result.mean_column(method, col), np.array(stack).mean(axis=0)
+                )
 
     def test_result_accessors(self, tmp_path):
         result = run_experiment(config_from_dict(_tiny_raw(tmp_path / "o")))
@@ -531,6 +543,32 @@ class TestRunExperiment:
             run_experiment(config_from_dict(raw))
         partial = read_trace_csv(Path(raw["output_dir"]) / "trial_000.csv")
         assert 1 <= len(partial) < 30
+
+    def test_failed_baseline_keeps_its_rows_and_counts_every_method(self, tmp_path):
+        # a huge baseline step clips agents onto the box face in round 0, and
+        # with no retry allowed the round-1 step estimate fails after its
+        # row was recorded
+        raw = {
+            "name": "rgf-fail",
+            "topology": {"kind": "ring", "num_nodes": 4},
+            "objective": {"kind": "toy"},
+            "algorithm": {"rho": 6.0, "mu": 0.05, "samples": 3, "iters": 30, "seed": 1,
+                          "init": [-1.0, 1.0], "retry_cap": 0},
+            "baseline": {"enabled": True, "step_scale": 50.0},
+            "trials": 1,
+            "workers": 1,
+            "output_dir": str(tmp_path / "rgf"),
+        }
+        with pytest.raises(
+            RuntimeError,
+            match=r"^trial 0 failed after 31 rows: baseline step estimate of agent \d+ at "
+            "iteration 1: ",
+        ):
+            run_experiment(config_from_dict(raw))
+        rows = read_trace_csv(tmp_path / "rgf" / "trial_000.csv")
+        assert [(r["method"], r["iter"]) for r in rows] == (
+            [("primal_dual", r) for r in range(1, 31)] + [("rgf", 1)]
+        )
 
     def test_out_of_box_iterate_names_trial_role_agent_and_iteration(self, tmp_path, monkeypatch):
         # concave blocks push the iterates out of the domain box [-3, 3]; the
