@@ -22,7 +22,9 @@ streams, and a resumed run reproduces the remaining iterations bit for bit.
 The message-passing run keeps each agent's inbox and dual copies as arrays
 over the node-major incidence list. Both runs sum the consensus operators
 through graph.scatter_add, one np.bincount that adds each node's own slice
-in list order, so they also agree bit for bit.
+in list order, so they also agree bit for bit. The message-passing run can
+also replay a centralized result, checking each round against it bit for
+bit and taking its step gradients and rows, with no estimate of its own.
 
 One loop drives both runs and the baseline. A step returns fresh arrays,
 or an input passed through unchanged, and never writes into an array it was
@@ -32,7 +34,7 @@ estimate read at x^r, which give the trace row's objective column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -372,6 +374,22 @@ def _check_finite(method: str, r: int, ctx: _RunContext, x: np.ndarray, lam: np.
     raise RuntimeError(f"{method} diverged at iteration {r}: {where}")
 
 
+def _check_replay(
+    trial: int, topo: Topology, name: str, r: int, got: np.ndarray, want: np.ndarray
+) -> None:
+    """Raise unless a replay's x^r or lam^r is the reference's, naming the
+    first agent (or edge) whose block differs and its largest difference."""
+    if (got == want).all():
+        return
+    a, b = (v.reshape(-1, topo.block_dim) for v in (got, want))
+    k = int(np.argmax((a != b).any(axis=1)))
+    who = f"edge {topo.edges[k]}" if name == "lam" else f"agent {k + 1}"
+    raise RuntimeError(
+        f"centralized/distributed mismatch in trial {trial}: {name} of {who} at iteration "
+        f"{r} differs by {float(np.max(np.abs(a[k] - b[k]))):.3e}"
+    )
+
+
 _Step = Callable[[np.ndarray, np.ndarray, int], tuple]
 
 
@@ -492,6 +510,7 @@ def run_distributed(
     trial: int = 0,
     mats: NetworkMatrices | None = None,
     on_record: Callable[[MetricRecord], None] | None = None,
+    reference: RunResult | None = None,
 ) -> RunResult:
     """Message-passing execution of the same iteration.
 
@@ -504,6 +523,13 @@ def run_distributed(
     listed-first endpoint's copy assembles the stacked dual, which only the
     observer reads. The observer computes the trace with the centralized
     mode's meter streams.
+
+    A reference, run_centralized's full result for the same arguments, is
+    replayed instead: round r steps with its g^r, and x^0, x^{r+1} and the
+    assembled lam^{r+1} must equal its states bit for bit, or the run raises
+    at once, naming the quantity, the iteration, the first agent (or edge)
+    and the difference. It returns the reference with the message counts,
+    having estimated and graded nothing; on_record is not called.
     """
     ctx = _prepare(topo, objectives, params, trial, mats, (ROLE_STEP, ROLE_METER))
     mats, n, rho = ctx.mats, topo.num_nodes, params.rho
@@ -517,11 +543,10 @@ def run_distributed(
     blocks = mats.node_blocks(ctx.x0)
     inbox = blocks.take(mats.neighbor, 0)
     duals = np.zeros_like(inbox)
+    messages = dict(enumerate((2 * np.bincount(mats.node, minlength=n)).tolist(), start=1))
 
-    def step(x, lam, r):
+    def exchange(grads):
         nonlocal blocks, inbox, duals
-        # each agent estimates at its own block and takes its row of the batch
-        grads, values = _step_gradients(ctx, params, blocks, r)
         neighbor_sum = scatter_add(mats.sum_index, inbox, n)
         dual_pressure = scatter_add(mats.sum_index, mats.sign * duals, n)
         new = _primal_update(blocks, neighbor_sum, dual_pressure, grads, mats.degree[:, None], rho)
@@ -529,9 +554,23 @@ def run_distributed(
         # block and updates its dual copies, lam_e + rho (x_tail - x_head)
         blocks, inbox = new, new.take(mats.neighbor, 0)
         duals = duals + rho * (new.take(tail_of, 0) - new.take(head_of, 0))
-        return new.reshape(-1), duals.take(owner_entry, 0).reshape(-1), grads.reshape(-1), values
+        return new.reshape(-1), duals.take(owner_entry, 0).reshape(-1)
+
+    if reference is not None:
+        if len(reference.states_x) != params.total_iters + 1:
+            raise ValueError("reference has another horizon")
+        _check_replay(trial, topo, "x", 0, ctx.x0, reference.states_x[0])
+        for r, g in enumerate(reference.states_grad):
+            x, lam = exchange(g.reshape(blocks.shape))
+            _check_replay(trial, topo, "x", r + 1, x, reference.states_x[r + 1])
+            _check_replay(trial, topo, "lam", r + 1, lam, reference.states_lam[r + 1])
+        return replace(reference, messages_per_agent=messages)
+
+    def step(x, lam, r):
+        # each agent estimates at its own block and takes its row of the batch
+        grads, values = _step_gradients(ctx, params, blocks, r)
+        return *exchange(grads), grads.reshape(-1), values
 
     result = _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, on_record=on_record)
-    messages = 2 * np.bincount(mats.node, minlength=n)
-    result.messages_per_agent = dict(zip(range(1, n + 1), messages.tolist()))
+    result.messages_per_agent = messages
     return result

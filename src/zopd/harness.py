@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from .baseline import RGFParams, run_rgf
-from .engine import AlgoParams, RunResult, run_centralized, run_distributed
+from .engine import AlgoParams, run_centralized, run_distributed
 from .graph import NetworkMatrices, Topology, build_matrices, check_connected, generate_graph
 from .metrics import (
     MetricRecord,
@@ -579,24 +579,8 @@ class ExperimentResult:
         return np.array([getattr(r, column) for r in self.mean[method]])
 
 
-def _check_equivalent(trial: int, cen: RunResult, dis: RunResult, topo: Topology) -> None:
-    """Raise at the earliest iterate, dual or step gradient where the two
-    executions differ, naming the quantity, the iteration, the first agent
-    (or edge) and the largest difference in its block."""
-    found = []
-    for name in ("x", "lam", "grad"):
-        a, b = (getattr(v, f"states_{name}") for v in (cen, dis))
-        a, b = (v.reshape(v.shape[0], -1, topo.block_dim) for v in (a, b))
-        bad = np.argwhere((a != b).any(axis=2))
-        if bad.size:
-            r, k = (int(v) for v in bad[0])
-            who = f"edge {topo.edges[k]}" if name == "lam" else f"agent {k + 1}"
-            diff = float(np.max(np.abs(a[r, k] - b[r, k])))
-            found.append((r, f"{name} of {who} at iteration {r} differs by {diff:.3e}"))
-    if found:
-        raise RuntimeError(
-            f"centralized/distributed mismatch in trial {trial}: {min(found, key=lambda f: f[0])[1]}"
-        )
+class _Stopped(Exception):
+    """A pooled trial ended early because the experiment stopped."""
 
 
 def _run_one_trial(
@@ -606,34 +590,41 @@ def _run_one_trial(
 
     Each listed engine mode runs once. The rows come from the centralized
     run when it is listed, else from the distributed one; with both listed,
-    their histories must agree bit for bit. Every method streams its rows,
-    so a failed trial's CSV keeps all of them up to the failure, and the
-    error counts them."""
-    rows: dict[str, list[MetricRecord]] = {"primal_dual": []}
+    the distributed run replays the centralized result, checked bit for bit
+    every round. Every method streams its rows, so a failed trial's CSV
+    keeps all of them up to the failure, and the error counts them. In a
+    pool worker a row that finds the experiment stopped ends the trial."""
+    rows: dict[str, list[MetricRecord]] = {}
+
+    def stream(method: str) -> Callable[[MetricRecord], None]:
+        out = rows[method] = []
+
+        def emit(rec: MetricRecord) -> None:
+            out.append(rec)
+            if _stop is not None and _stop.is_set():
+                raise _Stopped
+
+        return emit
+
     csv_path = out_dir / f"trial_{trial:03d}.csv"
-    source = "centralized" if "centralized" in cfg.modes else "distributed"
+    problem = (cfg.topology, cfg.objectives, cfg.params)
+    emit = stream("primal_dual")
     try:
-        results = {}
-        for mode, run in (("centralized", run_centralized), ("distributed", run_distributed)):
-            if mode in cfg.modes:
-                results[mode] = run(
-                    cfg.topology, cfg.objectives, cfg.params, trial, mats,
-                    on_record=rows["primal_dual"].append if mode == source else None,
-                )
-        if len(results) == 2:
-            _check_equivalent(trial, results["centralized"], results["distributed"], cfg.topology)
+        cen = None
+        if "centralized" in cfg.modes:
+            cen = run_centralized(*problem, trial, mats, on_record=emit)
+        if "distributed" in cfg.modes:
+            run_distributed(*problem, trial, mats, emit if cen is None else None, reference=cen)
         if cfg.baseline is not None:
-            rows["rgf"] = []
-            run_rgf(
-                cfg.topology, cfg.objectives, cfg.params, cfg.baseline, trial, mats,
-                on_record=rows["rgf"].append,
-            )
+            run_rgf(*problem, cfg.baseline, trial, mats, on_record=stream("rgf"))
+    except _Stopped:
+        raise
     except Exception as exc:
-        # flush whatever the trial produced before failing
-        _write_trace_csv(csv_path, rows, trial)
         count = sum(map(len, rows.values()))
         raise RuntimeError(f"trial {trial} failed after {count} rows: {exc}") from exc
-    _write_trace_csv(csv_path, rows, trial)
+    finally:
+        # a failed trial's file keeps whatever it produced
+        _write_trace_csv(csv_path, rows, trial)
     return rows
 
 
@@ -685,8 +676,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     run_trial = partial(_run_one_trial, cfg, build_matrices(cfg.topology), out)
     if workers > 1:
         # The first failure stops the experiment: trials still queued are
-        # cancelled, or skipped when a worker already holds them, and the
-        # lowest-numbered failure is raised once the running trials end.
+        # cancelled, or skipped when a worker already holds them, running
+        # trials end at their next row, and the lowest-numbered failure
+        # that was not such a stop is raised.
         stop = multiprocessing.Event()
         with ProcessPoolExecutor(workers, initializer=_join_pool, initargs=(stop,)) as pool:
             futures = [pool.submit(_pooled_trial, run_trial, t) for t in range(cfg.trials)]
@@ -696,7 +688,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 stop.set()
                 pool.shutdown(cancel_futures=True)
         for f in futures:
-            if not f.cancelled() and f.exception() is not None:
+            if not f.cancelled() and not isinstance(f.exception(), (type(None), _Stopped)):
                 raise f.exception()
         trial_rows = [f.result() for f in futures]
     else:

@@ -457,6 +457,52 @@ class TestDistributedRun:
         np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
         np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(["ring", "path", "star", "complete", "random_connected"]),
+        n=st.integers(3, 10),
+        m=st.integers(1, 3),
+        graph_seed=st.integers(0, 2**16),
+        reverse=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+        meter=st.sampled_from(["closed_form", "estimator"]),
+        noisy=st.booleans(),
+    )
+    def test_replay_of_the_centralized_run_equals_the_independent_run(
+        self, kind, n, m, graph_seed, reverse, seed, meter, noisy
+    ):
+        # reverse lists every edge as (larger, smaller), so the larger
+        # endpoint owns each dual
+        topo = generate_graph(kind, n, extra_edge_prob=0.3, seed=graph_seed, block_dim=m)
+        if reverse:
+            topo = Topology(n, tuple((max(e), min(e)) for e in topo.edges), block_dim=m)
+        noise = NoiseModel("additive_gaussian", 0.05) if noisy else NoiseModel()
+        params = _params(seed=seed, total_iters=8, gap_gradient=meter, noise=noise)
+        objs = _quad_objectives(n, m, seed=graph_seed)
+        mats = build_matrices(topo)
+        replay = run_distributed(
+            topo, objs, params, mats=mats, reference=run_centralized(topo, objs, params, mats=mats)
+        )
+        alone = run_distributed(topo, objs, params, mats=mats)
+        for name in ("states_x", "states_lam", "states_grad", "output_x", "output_lam"):
+            assert getattr(replay, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert replay.records == alone.records
+        assert replay.output_iteration == alone.output_iteration
+        assert replay.messages_per_agent == alone.messages_per_agent
+
+    def test_replay_refuses_another_runs_reference(self):
+        topo = generate_graph("ring", 3, block_dim=1, seed=0)
+        objs, params = _quad_objectives(3, 1), _params()
+        cen = run_centralized(topo, objs, params)
+        with pytest.raises(ValueError, match="^reference has another horizon$"):
+            run_distributed(topo, objs, dataclasses.replace(params, total_iters=7), reference=cen)
+        # another trial starts from another x^0
+        with pytest.raises(
+            RuntimeError,
+            match=r"^centralized/distributed mismatch in trial 1: x of agent 1 at iteration 0 ",
+        ):
+            run_distributed(topo, objs, params, trial=1, reference=cen)
+
     def test_retries_at_box_face_keep_engines_equal_and_resumable(self, monkeypatch):
         # every agent starts on the face x = 5 of its box, so its first step
         # estimate walks its row and continues from its retry stream

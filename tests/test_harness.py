@@ -4,6 +4,7 @@ import dataclasses
 import json
 import pickle
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -484,7 +485,13 @@ class TestRunExperiment:
         assert "rgf" in script
 
     def test_equivalence_guard_trips_on_divergence(self, tmp_path, monkeypatch):
-        real = harness.run_distributed
+        # the message-passing run replays the centralized result, so a skew
+        # of that result raises at the first replayed round it reaches
+        real, update, rounds = harness.run_centralized, engine._primal_update, []
+
+        def counted(*args):
+            rounds.append(1)
+            return update(*args)
 
         def skew(name, index):
             def skewed(*args, **kwargs):
@@ -492,25 +499,54 @@ class TestRunExperiment:
                 states = getattr(result, f"states_{name}").copy()
                 states[index] += 1e-9
                 setattr(result, f"states_{name}", states)
+                rounds.clear()  # count the replay's rounds only
                 return result
 
             return skewed
 
+        monkeypatch.setattr(engine, "_primal_update", counted)
         cases = [
+            # (quantity, index, message, rounds replayed before it raised)
             # every entry of every iterate: the first agent at x^0
-            ("x", ..., r"x of agent 1 at iteration 0 differs by 1\.000e-09$"),
+            ("x", ..., r"x of agent 1 at iteration 0 differs by 1\.000e-09$", 0),
             # one agent's block at one iteration
-            ("x", (3, 1), r"x of agent 2 at iteration 3 differs by 1\.0\d\de-09$"),
-            # the step gradient alone, with x and lam left equal
-            ("grad", (2, 2), r"grad of agent 3 at iteration 2 differs by 1\.0\d\de-09$"),
+            ("x", (3, 1), r"x of agent 2 at iteration 3 differs by 1\.0\d\de-09$", 3),
+            # the step gradient alone, which the replay steps with: it shows
+            # in that agent's next iterate, scaled by 1 / (2 rho degree)
+            ("grad", (2, 2), r"x of agent 3 at iteration 3 differs by 4\.1\d\de-11$", 3),
+            # one edge's dual, with x left equal
+            ("lam", (2, 1), r"lam of edge \(2, 3\) at iteration 2 differs by 1\.0\d\de-09$", 2),
         ]
-        for k, (name, index, named) in enumerate(cases):
-            monkeypatch.setattr(harness, "run_distributed", skew(name, index))
+        for k, (name, index, named, replayed) in enumerate(cases):
+            monkeypatch.setattr(harness, "run_centralized", skew(name, index))
             raw = _tiny_raw(tmp_path / f"o{k}", modes=["centralized", "distributed"])
             raw["trials"] = 1
-            message = "centralized/distributed mismatch in trial 0: " + named
-            with pytest.raises(RuntimeError, match=message):
+            message = "^trial 0 failed after 5 rows: centralized/distributed mismatch in trial 0: "
+            with pytest.raises(RuntimeError, match=message + named):
                 run_experiment(config_from_dict(raw))
+            assert len(rounds) == replayed
+            rows = read_trace_csv(tmp_path / f"o{k}" / "trial_000.csv")
+            assert [(r["method"], r["iter"]) for r in rows] == [("primal_dual", r) for r in range(1, 6)]
+
+    def test_both_modes_estimate_and_grade_once(self, tmp_path, monkeypatch):
+        # the replay takes the centralized run's step gradients and rows
+        calls = Counter()
+        estimate, measure = engine._Estimator.__call__, engine._TraceMeter.measure
+
+        def counted_estimate(self, *args):
+            calls[self.role] += 1
+            return estimate(self, *args)
+
+        def counted_measure(self, *args):
+            calls[self.role] += 1
+            return measure(self, *args)
+
+        monkeypatch.setattr(engine._Estimator, "__call__", counted_estimate)
+        monkeypatch.setattr(engine._TraceMeter, "measure", counted_measure)
+        raw = _tiny_raw(tmp_path / "o", modes=["centralized", "distributed"], iters=7)
+        raw.update(trials=1, workers=1, baseline={"enabled": False})
+        run_experiment(config_from_dict(raw))
+        assert calls == {engine.ROLE_STEP: 7, engine.ROLE_METER: 7}
 
     def test_distributed_only_runs_one_engine_with_the_same_bytes(self, tmp_path, monkeypatch):
         raw = _tiny_raw(tmp_path / "c", modes=["centralized"])
@@ -640,6 +676,31 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"^trial 0 failed after 0 rows: stub trial 0$"):
             run_experiment(config_from_dict(raw))
         assert "0" in {p.name for p in started.iterdir()} <= {"0", "1", "2"}
+
+    def test_failed_trial_stops_the_running_trials(self, tmp_path, monkeypatch):
+        # trial 0 fails once trial 1 has started a long run; trial 1 ends at
+        # its next row, keeps its rows, and trial 0's failure is raised
+        started = tmp_path / "started"
+        started.mkdir()
+        real = harness.run_centralized
+
+        def engine_stub(topo, objectives, params, trial, *args, **kwargs):
+            (started / f"{trial}").touch()
+            if trial == 0:
+                deadline = time.monotonic() + 30.0
+                while not (started / "1").exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise RuntimeError("stub trial 0")
+            return real(topo, objectives, params, trial, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_centralized", engine_stub)
+        raw = _tiny_raw(tmp_path / "out", iters=20000)
+        raw.update(trials=3, workers=2, baseline={"enabled": False})
+        with pytest.raises(RuntimeError, match=r"^trial 0 failed after 0 rows: stub trial 0$"):
+            run_experiment(config_from_dict(raw))
+        rows = read_trace_csv(tmp_path / "out" / "trial_001.csv")
+        assert len(rows) < 20000
+        assert [r["iter"] for r in rows] == list(range(1, len(rows) + 1))
 
     def test_in_memory_config_same_bytes_at_any_worker_count(self, tmp_path):
         cfg = config_from_dict(_tiny_raw(tmp_path / "parsed"))
