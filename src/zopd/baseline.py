@@ -125,7 +125,8 @@ def run_rgf(
     """Baseline trial sharing the algorithm's init stream (same x^0) but its
     own estimator substreams. Each round ends by projecting every agent onto
     its domain box. The dual is identically zero in every record. on_record
-    receives each row as it is recorded, the failing round's row included."""
+    receives the rows a graded block at a time, the failing round's row
+    included."""
     ctx = _prepare(
         topo, objectives, params, trial, mats, (ROLE_BASELINE_STEP, ROLE_BASELINE_METER)
     )

@@ -31,6 +31,14 @@ or an input passed through unchanged, and never writes into an array it was
 given or has returned, so the loop keeps each iterate as the step returned
 it, with no copy. The step also hands over the noise-free values its
 estimate read at x^r, which give the trace row's objective column.
+
+The loop grades its rows in blocks of max(1, _GRADE_BLOCK // (N M)) rows,
+holding references to the block's iterates and each row's meter output. A
+block is graded when it is full, at the end of the run and before any
+failure is raised: one closed-form meter call on its (N, B, M) points, one
+values call for the rows without step values, and one metrics.trace_rows
+pass. Each row gets the bits it would get graded alone. An estimating meter
+still estimates every iteration, on its own streams.
 """
 from __future__ import annotations
 
@@ -41,7 +49,7 @@ import numpy as np
 
 from .graph import NetworkMatrices, Topology, build_matrices, scatter_add
 from .metrics import (
-    AnalysisConstants, MetricRecord, default_potential_weight, derive_constants, trace_row,
+    AnalysisConstants, MetricRecord, default_potential_weight, derive_constants, trace_rows,
 )
 from .objectives import LocalObjective, StackedObjective
 from .szo import BoxExhausted, NoiseModel, OutsideBox, SmoothingParams, estimate_batch
@@ -67,6 +75,9 @@ ROLE_METER = 3
 ROLE_BASELINE_STEP = 4
 ROLE_BASELINE_METER = 5
 _ROLE_NAMES = ("init", "output", "step", "meter", "baseline step", "baseline meter")
+
+# Elements B N M of a graded block's iterates (see the module docstring).
+_GRADE_BLOCK = 8192
 
 
 def substream(*path: int) -> np.random.Generator:
@@ -283,16 +294,36 @@ class _TraceMeter(_Estimator):
 
     def measure(
         self, x: np.ndarray, iteration: int, values: np.ndarray | None = None
-    ) -> tuple[np.ndarray, float, float]:
-        """(smoothed gradient, smoothed value, objective value) at x; the
-        objective sums the agents' values at x where given, and an estimate
-        takes it from its noise-free base values."""
-        st, mu = self.stacked, self.smoothing.mu
+    ) -> tuple:
+        """Row `iteration`'s meter output at x, given the step's (N,)
+        noise-free values there, or None: an estimate, made now on the
+        iteration's streams, as (smoothed gradient, smoothed value, its (N,)
+        noise-free base values); the closed form waits for the row's block,
+        as (None, None, values)."""
         if self.mode == "closed_form":
-            f = st.value(x) if values is None else float(values.sum())
-            return (*st._smoothed_pair(x, mu), f)
-        g, noisy, base = self(st.blocks(x), self.smoothing, iteration)
-        return g.reshape(-1), float(np.sum(np.mean(noisy, axis=1))), float(np.sum(base))
+            return None, None, values
+        g, noisy, base = self(self.stacked.blocks(x), self.smoothing, iteration)
+        return g.reshape(-1), float(np.sum(np.mean(noisy, axis=1))), base
+
+    def grade(self, xs: np.ndarray, measured: list[tuple]) -> tuple[np.ndarray, ...]:
+        """(B, N M) smoothed gradients, (B,) smoothed values and (B,)
+        objectives at the rows of xs (B, N M), from their measure outputs.
+        The closed form takes one call on the block's (N, B, M) points, and
+        one values call evaluates the rows that came without values. Every
+        row sums its agents' values over a contiguous last axis, pairwise,
+        as numpy sums one row alone."""
+        st = self.stacked
+        grads, f_mu, values = map(list, zip(*measured))
+        if self.mode == "closed_form":
+            pts = np.ascontiguousarray(xs.reshape(len(xs), st.num_agents, -1).transpose(1, 0, 2))
+            g, v = st._smoothed_pair(pts, self.smoothing.mu)
+            grads = g.transpose(1, 0, 2).reshape(len(xs), -1)
+            f_mu = np.ascontiguousarray(v.T).sum(axis=1)
+            missing = [t for t, vals in enumerate(values) if vals is None]
+            if missing:
+                for t, vals in zip(missing, st.values(pts[:, missing]).T):
+                    values[t] = vals
+        return np.asarray(grads), np.asarray(f_mu), np.array(values).sum(axis=1)
 
 
 @dataclass
@@ -410,10 +441,12 @@ def _drive(
     contract in the module docstring. Emits one metric row per iteration
     start+1..T; row r grades the pair (x^r, lam^{r-1}) and the potential at
     (x^r, lam^r), and takes its objective from step r's values when there
-    are any. When step r fails, row r is still recorded before the failure
-    is raised. The output pair is the iterate at output_pick, when given. A
-    resume checkpoint must match the run's trial and seed, where it records
-    them, and its shapes.
+    are any. Rows are graded and passed to on_record a block at a time (see
+    the module docstring), so on_record sees row r at most one block after
+    iteration r. When step r fails, rows up to r are still recorded before
+    the failure is raised. The output pair is the iterate at output_pick,
+    when given. A resume checkpoint must match the run's trial and seed,
+    where it records them, and its shapes.
     """
     horizon = params.total_iters
     if resume is None:
@@ -437,32 +470,54 @@ def _drive(
     lams = [lam]
     gs = []
     records: list[MetricRecord] = []
-    x_prev = lam_prev = None
     out_x = out_lam = out_iter = None
+    # The block's pending rows: each row's measure output, and the iterates
+    # x and lam from the iteration before its first row on.
+    block = max(1, _GRADE_BLOCK // ctx.mats.total_dim)
+    measured: list[tuple] = []
+    bx, blam = [x], [lam]
 
-    for r in range(start, horizon + 1):
-        if r == output_pick:
-            out_x, out_lam, out_iter = x, lam, r
-        values = None
-        try:
-            if r < horizon:
-                x_new, lam_new, g, values = step(x, lam, r)
-        finally:
-            if r > start:
-                grad_gap, f_mu, f = ctx.meter.measure(x, r, values)
-                row = trace_row(x, x_prev, lam_prev, lam, grad_gap, f_mu, ctx.mats, ctx.consts)
-                rec = MetricRecord(r, *row, f)
-                records.append(rec)
-                if on_record is not None:
-                    on_record(rec)
-        if r == horizon:
-            break
-        _check_finite(method, r + 1, ctx, x_new, lam_new)
-        x_prev, lam_prev = x, lam
-        x, lam = x_new, lam_new
-        xs.append(x)
-        lams.append(lam)
-        gs.append(g)
+    def grade() -> None:
+        nonlocal measured, bx, blam
+        if not measured:
+            return
+        xb, lb = np.array(bx), np.array(blam)
+        grads, f_mu, f = ctx.meter.grade(xb[1:], measured)
+        cols = trace_rows(xb[1:], xb[:-1], lb[:-1], lb[1:], grads, f_mu, ctx.mats, ctx.consts)
+        first = start + 1 + len(records)
+        rows = range(first, first + len(measured))
+        new = list(map(MetricRecord, rows, *(c.tolist() for c in cols), f.tolist()))
+        records.extend(new)
+        measured, bx, blam = [], bx[-1:], blam[-1:]
+        if on_record is not None:
+            for rec in new:
+                on_record(rec)
+
+    try:
+        for r in range(start, horizon + 1):
+            if r == output_pick:
+                out_x, out_lam, out_iter = x, lam, r
+            values = None
+            try:
+                if r < horizon:
+                    x_new, lam_new, g, values = step(x, lam, r)
+            finally:
+                if r > start:
+                    measured.append(ctx.meter.measure(x, r, values))
+                    if len(measured) == block:
+                        grade()
+            if r == horizon:
+                break
+            _check_finite(method, r + 1, ctx, x_new, lam_new)
+            x, lam = x_new, lam_new
+            xs.append(x)
+            lams.append(lam)
+            gs.append(g)
+            bx.append(x)
+            blam.append(lam)
+    finally:
+        # the last rows, also when a step, a check or the meter failed
+        grade()
 
     return RunResult(
         method=method,

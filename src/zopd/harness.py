@@ -591,9 +591,11 @@ def _run_one_trial(
     Each listed engine mode runs once. The rows come from the centralized
     run when it is listed, else from the distributed one; with both listed,
     the distributed run replays the centralized result, checked bit for bit
-    every round. Every method streams its rows, so a failed trial's CSV
-    keeps all of them up to the failure, and the error counts them. In a
-    pool worker a row that finds the experiment stopped ends the trial."""
+    every round. Every method streams its rows a graded block at a time, at
+    most 8192 // (N M) rows, and grades the last block before a failure is
+    raised, so a failed trial's CSV keeps every row up to the failure, and
+    the error counts them. In a pool worker a row that finds the experiment
+    stopped ends the trial, one block after its iteration at most."""
     rows: dict[str, list[MetricRecord]] = {}
 
     def stream(method: str) -> Callable[[MetricRecord], None]:

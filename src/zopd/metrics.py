@@ -9,9 +9,12 @@ primal gradient plus the squared consensus residual:
 The potential adds a weighted history term to the smoothed augmented
 Lagrangian and is the quantity whose descent the step-size conditions certify.
 
-One trace row comes from one A x: trace_row takes the gap, the violation
-||A x|| and the potential from it. stationarity_gap, constraint_violation
-and potential are views of the same formulas, each computing its own A x.
+A run grades its trace in blocks of rows: trace_rows takes every row's gap,
+violation ||A x|| and potential from one A x of the block, gathered with one
+take, with each row's sums scattered by one bincount and its dots taken by
+one batched matmul. Each row gets the bits of the same formula on that row
+alone. trace_row, stationarity_gap, constraint_violation and potential are
+its one-row views.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NetworkMatrices
+from .graph import NetworkMatrices, scatter_add
 
 __all__ = [
     "MetricRecord",
@@ -30,6 +33,7 @@ __all__ = [
     "smoothed_lipschitz",
     "default_potential_weight",
     "derive_constants",
+    "trace_rows",
     "trace_row",
     "stationarity_gap",
     "constraint_violation",
@@ -101,53 +105,95 @@ def derive_constants(
     )
 
 
-def _incidence(mats, x) -> tuple[np.ndarray, float]:
-    """A x and ||A x||^2, the one product every functional reads; the norm
-    ||A x|| is its square root, as np.linalg.norm computes it."""
-    ax = mats.incidence(x)
-    return ax, float(ax @ ax)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's a[t] @ b[t], as a batched matmul of (1, n) by (n, 1): the
+    dot routine of the 1-D a @ b, so a row gets that product's bits, which
+    einsum("bi,bi->b") would not give."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _gap(ax, axax, lam_prev, grad_smoothed, mats, rho) -> float:
+def _scatter(mats: NetworkMatrices, terms: np.ndarray) -> np.ndarray:
+    """Each row's sums of its terms (B, entries, M) over the incidence list,
+    as (B, N M): one scatter_add over sum_index offset by t N M, so every
+    cell adds its own row's entries in list order."""
+    b, n, m = len(terms), mats.topology.num_nodes, terms.shape[2]
+    index = (mats.sum_index + n * m * np.arange(b)[:, None]).ravel()
+    return scatter_add(index, terms.reshape(-1, m), b * n).reshape(b, n * m)
+
+
+def _incidence(mats: NetworkMatrices, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A x of each row of x (B, N M), gathered with one take, and ||A x||^2,
+    the product every functional reads; ||A x|| is its square root."""
+    topo = mats.topology
+    ends = x.reshape(len(x), topo.num_nodes, -1).take(np.stack((mats.tail, mats.head)), 1)
+    ax = (ends[:, 0] - ends[:, 1]).reshape(len(x), -1)
+    return ax, _dots(ax, ax)
+
+
+def _gap(ax, axax, lam_prev, grad_smoothed, mats, rho) -> np.ndarray:
     # A' lam + rho A'A x, as one scatter of the edge terms
-    primal_grad = grad_smoothed + mats.dual_pressure(lam_prev + rho * ax).reshape(-1)
-    return float(primal_grad @ primal_grad + axax)
+    lb = (lam_prev + rho * ax).reshape(len(ax), mats.topology.num_edges, -1)
+    primal_grad = grad_smoothed + _scatter(mats, mats.sign * lb.take(mats.edge, 1))
+    return _dots(primal_grad, primal_grad) + axax
 
 
-def _potential(ax, axax, x, x_prev, lam, mats, consts, f_mu_value) -> float:
-    lagrangian = f_mu_value + float(lam @ ax) + 0.5 * consts.rho * axax
+def _potential(ax, axax, x, x_prev, lam, mats, consts, f_mu_value) -> np.ndarray:
+    lagrangian = f_mu_value + _dots(lam, ax) + 0.5 * consts.rho * axax
     d = x - x_prev
-    b_quad = float(d @ mats.lplus(d)) + (consts.k / (consts.c * consts.rho)) * float(d @ d)
+    db = d.reshape(len(d), mats.topology.num_nodes, -1)
+    lplus_d = (mats.degree[:, None] * db).reshape(len(d), -1) + _scatter(
+        mats, db.take(mats.neighbor, 1)
+    )
+    b_quad = _dots(d, lplus_d) + (consts.k / (consts.c * consts.rho)) * _dots(d, d)
     history = 0.5 * consts.rho * (axax + b_quad)
     return lagrangian + consts.c * history
+
+
+def trace_rows(
+    x: np.ndarray, x_prev: np.ndarray, lam_prev: np.ndarray, lam: np.ndarray,
+    grad_smoothed: np.ndarray, f_mu_value: np.ndarray, mats: NetworkMatrices,
+    consts: AnalysisConstants,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gap at (x, lam_prev), ||A x||, potential at (x, lam)) of a block of
+    rows: row t from row t of each (B, ...) argument and of f_mu_value (B,),
+    all from one A x."""
+    ax, axax = _incidence(mats, x)
+    gap = _gap(ax, axax, lam_prev, grad_smoothed, mats, consts.rho)
+    pot = _potential(ax, axax, x, x_prev, lam, mats, consts, f_mu_value)
+    return gap, np.sqrt(axax), pot
+
+
+def _row(*vectors: np.ndarray) -> list[np.ndarray]:
+    """Each vector as a one-row block."""
+    return [np.asarray(v, dtype=float).reshape(1, -1) for v in vectors]
 
 
 def trace_row(
     x: np.ndarray, x_prev: np.ndarray, lam_prev: np.ndarray, lam: np.ndarray,
     grad_smoothed: np.ndarray, f_mu_value: float, mats: NetworkMatrices, consts: AnalysisConstants,
 ) -> tuple[float, float, float]:
-    """(gap at (x, lam_prev), ||A x||, potential at (x, lam)) from one A x."""
-    ax, axax = _incidence(mats, x)
-    gap = _gap(ax, axax, lam_prev, grad_smoothed, mats, consts.rho)
-    pot = _potential(ax, axax, x, x_prev, lam, mats, consts, f_mu_value)
-    return gap, math.sqrt(axax), pot
+    """trace_rows of one row."""
+    rows = trace_rows(*_row(x, x_prev, lam_prev, lam, grad_smoothed), f_mu_value, mats, consts)
+    return tuple(float(v[0]) for v in rows)
 
 
 def stationarity_gap(
     x: np.ndarray, lam_prev: np.ndarray, grad_smoothed: np.ndarray, mats: NetworkMatrices, rho: float
 ) -> float:
-    return _gap(*_incidence(mats, x), lam_prev, grad_smoothed, mats, rho)
+    x, lam_prev, grad_smoothed = _row(x, lam_prev, grad_smoothed)
+    return float(_gap(*_incidence(mats, x), lam_prev, grad_smoothed, mats, rho)[0])
 
 
 def constraint_violation(x: np.ndarray, mats: NetworkMatrices) -> float:
-    return math.sqrt(_incidence(mats, x)[1])
+    return float(np.sqrt(_incidence(mats, *_row(x))[1])[0])
 
 
 def potential(
     x: np.ndarray, x_prev: np.ndarray, lam: np.ndarray, mats: NetworkMatrices,
     consts: AnalysisConstants, f_mu_value: float,
 ) -> float:
-    return _potential(*_incidence(mats, x), x, x_prev, lam, mats, consts, f_mu_value)
+    x, x_prev, lam = _row(x, x_prev, lam)
+    return float(_potential(*_incidence(mats, x), x, x_prev, lam, mats, consts, f_mu_value)[0])
 
 
 def potential_lower_bound(consts: AnalysisConstants, f_lower: float, samples: int) -> float:

@@ -296,17 +296,16 @@ class StackedObjective:
     def smoothed_value_stacked(self, x: np.ndarray, mu: float) -> float:
         return float(self._apply("smoothed_value", self.blocks(x)[:, None, :], mu)[:, 0].sum())
 
-    def _smoothed_pair(self, x: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
-        """(smoothed_gradient_stacked(x, mu), smoothed_value_stacked(x, mu))
-        from one blocks(x); one kernel call when the toy, whose two closed
-        forms share their terms, holds every agent."""
-        pts = self.blocks(x)[:, None, :]
+    def _smoothed_pair(self, pts: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+        """Both closed forms at agent i's rows pts[i] of (N, S, M) points:
+        (N, S, M) smoothed gradients and (N, S) smoothed values; one kernel
+        call when the toy, whose two closed forms share their terms, holds
+        every agent."""
         group = self._groups[0]
         if len(self._groups) == 1 and group[0].smoothed_gradient is _toy_smoothed_gradient:
-            g, v = self._call(_toy_smoothed, group, pts, mu)
-        else:
-            g, v = self._apply("smoothed_gradient", pts, mu), self._apply("smoothed_value", pts, mu)
-        return g.reshape(-1), float(v.reshape(-1).sum())
+            g, v = self._call(_toy_smoothed, group, np.ascontiguousarray(pts), mu)
+            return g.reshape(pts.shape), v.reshape(pts.shape[:2])
+        return self._apply("smoothed_gradient", pts, mu), self._apply("smoothed_value", pts, mu)
 
 
 def estimate_lipschitz(

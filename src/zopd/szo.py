@@ -232,12 +232,14 @@ def estimate_batch(
 def _two_point(stacked, xb, mu, phis, xis, pts):
     """One draw's (N, M) sums of ((noisy(x + mu phi) - noisy(x)) / mu) phi,
     its (N, count) noisy perturbed values and the (N,) noise-free values at
-    xb, from one StackedObjective.values call."""
+    xb, from one StackedObjective.values call. The noise-free values are a
+    copy, so a run that keeps them for its trace does not keep the call's
+    (N, count + 1) values."""
     count = xis.shape[1]
     vals = stacked.values(np.concatenate([pts, xb[:, None, :]], axis=1))
     noisy = vals[:, :count] + xis
     diffs = noisy - (vals[:, count:] + xis)
-    return ((diffs / mu)[:, :, None] * phis).sum(axis=1), noisy, vals[:, count]
+    return ((diffs / mu)[:, :, None] * phis).sum(axis=1), noisy, vals[:, count].copy()
 
 
 def estimate_gradient(

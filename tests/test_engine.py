@@ -2,14 +2,15 @@
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from zopd import engine, objectives, szo
+from zopd import engine, metrics, objectives, szo
 from zopd.baseline import RGFParams, run_rgf
 from zopd.engine import (
     ROLE_INIT,
@@ -366,23 +367,137 @@ class TestTraceRows:
         rgf = run_rgf(topo, objs, params, RGFParams(step_scale=0.1), mats=mats)
         assert rgf.records == self._graded(rgf, objs, mats, mu)
 
-    @pytest.mark.parametrize("method,per_iteration", [("centralized", 2), ("rgf", 1)])
-    def test_one_incidence_product_per_row(self, monkeypatch, method, per_iteration):
-        # the centralized dual step takes one A x^{r+1}, and grading one A x^r
+    @pytest.mark.parametrize("method,per_iteration", [("centralized", 1), ("rgf", 0)])
+    def test_one_incidence_product_per_block(self, monkeypatch, method, per_iteration):
+        # the centralized dual step takes one A x^{r+1} per iteration, and
+        # grading one A x per block: 12 rows of N M = 12 in blocks of 5
         topo, mats, objs, params = self._setup()
+        run = {
+            "centralized": lambda: run_centralized(topo, objs, params, mats=mats),
+            "rgf": lambda: run_rgf(topo, objs, params, RGFParams(step_scale=0.1), mats=mats),
+        }[method]
+        whole = run()
         calls = []
-        incidence = NetworkMatrices.incidence
+        incidence, block_incidence = NetworkMatrices.incidence, metrics._incidence
 
         def counted(self, x):
-            calls.append(1)
+            calls.append("step")
             return incidence(self, x)
 
+        def counted_block(mats, x):
+            calls.append(len(x))
+            return block_incidence(mats, x)
+
         monkeypatch.setattr(NetworkMatrices, "incidence", counted)
-        if method == "centralized":
-            run_centralized(topo, objs, params, mats=mats)
-        else:
-            run_rgf(topo, objs, params, RGFParams(step_scale=0.1), mats=mats)
-        assert len(calls) == per_iteration * params.total_iters
+        monkeypatch.setattr(metrics, "_incidence", counted_block)
+        monkeypatch.setattr(engine, "_GRADE_BLOCK", 5 * mats.total_dim + 3)
+        assert run().records == whole.records
+        assert calls.count("step") == per_iteration * params.total_iters
+        assert [c for c in calls if c != "step"] == [5, 5, 2]
+
+
+class TestBlockGrading:
+    """Rows are graded in blocks of max(1, _GRADE_BLOCK // (N M)); every
+    block gives the bits of the one-row functionals."""
+
+    @staticmethod
+    def _views(result, objs, params, role, mats):
+        """The run's records from the one-row functionals at its states: the
+        closed forms and value of each iterate, or the meter role's estimate
+        at its iteration."""
+        stacked, consts = StackedObjective(objs), result.constants
+        meter = engine._TraceMeter(stacked, params, result.trial, role)
+        xs, lams, start = result.states_x, result.states_lam, result.start_iteration
+        rows = []
+        for k in range(1, len(xs)):
+            r, x = start + k, xs[k]
+            if meter.mode == "closed_form":
+                grad = stacked.smoothed_gradient_stacked(x, meter.smoothing.mu)
+                f_mu = stacked.smoothed_value_stacked(x, meter.smoothing.mu)
+                f = stacked.value(x)
+            else:
+                g, noisy, base = meter(stacked.blocks(x), meter.smoothing, r)
+                grad, f = g.reshape(-1), float(np.sum(base))
+                f_mu = float(np.sum(np.mean(noisy, axis=1)))
+            gap = stationarity_gap(x, lams[k - 1], grad, mats, consts.rho)
+            pot = potential(x, xs[k - 1], lams[k], mats, consts, f_mu)
+            rows.append(MetricRecord(r, gap, constraint_violation(x, mats), pot, f))
+        return rows
+
+    def test_block_records_are_the_one_row_views_bitwise(self):
+        @settings(max_examples=120, derandomize=True, deadline=None)
+        @given(
+            kind=st.sampled_from(["ring", "path", "star", "complete", "random_connected"]),
+            n=st.integers(3, 12),
+            m=st.integers(1, 3),
+            toy=st.booleans(),
+            meter=st.sampled_from(["closed_form", "estimator", "mc"]),
+            noisy=st.booleans(),
+            block=st.integers(2, 4),
+            full_blocks=st.integers(2, 3),
+            extra=st.integers(0, 2),
+            split=st.integers(1, 20),
+            seed=st.integers(0, 2**31 - 1),
+        )
+        @example(
+            kind="random_connected", n=9, m=3, toy=False, meter="closed_form", noisy=True,
+            block=3, full_blocks=3, extra=1, split=4, seed=5,
+        )
+        def check(kind, n, m, toy, meter, noisy, block, full_blocks, extra, split, seed):
+            m = 1 if toy else m
+            topo = generate_graph(kind, n, extra_edge_prob=0.3, seed=seed % 97, block_dim=m)
+            mats = build_matrices(topo)
+            if toy:
+                objs = [toy_objective(box_lo=-50.0, box_hi=50.0)] * n
+            else:
+                objs = _quad_objectives(n, m, seed=seed % 89)
+            horizon = full_blocks * block + 1 + extra % (block - 1)
+            params = _params(
+                seed=seed, total_iters=horizon, gap_gradient=meter, mc_gap_samples=7,
+                noise=NoiseModel("additive_gaussian", 0.05) if noisy else NoiseModel(),
+                rho=60.0 if toy else 6.0,
+            )
+            rgf = RGFParams(step_scale=0.01)
+            with mock.patch.object(engine, "_GRADE_BLOCK", block * mats.total_dim):
+                runs = (
+                    (run_centralized(topo, objs, params, mats=mats), engine.ROLE_METER),
+                    (run_distributed(topo, objs, params, mats=mats), engine.ROLE_METER),
+                    (run_rgf(topo, objs, params, rgf, mats=mats), engine.ROLE_BASELINE_METER),
+                )
+                # a resume whose first row falls inside a block of the full run
+                at = split % full_blocks * block + 1 + split % (block - 1)
+                cen = runs[0][0]
+                chk = Checkpoint(iteration=at, x=cen.states_x[at], lam=cen.states_lam[at])
+                part = run_centralized(topo, objs, params, mats=mats, resume=chk)
+            for result, role in runs:
+                assert [r.iteration for r in result.records] == list(range(1, horizon + 1))
+                assert result.records == self._views(result, objs, params, role, mats)
+            assert part.records == cen.records[at:]
+
+        check()
+
+    def test_on_record_flushes_hold_one_block(self):
+        """A row reaches on_record within one block of its iteration: each
+        flush holds at most 8192 // (N M) rows, the stop latency of a pooled
+        trial."""
+        topo = generate_graph("ring", 4, block_dim=2, seed=0)
+        objs = _quad_objectives(4, 2)
+        steps, seen = [], []
+        primal = engine.primal_step
+
+        def counted(*args):
+            steps.append(1)
+            return primal(*args)
+
+        params = _params(total_iters=2500)
+        with mock.patch.object(engine, "primal_step", counted):
+            result = run_centralized(
+                topo, objs, params, on_record=lambda rec: seen.append(len(steps))
+            )
+        assert len(seen) == len(result.records) == 2500
+        flushes = [seen.count(k) for k in sorted(set(seen))]
+        assert max(flushes) <= 8192 // (4 * 2)
+        assert flushes == [1024, 1024, 452]
 
 
 class TestDistributedRun:
@@ -835,15 +950,16 @@ def test_substream_draws_as_the_tuple_keyed_seed_sequence():
 # or one closed-form call plus, at the last row only, one objective value
 @pytest.mark.parametrize(
     "gap_gradient, value_calls, closed_form_calls",
-    [("closed_form", 5 + 1, 5), ("estimator", 5 + 5, 0), ("mc", 5 + 5, 0)],
+    [("closed_form", 5 + 1, 1), ("estimator", 5 + 5, 0), ("mc", 5 + 5, 0)],
 )
 def test_one_family_group_makes_one_kernel_call_per_evaluation(
     monkeypatch, gap_gradient, value_calls, closed_form_calls
 ):
     """One toy object shared by every agent forms one group: each step
-    estimate and each graded row calls the family's kernels once, on the
-    very points StackedObjective was given. A closed-form row takes its
-    objective from the step's values, so only the last row evaluates one."""
+    estimate, each estimated row and each graded block calls the family's
+    kernels once, on the very points StackedObjective was given. A
+    closed-form row takes its objective from the step's values, so only the
+    last row evaluates one; the run's 5 rows are one block."""
     calls, given_points = [], []
 
     def spy(name, kernel):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zopd.harness as harness
-from zopd import engine
+from zopd import engine, szo
 from zopd.cli import main as cli_main
 from zopd.engine import ROLE_STEP, substream
 from zopd.graph import Topology
@@ -529,24 +529,36 @@ class TestRunExperiment:
             assert [(r["method"], r["iter"]) for r in rows] == [("primal_dual", r) for r in range(1, 6)]
 
     def test_both_modes_estimate_and_grade_once(self, tmp_path, monkeypatch):
-        # the replay takes the centralized run's step gradients and rows
+        # the replay takes the centralized run's step gradients and rows:
+        # per run and role, the estimates made and the rows graded
         calls = Counter()
-        estimate, measure = engine._Estimator.__call__, engine._TraceMeter.measure
+        run = ["centralized"]
+        estimate, grade = engine._Estimator.__call__, engine._TraceMeter.grade
+        replay = harness.run_distributed
 
         def counted_estimate(self, *args):
-            calls[self.role] += 1
+            calls[run[0], "estimates", self.role] += 1
             return estimate(self, *args)
 
-        def counted_measure(self, *args):
-            calls[self.role] += 1
-            return measure(self, *args)
+        def counted_grade(self, xs, measured):
+            calls[run[0], "graded rows", self.role] += len(measured)
+            return grade(self, xs, measured)
+
+        def replay_run(*args, **kwargs):
+            run[0] = "replay"
+            return replay(*args, **kwargs)
 
         monkeypatch.setattr(engine._Estimator, "__call__", counted_estimate)
-        monkeypatch.setattr(engine._TraceMeter, "measure", counted_measure)
+        monkeypatch.setattr(engine._TraceMeter, "grade", counted_grade)
+        monkeypatch.setattr(harness, "run_distributed", replay_run)
         raw = _tiny_raw(tmp_path / "o", modes=["centralized", "distributed"], iters=7)
         raw.update(trials=1, workers=1, baseline={"enabled": False})
         run_experiment(config_from_dict(raw))
-        assert calls == {engine.ROLE_STEP: 7, engine.ROLE_METER: 7}
+        assert run == ["replay"]
+        assert calls == {
+            ("centralized", "estimates", engine.ROLE_STEP): 7,
+            ("centralized", "graded rows", engine.ROLE_METER): 7,
+        }
 
     def test_distributed_only_runs_one_engine_with_the_same_bytes(self, tmp_path, monkeypatch):
         raw = _tiny_raw(tmp_path / "c", modes=["centralized"])
@@ -676,6 +688,43 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"^trial 0 failed after 0 rows: stub trial 0$"):
             run_experiment(config_from_dict(raw))
         assert "0" in {p.name for p in started.iterdir()} <= {"0", "1", "2"}
+
+    @pytest.mark.parametrize("failure", ["box exhaustion", "divergence"])
+    def test_failure_after_several_blocks_keeps_every_row(self, tmp_path, monkeypatch, failure):
+        # rows are graded in blocks of 4 on the 3-ring; the run fails in its
+        # third block, and every row before the failure reaches the CSV
+        monkeypatch.setattr(engine, "_GRADE_BLOCK", 4 * 3)
+        rows, calls = 9, []
+        if failure == "box exhaustion":
+            # step estimate 9 fails: row 9 is recorded before the failure
+            batch = engine.estimate_batch
+
+            def exhausted(*args):
+                calls.append(1)
+                if len(calls) == rows + 1:
+                    raise szo.BoxExhausted(1, 0)
+                return batch(*args)
+
+            monkeypatch.setattr(engine, "estimate_batch", exhausted)
+            message = f"step estimate of agent 2 at iteration {rows}: smoothing perturbation"
+        else:
+            # step 9 returns a NaN x^10
+            primal = engine.primal_step
+
+            def diverging(*args):
+                calls.append(1)
+                x = primal(*args)
+                return np.full_like(x, np.nan) if len(calls) == rows + 1 else x
+
+            monkeypatch.setattr(engine, "primal_step", diverging)
+            message = rf"primal_dual diverged at iteration {rows + 1}: agent 1 has x = \[nan\]$"
+        raw = _tiny_raw(tmp_path / "o", iters=20)
+        raw.update(trials=1, workers=1, baseline={"enabled": False})
+        with pytest.raises(RuntimeError, match=rf"^trial 0 failed after {rows} rows: {message}"):
+            run_experiment(config_from_dict(raw))
+        got = read_trace_csv(tmp_path / "o" / "trial_000.csv")
+        assert [r["method"] for r in got] == ["primal_dual"] * rows
+        assert [r["iter"] for r in got] == list(range(1, rows + 1))
 
     def test_failed_trial_stops_the_running_trials(self, tmp_path, monkeypatch):
         # trial 0 fails once trial 1 has started a long run; trial 1 ends at

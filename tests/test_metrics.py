@@ -17,6 +17,7 @@ from zopd.metrics import (
     rate_fit,
     stationarity_gap,
     trace_row,
+    trace_rows,
     validate_params,
 )
 
@@ -142,6 +143,50 @@ def test_trace_row_is_the_three_functionals_bitwise(kind, n, m, graph_seed, data
         constraint_violation(x, mats),
         potential(x, x_prev, lam, mats, consts, f_mu),
     )
+
+
+def _one_dimensional_row(x, x_prev, lam_prev, lam, grad, f_mu, mats, consts):
+    """A trace row from 1-D products through the NetworkMatrices operators,
+    each dot a 1-D a @ b, and the potential grouped as its formula."""
+    ax = mats.incidence(x)
+    axax = float(ax @ ax)
+    pg = grad + mats.dual_pressure(lam_prev + consts.rho * ax).reshape(-1)
+    d = x - x_prev
+    b_quad = float(d @ mats.lplus(d)) + (consts.k / (consts.c * consts.rho)) * float(d @ d)
+    lagrangian = f_mu + float(lam @ ax) + 0.5 * consts.rho * axax
+    pot = lagrangian + consts.c * (0.5 * consts.rho * (axax + b_quad))
+    return float(pg @ pg + axax), math.sqrt(axax), pot
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["ring", "path", "star", "complete", "random_connected"]),
+    n=st.integers(2, 60),
+    m=st.integers(1, 12),
+    rows=st.integers(1, 9),
+    graph_seed=st.integers(0, 2**16),
+    data_seed=st.integers(0, 2**31 - 1),
+)
+def test_trace_rows_are_the_one_dimensional_products_bitwise(
+    kind, n, m, rows, graph_seed, data_seed
+):
+    """Each row of a block gets the bits of 1-D products on that row alone:
+    the batched dots are the 1-D dot routine, and every scatter adds its
+    row's entries in list order."""
+    assume(kind != "ring" or n >= 3)
+    topo = generate_graph(kind, n, extra_edge_prob=0.3, seed=graph_seed, block_dim=m)
+    mats = build_matrices(topo)
+    rng = np.random.default_rng(data_seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, 5)
+    x, x_prev, grad = rng.standard_normal((3, rows, mats.total_dim)) * scale[:3, None, None]
+    lam_prev, lam = rng.standard_normal((2, rows, mats.edge_dim)) * scale[3:, None, None]
+    f_mu = rng.standard_normal(rows)
+    c, rho = rng.uniform(0.5, 20.0, 2)
+    consts = derive_constants(1.0, 0.5, mats.total_dim, mats, float(c), float(rho))
+    block = trace_rows(x, x_prev, lam_prev, lam, grad, f_mu, mats, consts)
+    for t in range(rows):
+        row = (x[t], x_prev[t], lam_prev[t], lam[t], grad[t], f_mu[t])
+        assert tuple(float(col[t]) for col in block) == _one_dimensional_row(*row, mats, consts)
 
 
 class TestParamValidator:

@@ -361,9 +361,9 @@ def test_smoothed_pair_is_both_closed_forms():
         stacked = StackedObjective(locals_)
         for mu in (0.01, 0.7):
             x = rng.uniform(-2.0, 2.0, stacked.total_dim)
-            grad, value = stacked._smoothed_pair(x, mu)
+            grad, value = stacked._smoothed_pair(stacked.blocks(x)[:, None, :], mu)
             assert grad.tobytes() == stacked.smoothed_gradient_stacked(x, mu).tobytes(), name
-            assert value == stacked.smoothed_value_stacked(x, mu), name
+            assert float(value.sum()) == stacked.smoothed_value_stacked(x, mu), name
 
 
 def _logreg_agents(n, batch, dim, seed, uneven=False):

@@ -5,6 +5,14 @@ A refactor that claims to move no byte is held to it here. The hashes were
 taken under numpy 2.4.6 and scipy 1.17.1 (the versions CI installs): the
 logistic traces depend on numpy's exp/log1p kernels, so under other versions
 the test skips and says why.
+
+The ring-scale pin also depends on OpenBLAS's thread count. On its 400-agent
+ring, the dense eigvalsh in build_matrices gives sigma_min
+0.00024673503667876494 and ||L+|| 3.9999999999999996 with
+OPENBLAS_NUM_THREADS=1, but 0.000246735036678628 and 3.999999999999998 with
+2, 3, 4 or 8 threads, where the pin was taken; with one thread its mean.csv
+hashes to 04b86ff7... and the test fails. A spectral path that does not go
+through the dense eigensolver would end that dependence.
 """
 import hashlib
 import importlib.util
