@@ -47,7 +47,10 @@ __all__ = [
 
 # Batch evaluators must be row-stable: the value computed for a point may not
 # depend on which other rows share the batch. einsum contractions and
-# elementwise ops satisfy this; plain matmul does not (BLAS reorders sums).
+# elementwise ops satisfy this. A BLAS matrix product does only where every
+# call has the same kind of shape: the logistic kernel makes batched gemm
+# calls of an even row count, never one row, each below a size bound (see
+# _GEMM_MNK).
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,8 @@ class StackedObjective:
         n, s, m = pts.shape
         shape = (n, s, m) if name == "smoothed_gradient" else (n, s)
         if len(self._groups) == 1:
-            # contiguous, as a gathered copy is, so einsum kernels sum alike
+            # contiguous, as a gathered copy is, so that the einsum and BLAS
+            # kernels see the same strides and sum alike
             group = self._groups[0]
             got = self._call(getattr(group[0], name), group, np.ascontiguousarray(pts), mu)
             return got.reshape(shape)
@@ -415,15 +419,40 @@ class ClassificationData:
         return self.features.shape[1]
 
 
+# The margins are BLAS matrix products, and a row's bits there depend on the
+# product's shape in four ways (OpenBLAS 0.3.31 in numpy 2.4.6):
+# - numpy sends a product with one row or one column to gemv, not gemm;
+# - the Haswell gemm kernels (used on AVX2 CPUs) sum the last row of an odd
+#   row count in another order;
+# - above M*N*K = 2**18 gemm splits its rows among threads, which can leave
+#   a thread an odd count;
+# - on AVX-512 CPUs gemm leaves its small-matrix kernel above 100**3, and the
+#   blocked kernels sum some rows in another order.
+# So every product has an even row count and at most _GEMM_MNK multiplies
+# (two rows where even that is more), the last row of an odd count is the
+# second row of a pair, and a single data column is doubled. A row's bits are
+# then the same in any (N, S) batch and at any BLAS thread count.
+_GEMM_MNK = 2**18
+
+
 def _logreg_rows(data, params, pts: np.ndarray, work: Workspace) -> np.ndarray:
     """Family kernel: n agents' label-folded (n, M, B) columns y_j v_j and
     (n, S, M) points to (n, S) values."""
     (signed,) = data
     alpha, epsilon, scale = params
-    shape = pts.shape[:2] + signed.shape[2:]
-    margins = np.einsum("nsm,nmb->nsb", pts, signed, out=work.array(0, shape))  # y_j x.v_j
+    n, s, m = pts.shape
+    b = signed.shape[2]
+    cols = np.repeat(signed, 2, axis=2) if b == 1 else signed
+    prod = work.array(0, (n, s, cols.shape[2]))  # y_j x.v_j, see _GEMM_MNK
+    even, step = s - s % 2, 2 * max(1, _GEMM_MNK // (2 * m * cols.shape[2]))
+    for i in range(0, even, step):
+        j = min(i + step, even)
+        np.matmul(pts[:, i:j], cols, out=prod[:, i:j])
+    if s % 2:
+        prod[:, -1] = np.matmul(pts[:, [max(s - 2, 0), s - 1]], cols)[:, 1]
+    margins = prod[..., :b]
     # log(1 + exp(-m)) = log1p(exp(-|m|)) - min(m, 0), finite for any m
-    loss = work.array(1, shape)
+    loss = work.array(1, (n, s, b))
     np.exp(np.negative(np.abs(margins, out=loss), out=loss), out=loss)
     np.log1p(loss, out=loss)
     loss -= np.minimum(margins, 0.0, out=margins)

@@ -181,12 +181,14 @@ class TestLogisticRegression:
         check()
 
     def test_label_folded_margins_are_exact(self):
+        """y (x.v) = x.(y v) bit for bit in the matrix product the kernel
+        computes: a sign flip commutes with every product and sum."""
         data = self._tiny(batch=30, dim=5, seed=9)
         obj = logistic_regression_objective(data, num_agents=2)
         signed_t = obj.family.data[0]
         pts = np.random.default_rng(4).uniform(-10.0, 10.0, (25, 5))
-        plain = data.labels * np.einsum("sm,mb->sb", pts, np.ascontiguousarray(data.features.T))
-        assert np.einsum("sm,mb->sb", pts, signed_t).tobytes() == plain.tobytes()
+        plain = data.labels * np.matmul(pts, np.ascontiguousarray(data.features.T))
+        assert np.matmul(pts, signed_t).tobytes() == plain.tobytes()
 
     def test_lipschitz_and_lower_bound_audit(self):
         data = self._tiny(batch=16, dim=3, seed=5)
@@ -403,6 +405,43 @@ def test_logreg_family_rows_equal_agent_views():
         assert got.tobytes() == want.tobytes()
         single = [[o.value(p) for p in pts[i]] for i, o in enumerate(locals_)]
         assert got.tobytes() == np.array(single).tobytes()
+
+    check()
+
+
+def test_logreg_rows_do_not_depend_on_the_batch():
+    """A point's logistic value has the same bits in calls of 1, 2, 3 or a
+    drawn number of rows as in one larger call, for the agent alone, and in
+    a group whose agents all hold one objective (its rows arrive as one
+    (1, N*S, M) block, large enough at the top of the range that the kernel
+    splits it into several products). Odd row counts, a single data point
+    and the split are where a plain BLAS product changes a row's bits."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 15),
+        dim=st.integers(1, 12),
+        batch=st.one_of(st.just(1), st.integers(1, 200)),
+        s=st.integers(4, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=15, dim=10, batch=100, s=31, seed=1)
+    @example(n=15, dim=12, batch=200, s=64, seed=2)
+    @example(n=3, dim=5, batch=1, s=7, seed=3)
+    @example(n=13, dim=8, batch=193, s=56, seed=4)
+    def check(n, dim, batch, s, seed):
+        locals_ = _logreg_agents(n, batch, dim, seed)
+        stacked = StackedObjective(locals_)
+        pts = np.random.default_rng(seed).uniform(-3.0, 3.0, (n, s + 1, dim))
+        whole = stacked.values(pts)
+        for rows in (1, 2, 3, s):
+            part = stacked.values(np.ascontiguousarray(pts[:, :rows]))
+            assert part.tobytes() == whole[:, :rows].tobytes()
+        for i, o in enumerate(locals_):
+            assert o.value_many(pts[i]).tobytes() == whole[i].tobytes()
+            assert np.array([o.value(pts[i, -1])]).tobytes() == whole[i, -1:].tobytes()
+        one = StackedObjective([locals_[0]] * n).values(pts)
+        assert one.tobytes() == np.array([locals_[0].value_many(p) for p in pts]).tobytes()
 
     check()
 

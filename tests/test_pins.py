@@ -3,8 +3,12 @@ write exactly the bytes recorded in CHANGES.md.
 
 A refactor that claims to move no byte is held to it here. The hashes were
 taken under numpy 2.4.6 and scipy 1.17.1 (the versions CI installs): the
-logistic traces depend on numpy's exp/log1p kernels, so under other versions
-the test skips and says why.
+logistic traces depend on numpy's exp/log1p kernels and on the GEMM kernels of
+the OpenBLAS 0.3.31 that ships with that numpy wheel, so under other versions
+the test skips and says why. Both pick their kernels by CPU, and the hashes
+were taken on an AVX-512 CPU. The logistic kernel keeps a row's bits the same
+at any BLAS thread count, so the logreg and Replica B pins hold with
+OPENBLAS_NUM_THREADS=1 too.
 
 The ring-scale pin also depends on OpenBLAS's thread count. On its 400-agent
 ring, the dense eigvalsh in build_matrices gives sigma_min
@@ -12,7 +16,7 @@ ring, the dense eigvalsh in build_matrices gives sigma_min
 OPENBLAS_NUM_THREADS=1, but 0.000246735036678628 and 3.999999999999998 with
 2, 3, 4 or 8 threads, where the pin was taken; with one thread its mean.csv
 hashes to 04b86ff7... and the test fails. A spectral path that does not go
-through the dense eigensolver would end that dependence.
+through the dense eigensolver would end that dependence (ROADMAP item 13).
 """
 import hashlib
 import importlib.util
@@ -36,8 +40,8 @@ WORKLOAD_PINS = {
         "trial_000.csv": "e2d83990d33db86991c410ae613d95b28be595a7b50be1ea47f182c22f08404b",
     },
     "logreg": {
-        "mean.csv": "dcead33c3bcdd5422eea8d0c6df578327d79415a3cc23565719337388e253bd5",
-        "trial_000.csv": "0290e02dda592d439db2c71396e5c9e220c292cac48654ec01d738c02efe2451",
+        "mean.csv": "019ae01bfd333643583a7dae9d90d9bde519ac06adf9f92a64e2960ffae7a84a",
+        "trial_000.csv": "ff4714bee2d0f7f91c68c51207fd0b021e11fbc3c6f56b3032c3ae50b8949f02",
     },
     "ring-scale": {
         "mean.csv": "9337f6d3594fbb179eb563f6c87494e12e8cad68a253fa834216f81318ddcd23",
@@ -49,7 +53,7 @@ REPLICA_PINS = {
         replica_a_config, "0169196607d1604a9351e8554f775fa901d5c90c70e3e3b5e5672c052b86c378"
     ),
     "replica-b": (
-        replica_b_config, "ad1e2a30313b4c266b4f081b70dfa345c6a17f748b13304dddb868f2661d0642"
+        replica_b_config, "eacf65a3ce1d9f0627ac104e077d3ff4b2dfa28274bb14886f225570346445b6"
     ),
 }
 
