@@ -43,9 +43,9 @@ class RGFParams:
     mu: float = 1e-2
 
     def __post_init__(self):
-        if self.step_scale <= 0:
+        if not self.step_scale > 0:
             raise ValueError("step_scale must be positive")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
 
 

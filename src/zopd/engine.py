@@ -111,7 +111,7 @@ class AlgoParams:
     retry_cap: int = 100
 
     def __post_init__(self):
-        if self.rho <= 0:
+        if not self.rho > 0:
             raise ValueError("rho must be positive")
         if self.total_iters < 1:
             raise ValueError("total_iters must be >= 1")
@@ -123,7 +123,7 @@ class AlgoParams:
             raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
         if self.gap_gradient not in ("auto", "closed_form", "estimator", "mc"):
             raise ValueError(f"unknown gap_gradient {self.gap_gradient!r}")
-        if self.potential_weight is not None and self.potential_weight <= 0:
+        if self.potential_weight is not None and not self.potential_weight > 0:
             raise ValueError("potential_weight must be positive")
         if self.mc_gap_samples < 1:
             raise ValueError("mc_gap_samples must be >= 1")

@@ -85,8 +85,8 @@ class ConfigError(ValueError):
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -130,6 +130,8 @@ def _array(ndim: int):
             raise ConfigError(path, f"expected numbers: {exc}") from exc
         if arr.ndim != ndim:
             raise ConfigError(path, f"expected a {ndim}-d array, got {arr.ndim}-d")
+        if not np.isfinite(arr).all():
+            raise ConfigError(path, "expected finite numbers")
         return arr.tolist()
 
     return read

@@ -1,14 +1,15 @@
 """Local objective functions for the consensus benchmarks.
 
 Each agent holds a LocalObjective: a scalar function on R^M together with the
-metadata the analysis needs (domain box, Lipschitz constant, lower bound) and,
-where available, closed forms for the Gaussian-smoothed value and gradient.
+metadata the analysis needs (domain box, Lipschitz constant, lower bound).
 
-Every built-in objective (the toy, the quadratic, logistic regression) is a
-Family member: its value kernel and closed forms act on many agents' stacked
-data in one call. StackedObjective makes one such call per family for all of
-its agents, and the agent's own value_many, smoothed_gradient and
-smoothed_value are N = 1 views of the same kernels. A value kernel writes its
+Every objective (the toy, the quadratic, logistic regression, or one a caller
+writes) is a Family member: a value kernel and, where the family has them, one
+kernel for both closed forms of the Gaussian-smoothed surrogate, each acting
+on many agents' stacked data in one call. StackedObjective makes one such call
+per family for all of its agents, and the agent's own value_many,
+smoothed_gradient and smoothed_value are the same kernels at N = 1. A value
+kernel writes its
 scratch arrays into a reused Workspace: at the logreg shape (15 agents x 31
 rows x 100 data points) each scratch array is 372 KB, above glibc malloc's
 128 KiB mmap threshold, so a fresh temporary is a fresh mapping whose every
@@ -22,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -77,11 +77,6 @@ class Box:
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
-    def contains_rows(self, pts: np.ndarray) -> np.ndarray:
-        return np.logical_and(
-            np.all(pts >= self.lo, axis=-1), np.all(pts <= self.hi, axis=-1)
-        )
-
     @staticmethod
     def cube(dim: int, lo: float, hi: float) -> "Box":
         return Box(np.full(dim, float(lo)), np.full(dim, float(hi)))
@@ -109,83 +104,79 @@ class Family:
 
     Each kernel maps n agents' (n, S, M) points row-stably, with data the
     agents' arrays stacked along a new first axis and params the scalars
-    they share: kernel(data, params, pts, work) to (n, S) values, its scratch
-    arrays in the Workspace work; smoothed_gradient / smoothed_value(data,
-    params, pts, mu) to the closed forms' (n, S, M) / (n, S), or None.
+    they share:
+    - kernel(data, params, pts, work) gives (n, S) values, its scratch arrays
+      in the Workspace work;
+    - smoothed(data, params, pts, mu) gives the exact closed forms of the
+      Gaussian-smoothed surrogate E_phi[f(x + mu phi)] together: (n, S, M)
+      gradients and (n, S) values. It is None for a family without them.
     Agents whose kernels, params and array shapes agree share one call.
+    Kernels are module-level functions, so objectives pickle.
     """
 
     kernel: Callable
     data: tuple[np.ndarray, ...]
     params: tuple = ()
-    smoothed_gradient: Callable | None = None
-    smoothed_value: Callable | None = None
+    smoothed: Callable | None = None
 
     def key(self) -> tuple:
         """What the agents of one kernel call share."""
-        shapes = tuple(a.shape for a in self.data)
-        return (self.kernel, self.params, shapes, self.smoothed_gradient, self.smoothed_value)
-
-    def view(self, name: str) -> Callable | None:
-        """The N = 1 view of kernel `name`, None where that kernel is."""
-        kernel = getattr(self, name)
-        return kernel and partial(_view, kernel, tuple(a[None] for a in self.data), self.params)
+        return (self.kernel, self.params, tuple(a.shape for a in self.data), self.smoothed)
 
 
-def _view(kernel, data, params, x, mu=None) -> np.ndarray:
-    """One agent's points x (..., M) as its rows; a value kernel (mu None)
-    gets a fresh Workspace. The output keeps x's leading shape."""
-    x = np.asarray(x, dtype=float)
-    out = kernel(data, params, x.reshape(1, -1, x.shape[-1]), Workspace() if mu is None else mu)
-    return out.reshape(x.shape[:-1] + out.shape[2:])
-
-
-def _own(name, data, params, pts, arg):
-    """Kernel of an objective outside every family: its own callable `name`
-    on the group's one row block, looked up per call (it may be replaced on
-    the instance)."""
-    fn = getattr(params[0], name)
-    return np.asarray(fn(pts[0]) if name == "value_many" else fn(pts[0], arg), dtype=float)[None]
+def _shaped(got, lead: tuple) -> tuple[np.ndarray, ...]:
+    """A kernel's output, one array or the closed forms' pair, as a tuple of
+    arrays whose (n, S) axes are reshaped to lead."""
+    if isinstance(got, tuple):
+        return tuple([a.reshape(lead + a.shape[2:]) for a in got])
+    return (got.reshape(lead),)
 
 
 @dataclass
 class LocalObjective:
-    """One agent's objective with analysis metadata.
+    """One agent's objective: a Family member with analysis metadata.
 
-    value_many evaluates a (S, dim) batch row-stably. smoothed_gradient /
-    smoothed_value, when set, are exact closed forms of the Gaussian-smoothed
-    surrogate E_phi[f(x + mu phi)] and its gradient, at a point (dim,) or row
-    by row on a batch (K, dim). An objective built with a family and none of
-    these three gets the family's N = 1 views; one built with its own
-    (dataclasses.replace of a member, say) belongs to no family. Callables
-    are module-level functions or partials of them, so objectives pickle.
+    value_many evaluates points (..., dim) row-stably to (...) values.
+    smoothed_gradient / smoothed_value give the family's exact closed forms
+    of the Gaussian-smoothed surrogate and its gradient at points (..., dim),
+    where family.smoothed is set. All three call the family's kernels at
+    N = 1, so an agent's rows equal its rows in a StackedObjective bitwise.
     """
 
     dim: int
     box: Box
     lipschitz_l0: float
     lower_bound: float
-    value_many: Callable[[np.ndarray], np.ndarray] | None = None
-    smoothed_gradient: Callable[[np.ndarray, float], np.ndarray] | None = None
-    smoothed_value: Callable[[np.ndarray, float], np.ndarray] | None = None
+    family: Family
     name: str = ""
-    family: Family | None = None
 
     def __post_init__(self):
-        own = (self.value_many, self.smoothed_gradient, self.smoothed_value)
-        if self.family is None or any(f is not None for f in own):
-            self.family = None
-        else:
-            views = map(self.family.view, ("kernel", "smoothed_gradient", "smoothed_value"))
-            self.value_many, self.smoothed_gradient, self.smoothed_value = views
-        if self.value_many is None:
-            raise ValueError("objective needs value_many or a family")
         if self.dim < 1:
             raise ValueError("objective dim must be >= 1")
         if self.box.dim != self.dim:
             raise ValueError("box dim does not match objective dim")
         if self.lipschitz_l0 <= 0:
             raise ValueError("lipschitz_l0 must be positive")
+
+    def _rows(self, name: str, x: np.ndarray, arg) -> tuple[np.ndarray, ...]:
+        """The family's kernel `name` on points x (..., dim) as this agent's
+        rows; each output keeps x's leading shape."""
+        fam = self.family
+        kernel = getattr(fam, name)
+        if kernel is None:
+            raise ValueError(f"objective {self.name!r} has no smoothed closed form")
+        x = np.asarray(x, dtype=float)
+        data = tuple(a[None] for a in fam.data)
+        return _shaped(kernel(data, fam.params, x.reshape(1, -1, x.shape[-1]), arg), x.shape[:-1])
+
+    def value_many(self, pts: np.ndarray) -> np.ndarray:
+        return self._rows("kernel", pts, Workspace())[0]
+
+    def smoothed_gradient(self, x: np.ndarray, mu: float) -> np.ndarray:
+        return self._rows("smoothed", x, mu)[0]
+
+    def smoothed_value(self, x: np.ndarray, mu: float) -> np.ndarray:
+        return self._rows("smoothed", x, mu)[1]
 
     def value(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -196,12 +187,12 @@ class LocalObjective:
 class StackedObjective:
     """The sum of per-agent objectives over the stacked variable in R^{N*M}.
 
-    Its agents are grouped once, by family description; an objective outside
-    every family forms its own group. values and the closed forms make one
-    kernel call per group. A group whose agents all hold one object passes
-    its data once and all their rows as one agent's rows; any other group
-    stacks its agents' arrays once and has its own Workspace. By the
-    row-stability rule the results equal the per-agent calls bitwise.
+    Its agents are grouped once, by family description. values and the
+    closed forms make one kernel call per group. A group whose agents all
+    hold one object passes its data once and all their rows as one agent's
+    rows; any other group stacks its agents' arrays once and has its own
+    Workspace. By the row-stability rule the results equal the per-agent
+    calls bitwise.
     """
 
     locals_: Sequence[LocalObjective]
@@ -220,19 +211,14 @@ class StackedObjective:
         self.box_hi = np.array([o.box.hi for o in self.locals_])
         groups: dict[tuple, list[int]] = {}
         for i, o in enumerate(self.locals_):
-            key = (id(o),) if o.family is None else o.family.key()
-            groups.setdefault(key, []).append(i)
+            groups.setdefault(o.family.key(), []).append(i)
         self._groups = []
         for idx in groups.values():
             objs = [self.locals_[i] for i in idx]
             one = all(o is objs[0] for o in objs)
-            fam = objs[0].family or Family(
-                partial(_own, "value_many"), (), (objs[0],),
-                partial(_own, "smoothed_gradient"), partial(_own, "smoothed_value"),
-            )
-            members = [fam] if one else [o.family for o in objs]
+            members = [o.family for o in objs[: 1 if one else None]]
             data = tuple(np.stack(arrays) for arrays in zip(*(f.data for f in members)))
-            self._groups.append((fam, np.array(idx), data, one, Workspace()))
+            self._groups.append((objs[0].family, np.array(idx), data, one, Workspace()))
 
     @property
     def num_agents(self) -> int:
@@ -246,37 +232,37 @@ class StackedObjective:
         return np.asarray(x, dtype=float).reshape(self.num_agents, self.block_dim)
 
     @staticmethod
-    def _call(kernel: Callable, group: tuple, pts: np.ndarray, mu: float | None):
-        """kernel on a group's rows pts (n, S, M); a group whose agents hold
-        one object passes them as that object's rows."""
+    def _call(name: str, group: tuple, pts: np.ndarray, mu: float | None) -> tuple:
+        """Kernel `name` on a group's rows pts (n, S, M), as a tuple of its
+        (n, S) or (n, S, M) outputs; a group whose agents hold one object
+        passes them as that object's rows."""
         fam, _, data, one, work = group
         rows = pts.reshape(1, -1, pts.shape[2]) if one else pts
-        return kernel(data, fam.params, rows, work if mu is None else mu)
+        got = getattr(fam, name)(data, fam.params, rows, work if mu is None else mu)
+        return _shaped(got, pts.shape[:2])
 
-    def _apply(self, name: str, pts: np.ndarray, mu: float | None = None) -> np.ndarray:
-        """Every group's kernel `name` on its agents' rows of pts (N, S, M):
-        (N, S) values, or (N, S, M) smoothed gradients. A lone group holds
-        every agent in order, so its kernel takes pts as given; several are
-        gathered and scattered."""
-        n, s, m = pts.shape
-        shape = (n, s, m) if name == "smoothed_gradient" else (n, s)
+    def _apply(self, name: str, pts: np.ndarray, mu: float | None = None) -> tuple:
+        """Every group's kernel `name` on its agents' rows of pts (N, S, M),
+        as a tuple of its outputs. A lone group holds every agent in order,
+        so its kernel takes pts as given; several are gathered and
+        scattered."""
         if len(self._groups) == 1:
             # contiguous, as a gathered copy is, so that the einsum and BLAS
             # kernels see the same strides and sum alike
-            group = self._groups[0]
-            got = self._call(getattr(group[0], name), group, np.ascontiguousarray(pts), mu)
-            return got.reshape(shape)
-        out = np.empty(shape)
+            return self._call(name, self._groups[0], np.ascontiguousarray(pts), mu)
+        outs = None
         for group in self._groups:
             idx = group[1]
-            got = self._call(getattr(group[0], name), group, pts[idx], mu)
-            out[idx] = got.reshape((idx.size,) + shape[1:])
-        return out
+            got = self._call(name, group, pts[idx], mu)
+            outs = outs or tuple(np.empty((len(pts),) + a.shape[1:]) for a in got)
+            for out, part in zip(outs, got):
+                out[idx] = part
+        return outs
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Agent i's objective at its rows pts[i]: (N, S, M) points to (N, S)
         values, with one kernel call per group."""
-        return self._apply("kernel", pts)
+        return self._apply("kernel", pts)[0]
 
     def value(self, x: np.ndarray) -> float:
         return float(self.values(self.blocks(x)[:, None, :]).sum())
@@ -292,24 +278,19 @@ class StackedObjective:
 
     @property
     def has_smoothed_closed_form(self) -> bool:
-        return all(o.smoothed_gradient and o.smoothed_value for o in self.locals_)
+        return all(group[0].smoothed is not None for group in self._groups)
 
     def smoothed_gradient_stacked(self, x: np.ndarray, mu: float) -> np.ndarray:
-        return self._apply("smoothed_gradient", self.blocks(x)[:, None, :], mu).reshape(-1)
+        return self._smoothed_pair(self.blocks(x)[:, None, :], mu)[0].reshape(-1)
 
     def smoothed_value_stacked(self, x: np.ndarray, mu: float) -> float:
-        return float(self._apply("smoothed_value", self.blocks(x)[:, None, :], mu)[:, 0].sum())
+        return float(self._smoothed_pair(self.blocks(x)[:, None, :], mu)[1][:, 0].sum())
 
     def _smoothed_pair(self, pts: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
         """Both closed forms at agent i's rows pts[i] of (N, S, M) points:
-        (N, S, M) smoothed gradients and (N, S) smoothed values; one kernel
-        call when the toy, whose two closed forms share their terms, holds
-        every agent."""
-        group = self._groups[0]
-        if len(self._groups) == 1 and group[0].smoothed_gradient is _toy_smoothed_gradient:
-            g, v = self._call(_toy_smoothed, group, np.ascontiguousarray(pts), mu)
-            return g.reshape(pts.shape), v.reshape(pts.shape[:2])
-        return self._apply("smoothed_gradient", pts, mu), self._apply("smoothed_value", pts, mu)
+        (N, S, M) smoothed gradients and (N, S) smoothed values, with one
+        kernel call per group."""
+        return self._apply("smoothed", pts, mu)
 
 
 def estimate_lipschitz(
@@ -353,15 +334,6 @@ def _toy_smoothed(data, params, pts: np.ndarray, mu: float) -> tuple[np.ndarray,
     return grad, np.cos(v) * damp + abs_part + grow
 
 
-def _toy_smoothed_gradient(data, params, pts: np.ndarray, mu: float) -> np.ndarray:
-    return _toy_smoothed(data, params, pts, mu)[0]
-
-
-def _toy_smoothed_value(data, params, pts: np.ndarray, mu: float) -> np.ndarray:
-    return _toy_smoothed(data, params, pts, mu)[1]
-
-
-
 def toy_objective(
     phase: float = 0.0, box_lo: float = -5.0, box_hi: float = 5.0
 ) -> LocalObjective:
@@ -373,20 +345,18 @@ def toy_objective(
     exact closed forms, attached for that phase only.
     """
     closed = phase == 0.0
-    family = Family(
-        _toy_rows, (np.array([float(phase)]),), (),
-        _toy_smoothed_gradient if closed else None, _toy_smoothed_value if closed else None,
-    )
-    box = Box.cube(1, box_lo, box_hi)
-    return LocalObjective(
+    phases = np.array([float(phase)])
+    obj = LocalObjective(
         dim=1,
-        box=box,
-        # Sampled slope maximization; 1.05 guards the audit re-sampling.
-        lipschitz_l0=1.05 * estimate_lipschitz(family.view("kernel"), box, seed=17),
+        box=Box.cube(1, box_lo, box_hi),
+        lipschitz_l0=1.0,
         lower_bound=0.0,
+        family=Family(_toy_rows, (phases,), (), _toy_smoothed if closed else None),
         name="toy" if closed else f"toy(phase={phase:g})",
-        family=family,
     )
+    # Sampled slope maximization; 1.05 guards the audit re-sampling.
+    obj.lipschitz_l0 = 1.05 * estimate_lipschitz(obj.value_many, obj.box, seed=17)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +538,12 @@ def _quadratic_rows(data, params, pts: np.ndarray, work: Workspace | None) -> np
     return 0.5 * np.einsum("ksm,ksm->ks", pts, hx) + np.einsum("ksm,km->ks", pts, b)
 
 
-# Closed forms on (n, S, M) points.
-def _quadratic_smoothed_gradient(data, params, pts: np.ndarray, mu: float) -> np.ndarray:
-    h, b, _ = data
-    return np.einsum("kmn,ksn->ksm", h, pts) + b[:, None, :]
-
-
-def _quadratic_smoothed_value(data, params, pts: np.ndarray, mu: float) -> np.ndarray:
-    return _quadratic_rows(data, params, pts, None) + 0.5 * mu * mu * data[2][:, None]
+def _quadratic_smoothed(data, params, pts: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both closed forms on (n, S, M) points: gradients Hx + b and values
+    f + (mu^2/2) tr(H)."""
+    h, b, trace = data
+    grad = np.einsum("kmn,ksn->ksm", h, pts) + b[:, None, :]
+    return grad, _quadratic_rows(data, params, pts, None) + 0.5 * mu * mu * trace[:, None]
 
 
 def quadratic_objective(
@@ -622,10 +590,7 @@ def quadratic_objective(
         lipschitz_l0=l0,
         lower_bound=lower,
         name="quadratic",
-        family=Family(
-            _quadratic_rows, (h, b, np.array(float(np.trace(h)))), (),
-            _quadratic_smoothed_gradient, _quadratic_smoothed_value,
-        ),
+        family=Family(_quadratic_rows, (h, b, np.array(np.trace(h))), (), _quadratic_smoothed),
     )
 
 

@@ -56,7 +56,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "additive_gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.std_dev < 0:
+        if not self.std_dev >= 0:
             raise ValueError("std_dev must be nonnegative")
         if self.kind == "none" and self.std_dev != 0.0:
             raise ValueError("noise kind 'none' cannot carry a std_dev")
@@ -75,7 +75,7 @@ class SmoothingParams:
     samples: int
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("mu must be positive")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
@@ -326,7 +326,7 @@ def smoothed_gradient_reference(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Exact closed form when the objective carries one, else Monte-Carlo."""
-    if objective.smoothed_gradient is not None:
+    if objective.family.smoothed is not None:
         return np.asarray(objective.smoothed_gradient(np.asarray(x, dtype=float), mu))
     if rng is None:
         raise ValueError("objective has no closed form; an rng is required for MC")

@@ -8,11 +8,17 @@ visible even when output capture hides prints from passing tests.
 The `dense_ops` fixture builds the lifted consensus matrices straight from a
 topology's edge list. The library never forms them; tests compare its
 edge-list products against these.
+
+linear_objective, zero_objective and NAN_FAMILY are objectives outside the
+built-in families, which tests import from here.
 """
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from zopd.objectives import Box, Family, LocalObjective
 
 
 def dense_operators(topo):
@@ -40,6 +46,56 @@ def dense_operators(topo):
 @pytest.fixture(scope="session")
 def dense_ops():
     return dense_operators
+
+
+# Family kernels are module-level functions, so that these objectives pickle
+# as the built-in ones do. Each maps n agents' (n, S, M) points to (n, S)
+# values.
+
+
+def _linear_rows(data, params, pts, work):
+    (slope,) = data
+    return np.einsum("ksm,km->ks", pts, slope)
+
+
+def _zero_rows(data, params, pts, work):
+    return np.zeros(pts.shape[:2])
+
+
+def _nan_rows(data, params, pts, work):
+    return np.full(pts.shape[:2], np.nan)
+
+
+def _nan_smoothed(data, params, pts, mu):
+    return np.full(pts.shape, np.nan), np.full(pts.shape[:2], np.nan)
+
+
+def linear_objective(a, half_width=1e6):
+    """f(x) = a.x on a wide box, without closed forms."""
+    a = np.asarray(a, dtype=float)
+    return LocalObjective(
+        dim=a.size,
+        box=Box.cube(a.size, -half_width, half_width),
+        lipschitz_l0=float(np.linalg.norm(a)),
+        lower_bound=-math.inf,
+        family=Family(_linear_rows, (a,)),
+        name="linear",
+    )
+
+
+def zero_objective(half_width):
+    """f = 0 on the 1-D box [-half_width, half_width]."""
+    return LocalObjective(
+        dim=1,
+        box=Box.cube(1, -half_width, half_width),
+        lipschitz_l0=1.0,
+        lower_bound=0.0,
+        family=Family(_zero_rows, ()),
+    )
+
+
+# A family whose values and closed forms are NaN everywhere.
+NAN_FAMILY = Family(_nan_rows, (), (), _nan_smoothed)
 
 _verdict_lines: list[str] = []
 

@@ -1,5 +1,6 @@
 """Mixing-based gradient-free baseline."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -138,10 +139,12 @@ class TestBaselineStep:
             rgf_step(np.zeros((2, 1)), np.zeros((2, 1)), mixing_coupling(mats), mats, 1.0, 0)
 
     def test_params_rejections(self):
-        with pytest.raises(ValueError, match="step_scale"):
-            RGFParams(step_scale=0.0)
-        with pytest.raises(ValueError, match="mu"):
-            RGFParams(mu=-1.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="step_scale"):
+                RGFParams(step_scale=bad)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="mu"):
+                RGFParams(mu=bad)
 
 
 class TestBaselineRun:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from conftest import NAN_FAMILY
 from zopd import engine, metrics, objectives, szo
 from zopd.baseline import RGFParams, run_rgf
 from zopd.engine import (
@@ -839,11 +840,7 @@ class TestDivergence:
         # agent 2 reports NaN values and gradients, so its first step is NaN
         topo = generate_graph("ring", 3, block_dim=2, seed=0)
         objs = _quad_objectives(3, 2)
-        objs[1] = dataclasses.replace(
-            objs[1],
-            value_many=lambda pts: np.full(len(pts), np.nan),
-            smoothed_gradient=lambda x, mu: np.full_like(x, np.nan),
-        )
+        objs[1] = dataclasses.replace(objs[1], family=NAN_FAMILY)
         params = _params(gradient_mode=gradient_mode, gap_gradient="closed_form")
         run = {
             "centralized": lambda: run_centralized(topo, objs, params),
@@ -901,8 +898,11 @@ class TestValidation:
 
     def test_algo_params_rejections(self):
         sm = SmoothingParams(0.1, 2)
-        with pytest.raises(ValueError, match="rho"):
-            _params(rho=0.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="rho"):
+                _params(rho=bad)
+            with pytest.raises(ValueError, match="potential_weight"):
+                _params(potential_weight=bad)
         with pytest.raises(ValueError, match="total_iters"):
             _params(total_iters=0)
         with pytest.raises(ValueError, match="gradient_mode"):
@@ -911,8 +911,6 @@ class TestValidation:
             _params(gap_gradient="magic")
         with pytest.raises(ValueError, match="init box"):
             _params(init_lo=1.0, init_hi=-1.0)
-        with pytest.raises(ValueError, match="potential_weight"):
-            _params(potential_weight=0.0)
         with pytest.raises(ValueError, match="seed"):
             _params(seed=-1)
         with pytest.raises(ValueError, match="mc_gap_samples"):

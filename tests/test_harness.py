@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import json
+import math
 import pickle
 import time
 from collections import Counter
@@ -290,9 +291,15 @@ class TestConfigValidation:
             (None, {"gap_gradient": "mc", "mc_gap_samples": 0}, "algorithm.mc_gap_samples"),
             (None, {"noise": {"kind": "additive_gaussian", "std_dev": 0.1, "seed": 3}}, "algorithm.noise"),
             (None, {"noise": {"kind": "none", "std_dev": 0.5}}, "algorithm.noise"),
+            (None, {"potential_weight": math.nan}, "algorithm.potential_weight"),
+            (None, {"mu": math.inf}, "algorithm.mu"),
+            (None, {"init": [-math.inf, 1.0]}, "algorithm.init[0]"),
+            ({"kind": "quadratic", "hessian": [[math.nan]], "linear": [0.0]}, {},
+             "objective.hessian"),
         ],
         ids=["toy-box", "quadratic-box", "quadratic-seed", "retry-cap", "mc-samples",
-             "noise-key", "none-std-dev"],
+             "noise-key", "none-std-dev", "nan-potential-weight", "infinite-mu",
+             "infinite-init", "nan-hessian"],
     )
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, objective, algo, field):
         raw = _tiny_raw(tmp_path / "o", **algo)
@@ -348,8 +355,8 @@ class TestPickledConfig:
         for orig, copied in zip(cfg.objectives, clone.objectives, strict=True):
             assert copied.lipschitz_l0 == orig.lipschitz_l0
             assert np.array_equal(copied.value_many(pts), orig.value_many(pts))
-            assert (copied.smoothed_gradient is None) == (orig.smoothed_gradient is None)
-            if orig.smoothed_gradient is not None:
+            assert (copied.family.smoothed is None) == (orig.family.smoothed is None)
+            if orig.family.smoothed is not None:
                 for x in pts:
                     assert np.array_equal(
                         copied.smoothed_gradient(x, 0.05), orig.smoothed_gradient(x, 0.05)

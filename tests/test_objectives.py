@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from zopd.objectives import (
     Box,
     ClassificationData,
-    LocalObjective,
     StackedObjective,
     estimate_lipschitz,
     logistic_regression_objective,
@@ -99,8 +98,10 @@ class TestToyObjective:
 
     def test_phase_shift_disables_closed_forms(self):
         shifted = toy_objective(phase=0.4)
-        assert shifted.smoothed_gradient is None
-        assert shifted.smoothed_value is None
+        assert shifted.family.smoothed is None
+        for closed_form in (shifted.smoothed_gradient, shifted.smoothed_value):
+            with pytest.raises(ValueError, match="no smoothed closed form"):
+                closed_form(np.array([0.0]), 0.1)
         assert shifted.value(np.array([0.0])) == pytest.approx(
             abs(math.cos(0.4) + 1.0), rel=1e-15
         )
@@ -307,9 +308,11 @@ def _families(n):
     """Agents' objectives per family; logreg and the toy with phases give
     each agent its own object, the shared families one object for all, and
     the copies families distinct objects with equal data (the stacked kernel
-    call, where the shared ones take the one-object view)."""
+    call, where the shared ones take the one-object view). The interleaved
+    ones form two groups, gathered and scattered."""
     data, _ = synthesize_classification_data(n, 7, 3, seed=2)
     quads = [random_quadratic(3, seed=40 + i) for i in range(n)]
+    mixed = [toy_objective(), random_quadratic(1, seed=3)]
     return {
         "toy-phases": [toy_objective(phase=0.1 * (i + 1)) for i in range(n)],
         "toy-shared": [toy_objective()] * n,
@@ -319,6 +322,7 @@ def _families(n):
         "quadratic-shared": [quads[0]] * n,
         "quadratic-per-agent": quads,
         "quadratic-interleaved": [quads[i % 2] for i in range(n)],
+        "toy-and-quadratic-interleaved": [mixed[i % 2] for i in range(n)],
     }
 
 
@@ -347,25 +351,15 @@ def test_stacked_values_equal_per_agent_rows():
             vals = [o.smoothed_value(pts[i, 0], 0.1) for i, o in agents]
             assert stacked.smoothed_gradient_stacked(x, 0.1).tobytes() == grads.tobytes()
             assert stacked.smoothed_value_stacked(x, 0.1) == float(np.sum(vals))
+            # the trace meter's one pass over all S rows, against the agents
+            for mu in (0.01, 0.1, 0.7):
+                grad, value = stacked._smoothed_pair(pts, mu)
+                want = [o.smoothed_gradient(pts[i], mu) for i, o in agents]
+                assert grad.tobytes() == np.array(want).tobytes()
+                want = [o.smoothed_value(pts[i], mu) for i, o in agents]
+                assert value.tobytes() == np.array(want).tobytes()
 
     check()
-
-
-def test_smoothed_pair_is_both_closed_forms():
-    """The trace meter's one pass gives, as bytes, the two stacked closed
-    forms: through the toy's shared kernel for one group, with the agents
-    holding one object or copies of it, and through both kernels otherwise."""
-    families = _families(5)
-    cases = {name: families[name] for name in ("toy-shared", "toy-copies", "quadratic-shared")}
-    cases["toy-and-quadratic"] = [toy_objective(), random_quadratic(1, seed=3)] * 2
-    rng = np.random.default_rng(8)
-    for name, locals_ in cases.items():
-        stacked = StackedObjective(locals_)
-        for mu in (0.01, 0.7):
-            x = rng.uniform(-2.0, 2.0, stacked.total_dim)
-            grad, value = stacked._smoothed_pair(stacked.blocks(x)[:, None, :], mu)
-            assert grad.tobytes() == stacked.smoothed_gradient_stacked(x, mu).tobytes(), name
-            assert float(value.sum()) == stacked.smoothed_value_stacked(x, mu), name
 
 
 def _logreg_agents(n, batch, dim, seed, uneven=False):
@@ -469,11 +463,6 @@ def test_family_rows_ignore_a_replaced_value_many():
     assert StackedObjective(locals_).values(pts).tobytes() == want.tobytes()
 
 
-def test_objective_needs_value_many_or_family():
-    with pytest.raises(ValueError, match="value_many or a family"):
-        LocalObjective(dim=1, box=Box.cube(1, -1.0, 1.0), lipschitz_l0=1.0, lower_bound=0.0)
-
-
 def test_quadratic_rows_are_row_stable():
     """A quadratic's batch rows equal its single-point values bitwise."""
 
@@ -510,8 +499,6 @@ def test_box_membership():
     box = Box.cube(2, -1.0, 2.0)
     assert box.contains(np.array([0.0, 1.9]))
     assert not box.contains(np.array([0.0, 2.1]))
-    rows = np.array([[0.0, 0.0], [-1.5, 0.0], [1.0, 2.0]])
-    np.testing.assert_array_equal(box.contains_rows(rows), [True, False, True])
 
 
 def test_estimate_lipschitz_recovers_linear_slope():

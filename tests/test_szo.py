@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import linear_objective, zero_objective
 from zopd import szo
 from zopd.objectives import (
-    Box,
-    LocalObjective,
     StackedObjective,
     quadratic_objective,
     random_quadratic,
@@ -35,22 +34,6 @@ def _rng(*path):
     return np.random.default_rng(np.random.SeedSequence(path))
 
 
-def _linear_objective(a, half_width=1e6):
-    a = np.asarray(a, dtype=float)
-
-    def value_many(pts):
-        return pts @ a
-
-    return LocalObjective(
-        dim=a.size,
-        box=Box.cube(a.size, -half_width, half_width),
-        lipschitz_l0=float(np.linalg.norm(a)),
-        lower_bound=-math.inf,
-        value_many=value_many,
-        name="linear",
-    )
-
-
 class TestOracleQuery:
     def test_noiseless_values(self):
         sq = SZOracle(quadratic_objective(2.0 * np.eye(1), np.zeros(1)))
@@ -59,7 +42,7 @@ class TestOracleQuery:
         assert toy.query(np.array([0.0]), _rng(0)) == pytest.approx(2.0)
 
     def test_noisy_mean(self):
-        obj = _linear_objective([2.0, -1.0])
+        obj = linear_objective([2.0, -1.0])
         oracle = SZOracle(obj, NoiseModel("additive_gaussian", 0.5))
         rng = _rng(3)
         x = np.array([1.0, 1.0])
@@ -77,14 +60,16 @@ class TestOracleQuery:
     def test_noise_model_rejections(self):
         with pytest.raises(ValueError, match="unknown noise kind"):
             NoiseModel("uniform")
-        with pytest.raises(ValueError, match="nonnegative"):
-            NoiseModel("additive_gaussian", -1.0)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                NoiseModel("additive_gaussian", bad)
         with pytest.raises(ValueError, match="cannot carry"):
             NoiseModel("none", 0.5)
 
     def test_smoothing_params_rejections(self):
-        with pytest.raises(ValueError, match="mu"):
-            SmoothingParams(0.0, 4)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ValueError, match="mu"):
+                SmoothingParams(bad, 4)
         with pytest.raises(ValueError, match="samples"):
             SmoothingParams(0.1, 0)
 
@@ -144,7 +129,7 @@ class TestEstimatorStatistics:
         # for f = a'x the single-sample estimate is (a'phi) phi, whose mean
         # squared deviation from a is (dim + 1) ||a||^2 by Wick pairing
         a = np.array([1.0, -2.0, 0.5])
-        oracle = SZOracle(_linear_objective(a))
+        oracle = SZOracle(linear_objective(a))
         diag = estimator_norm_diagnostic(
             oracle,
             np.zeros(3),
@@ -223,13 +208,7 @@ class TestRngDiscipline:
         assert oracle.query_count == 20 + 250
 
     def test_retry_cap_exhaustion(self):
-        tight = LocalObjective(
-            dim=1,
-            box=Box.cube(1, -1e-9, 1e-9),
-            lipschitz_l0=1.0,
-            lower_bound=0.0,
-            value_many=lambda pts: np.zeros(pts.shape[0]),
-        )
+        tight = zero_objective(1e-9)
         with pytest.raises(RuntimeError, match="left the domain box"):
             estimate_gradient(
                 SZOracle(tight), np.zeros(1), SmoothingParams(1.0, 1), _rng(8)
