@@ -21,10 +21,10 @@ centralized run and the distributed message-passing run consume identical
 streams, and a resumed run reproduces the remaining iterations bit for bit.
 The message-passing run keeps each agent's inbox and dual copies as arrays
 over the node-major incidence list. Both runs sum the consensus operators
-through graph.scatter_add, one np.bincount that adds each node's own slice
-in list order, so they also agree bit for bit. The message-passing run can
-also replay a centralized result, checking each round against it bit for
-bit and taking its step gradients and rows, with no estimate of its own.
+through NetworkMatrices.sum_entries, one np.bincount that adds each node's
+own slice in list order, so they also agree bit for bit. The message-passing
+run can also replay a centralized result, checking each round against it bit
+for bit and taking its step gradients and rows, with no estimate of its own.
 
 One loop drives both runs and the baseline. A step returns fresh arrays,
 or an input passed through unchanged, and never writes into an array it was
@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import NetworkMatrices, Topology, build_matrices, scatter_add
+from .graph import NetworkMatrices, Topology, build_matrices
 from .metrics import (
     AnalysisConstants, MetricRecord, default_potential_weight, derive_constants, trace_rows,
 )
@@ -210,7 +210,7 @@ def _primal_update(x, neighbor_sum, dual_pressure, grad, degree, rho):
     The one primal formula, applied by both engines to all (N, M) blocks at
     once: the centralized step on sums gathered from the stacked state, the
     message-passing round on each agent's inbox and dual copies. The same
-    scatter_add accumulates each node's own slice in the same order, so the
+    sum_entries accumulates each node's own slice in the same order, so the
     two agree bit for bit.
     """
     return (rho * (degree * x + neighbor_sum) - grad - dual_pressure) / (2.0 * rho * degree)
@@ -226,10 +226,9 @@ def primal_step(
     """Minimizer of the linearized degree-weighted proximal subproblem."""
     if rho <= 0:
         raise ValueError("rho must be positive")
-    xb = mats.node_blocks(x)
     x_new = _primal_update(
-        xb,
-        mats.neighbor_sum(xb),
+        mats.node_blocks(x),
+        mats.neighbor_sum(x),
         mats.dual_pressure(lam),
         mats.node_blocks(grad),
         mats.degree[:, None],
@@ -588,13 +587,10 @@ def run_distributed(
     """
     ctx = _prepare(topo, objectives, params, trial, mats, (ROLE_STEP, ROLE_METER))
     mats, n, rho = ctx.mats, topo.num_nodes, params.rho
-    # Per entry, its edge's listed-first (tail) and second (head) endpoint,
-    # one the agent itself and the other its neighbor; per edge, the entry of
-    # its tail endpoint, whose dual copy the observer reads.
-    tail_of, head_of = mats.tail[mats.edge], mats.head[mats.edge]
-    owns = mats.sign[:, 0] > 0
-    owner_entry = np.empty(topo.num_edges, dtype=np.intp)
-    owner_entry[mats.edge[owns]] = np.flatnonzero(owns)
+    # Per edge, the entry of its listed-first (tail) endpoint, whose dual copy
+    # the observer reads.
+    owns = np.flatnonzero(mats.sign[:, 0] > 0)
+    owner_entry = owns[np.argsort(mats.edge[owns])]
     blocks = mats.node_blocks(ctx.x0)
     inbox = blocks.take(mats.neighbor, 0)
     duals = np.zeros_like(inbox)
@@ -602,13 +598,14 @@ def run_distributed(
 
     def exchange(grads):
         nonlocal blocks, inbox, duals
-        neighbor_sum = scatter_add(mats.sum_index, inbox, n)
-        dual_pressure = scatter_add(mats.sum_index, mats.sign * duals, n)
+        neighbor_sum = mats.sum_entries(inbox)
+        dual_pressure = mats.sum_entries(mats.sign * duals)
         new = _primal_update(blocks, neighbor_sum, dual_pressure, grads, mats.degree[:, None], rho)
         # exchange round: each agent receives every neighbor's new primal
-        # block and updates its dual copies, lam_e + rho (x_tail - x_head)
+        # block and updates its dual copies, lam_e + rho sign (own - inbox),
+        # which is lam_e + rho (x_tail - x_head) bitwise: negation is exact
         blocks, inbox = new, new.take(mats.neighbor, 0)
-        duals = duals + rho * (new.take(tail_of, 0) - new.take(head_of, 0))
+        duals = duals + rho * (mats.sign * (new.take(mats.node, 0) - inbox))
         return new.reshape(-1), duals.take(owner_entry, 0).reshape(-1)
 
     if reference is not None:

@@ -6,13 +6,17 @@ live in R^M, so stacked operators act on R^{N*M} blockwise; they are never
 formed as matrices, only applied through the edge list and the node-major
 incidence list.
 
-scatter_add sums each node's entries in list order through one np.bincount
-over a flat index, on every graph shape. Blocks are gathered with take along
-the first axis, which copies the same rows as fancy indexing at a fraction
-of its per-call cost on small graphs.
+The operators act on stacks: x of any shape (..., N*M) and lam of any shape
+(..., E*M), each leading row on its own. Their sums over the incidence list
+all go through NetworkMatrices.sum_entries, one scatter_add: a single
+np.bincount over a flat index that adds each node's entries in list order,
+on every graph shape, with each leading row's cells offset by N*M. Blocks
+are gathered with take along the node (or edge) axis, which copies the same
+rows as fancy indexing at a fraction of its per-call cost on small graphs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,12 +135,13 @@ class NetworkMatrices:
     """Edge-list consensus operators for one topology.
 
     A x is the gather x_i - x_j over each edge (tail i, head j); A' lam and
-    the neighbor sums in L+ x = D x + sum over neighbors are scatter_add over
+    the neighbor sums in L+ x = D x + sum over neighbors are sum_entries over
     the node-major incidence list, blockwise across M, through sum_index, its
-    flat_index at width M, computed once. sigma_min is the smallest nonzero
-    eigenvalue of the scalar Laplacian L- = A'A, lplus_norm the spectral norm
-    of the scalar L+ = 2D - L-; the block operators repeat those spectra M
-    times.
+    flat_index at width M, computed once. Each operator takes a stack of
+    vectors, (..., N M) or (..., E M), and gives every leading row the bits
+    it gets alone. sigma_min is the smallest nonzero eigenvalue of the scalar
+    Laplacian L- = A'A, lplus_norm the spectral norm of the scalar
+    L+ = 2D - L-; the block operators repeat those spectra M times.
     """
 
     topology: Topology
@@ -160,28 +165,48 @@ class NetworkMatrices:
         return self.topology.num_edges * self.topology.block_dim
 
     def node_blocks(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float).reshape(self.topology.num_nodes, -1)
+        """x (..., N M) as (..., N, M) blocks."""
+        return _blocks(x, self.topology.num_nodes)
+
+    def sum_entries(self, terms: np.ndarray) -> np.ndarray:
+        """Each node's sum of its incidence-list entries' terms (..., entries,
+        M), as (..., N, M) blocks: one scatter_add, every leading row's cells
+        offset by N M, so each cell adds its own row's entries in list order.
+        A single row (entries, M) takes sum_index as it is."""
+        n = self.topology.num_nodes
+        if terms.ndim == 2:
+            return scatter_add(self.sum_index, terms, n)
+        lead, m = terms.shape[:-2], terms.shape[-1]
+        rows = math.prod(lead)
+        index = (self.sum_index + n * m * np.arange(rows)[:, None]).ravel()
+        return scatter_add(index, terms.reshape(-1, m), rows * n).reshape(*lead, n, m)
 
     def neighbor_sum(self, x: np.ndarray) -> np.ndarray:
-        """Each node's sum of its neighbors' blocks, as (N, M) blocks."""
-        xb = self.node_blocks(x)
-        return scatter_add(self.sum_index, xb.take(self.neighbor, 0), self.topology.num_nodes)
+        """Each node's sum of its neighbors' blocks, as (..., N, M) blocks."""
+        return self.sum_entries(self.node_blocks(x).take(self.neighbor, -2))
 
     def dual_pressure(self, lam: np.ndarray) -> np.ndarray:
-        """A' lam, as (N, M) blocks."""
-        lb = np.asarray(lam, dtype=float).reshape(self.topology.num_edges, -1)
-        terms = self.sign * lb.take(self.edge, 0)
-        return scatter_add(self.sum_index, terms, self.topology.num_nodes)
+        """A' lam, as (..., N, M) blocks."""
+        lb = _blocks(lam, self.topology.num_edges)
+        return self.sum_entries(self.sign * lb.take(self.edge, -2))
 
     def incidence(self, x: np.ndarray) -> np.ndarray:
-        """A x, stacked."""
+        """A x, stacked: (..., E M)."""
         xb = self.node_blocks(x)
-        return (xb.take(self.tail, 0) - xb.take(self.head, 0)).reshape(-1)
+        ax = xb.take(self.tail, -2) - xb.take(self.head, -2)
+        return ax.reshape(-1) if ax.ndim == 2 else ax.reshape(*ax.shape[:-2], -1)
 
     def lplus(self, x: np.ndarray) -> np.ndarray:
-        """L+ x, stacked."""
+        """L+ x, stacked: (..., N M)."""
         xb = self.node_blocks(x)
-        return (self.degree[:, None] * xb + self.neighbor_sum(xb)).reshape(-1)
+        return (self.degree[:, None] * xb + self.neighbor_sum(x)).reshape(*xb.shape[:-2], -1)
+
+
+def _blocks(v: np.ndarray, count: int) -> np.ndarray:
+    """v (..., count M) as (..., count, M) blocks; one vector, the one-row
+    path of every iteration, by a plain reshape."""
+    v = np.asarray(v, dtype=float)
+    return v.reshape(count, -1) if v.ndim == 1 else v.reshape(*v.shape[:-1], count, -1)
 
 
 def build_matrices(topo: Topology) -> NetworkMatrices:

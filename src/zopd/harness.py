@@ -300,9 +300,9 @@ def _noise(section, path: str) -> dict:
 _ALGORITHM = (
     _Field("rho", _number),
     _Field("mu", _number),
-    _Field("samples", _integer),
-    _Field("iters", _integer),
-    _Field("seed", _integer),
+    _Field("samples", _integer, low=1),
+    _Field("iters", _integer, low=1),
+    _Field("seed", _integer, low=0),
     _Field("init", _interval),
     _Field("noise", _noise, {"kind": "none"}),
     _Field("gradient_mode", _as_is, "estimator"),
@@ -378,7 +378,10 @@ def _logreg_data(norm: dict, n: int, m: int, path: str):
         p = ddir / f"agent_{i:03d}.csv"
         if not p.exists():
             raise ConfigError(field, f"missing {p.name}")
-        datasets.append(read_classification_csv(p))
+        try:
+            datasets.append(read_classification_csv(p))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(field, f"{p.name}: {exc}") from exc
         if datasets[-1].dim != m:
             raise ConfigError(
                 field, f"{p.name} has feature dim {datasets[-1].dim}, topology needs {m}"

@@ -9,12 +9,12 @@ primal gradient plus the squared consensus residual:
 The potential adds a weighted history term to the smoothed augmented
 Lagrangian and is the quantity whose descent the step-size conditions certify.
 
-A run grades its trace in blocks of rows: trace_rows takes every row's gap,
-violation ||A x|| and potential from one A x of the block, gathered with one
-take, with each row's sums scattered by one bincount and its dots taken by
-one batched matmul. Each row gets the bits of the same formula on that row
-alone. trace_row, stationarity_gap, constraint_violation and potential are
-its one-row views.
+The formulas are written on the NetworkMatrices operators, which act on a
+stack of rows, and on dots taken by one batched matmul. A run grades its
+trace in blocks of rows: trace_rows takes every row's gap, violation ||A x||
+and potential from one A x of the block. Each row gets the bits of the same
+formula on that row alone. stationarity_gap, constraint_violation and
+potential are its one-row views.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NetworkMatrices, scatter_add
+from .graph import NetworkMatrices
 
 __all__ = [
     "MetricRecord",
@@ -34,7 +34,6 @@ __all__ = [
     "default_potential_weight",
     "derive_constants",
     "trace_rows",
-    "trace_row",
     "stationarity_gap",
     "constraint_violation",
     "potential",
@@ -106,45 +105,23 @@ def derive_constants(
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row's a[t] @ b[t], as a batched matmul of (1, n) by (n, 1): the
-    dot routine of the 1-D a @ b, so a row gets that product's bits, which
-    einsum("bi,bi->b") would not give."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _scatter(mats: NetworkMatrices, terms: np.ndarray) -> np.ndarray:
-    """Each row's sums of its terms (B, entries, M) over the incidence list,
-    as (B, N M): one scatter_add over sum_index offset by t N M, so every
-    cell adds its own row's entries in list order."""
-    b, n, m = len(terms), mats.topology.num_nodes, terms.shape[2]
-    index = (mats.sum_index + n * m * np.arange(b)[:, None]).ravel()
-    return scatter_add(index, terms.reshape(-1, m), b * n).reshape(b, n * m)
-
-
-def _incidence(mats: NetworkMatrices, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A x of each row of x (B, N M), gathered with one take, and ||A x||^2,
-    the product every functional reads; ||A x|| is its square root."""
-    topo = mats.topology
-    ends = x.reshape(len(x), topo.num_nodes, -1).take(np.stack((mats.tail, mats.head)), 1)
-    ax = (ends[:, 0] - ends[:, 1]).reshape(len(x), -1)
-    return ax, _dots(ax, ax)
+    """Each row's a[...] @ b[...] over the last axis, as a batched matmul of
+    (1, n) by (n, 1): the dot routine of the 1-D a @ b, so a row gets that
+    product's bits, which einsum("...i,...i->...") would not give."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _gap(ax, axax, lam_prev, grad_smoothed, mats, rho) -> np.ndarray:
-    # A' lam + rho A'A x, as one scatter of the edge terms
-    lb = (lam_prev + rho * ax).reshape(len(ax), mats.topology.num_edges, -1)
-    primal_grad = grad_smoothed + _scatter(mats, mats.sign * lb.take(mats.edge, 1))
+    # A' lam + rho A'A x, as one sum over the incidence list
+    pressure = mats.dual_pressure(lam_prev + rho * ax)
+    primal_grad = grad_smoothed + pressure.reshape(*ax.shape[:-1], -1)
     return _dots(primal_grad, primal_grad) + axax
 
 
 def _potential(ax, axax, x, x_prev, lam, mats, consts, f_mu_value) -> np.ndarray:
     lagrangian = f_mu_value + _dots(lam, ax) + 0.5 * consts.rho * axax
     d = x - x_prev
-    db = d.reshape(len(d), mats.topology.num_nodes, -1)
-    lplus_d = (mats.degree[:, None] * db).reshape(len(d), -1) + _scatter(
-        mats, db.take(mats.neighbor, 1)
-    )
-    b_quad = _dots(d, lplus_d) + (consts.k / (consts.c * consts.rho)) * _dots(d, d)
+    b_quad = _dots(d, mats.lplus(d)) + (consts.k / (consts.c * consts.rho)) * _dots(d, d)
     history = 0.5 * consts.rho * (axax + b_quad)
     return lagrangian + consts.c * history
 
@@ -156,44 +133,35 @@ def trace_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gap at (x, lam_prev), ||A x||, potential at (x, lam)) of a block of
     rows: row t from row t of each (B, ...) argument and of f_mu_value (B,),
-    all from one A x."""
-    ax, axax = _incidence(mats, x)
+    all from one A x. One row, 1-D arguments and a scalar f_mu_value, gives
+    0-d results."""
+    ax = mats.incidence(x)
+    axax = _dots(ax, ax)
     gap = _gap(ax, axax, lam_prev, grad_smoothed, mats, consts.rho)
     pot = _potential(ax, axax, x, x_prev, lam, mats, consts, f_mu_value)
     return gap, np.sqrt(axax), pot
 
 
-def _row(*vectors: np.ndarray) -> list[np.ndarray]:
-    """Each vector as a one-row block."""
-    return [np.asarray(v, dtype=float).reshape(1, -1) for v in vectors]
-
-
-def trace_row(
-    x: np.ndarray, x_prev: np.ndarray, lam_prev: np.ndarray, lam: np.ndarray,
-    grad_smoothed: np.ndarray, f_mu_value: float, mats: NetworkMatrices, consts: AnalysisConstants,
-) -> tuple[float, float, float]:
-    """trace_rows of one row."""
-    rows = trace_rows(*_row(x, x_prev, lam_prev, lam, grad_smoothed), f_mu_value, mats, consts)
-    return tuple(float(v[0]) for v in rows)
-
-
 def stationarity_gap(
     x: np.ndarray, lam_prev: np.ndarray, grad_smoothed: np.ndarray, mats: NetworkMatrices, rho: float
 ) -> float:
-    x, lam_prev, grad_smoothed = _row(x, lam_prev, grad_smoothed)
-    return float(_gap(*_incidence(mats, x), lam_prev, grad_smoothed, mats, rho)[0])
+    x, lam_prev, grad = (np.asarray(v, dtype=float).ravel() for v in (x, lam_prev, grad_smoothed))
+    ax = mats.incidence(x)
+    return float(_gap(ax, _dots(ax, ax), lam_prev, grad, mats, rho))
 
 
 def constraint_violation(x: np.ndarray, mats: NetworkMatrices) -> float:
-    return float(np.sqrt(_incidence(mats, *_row(x))[1])[0])
+    ax = mats.incidence(np.asarray(x, dtype=float).ravel())
+    return float(np.sqrt(_dots(ax, ax)))
 
 
 def potential(
     x: np.ndarray, x_prev: np.ndarray, lam: np.ndarray, mats: NetworkMatrices,
     consts: AnalysisConstants, f_mu_value: float,
 ) -> float:
-    x, x_prev, lam = _row(x, x_prev, lam)
-    return float(_potential(*_incidence(mats, x), x, x_prev, lam, mats, consts, f_mu_value)[0])
+    x, x_prev, lam = (np.asarray(v, dtype=float).ravel() for v in (x, x_prev, lam))
+    ax = mats.incidence(x)
+    return float(_potential(ax, _dots(ax, ax), x, x_prev, lam, mats, consts, f_mu_value))
 
 
 def potential_lower_bound(consts: AnalysisConstants, f_lower: float, samples: int) -> float:
@@ -207,7 +175,7 @@ def potential_lower_bound(consts: AnalysisConstants, f_lower: float, samples: in
 class ParamConditionReport:
     """Sufficient step-size conditions and the descent coefficients.
 
-    alpha2 is reported in both sign conventions; validity rests only on the
+    alpha2 is reported both as written and negated; validity rests only on the
     explicit inequalities (required_c, required_rho).
     """
 

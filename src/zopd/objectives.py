@@ -375,6 +375,8 @@ class ClassificationData:
         self.labels = np.asarray(self.labels, dtype=float)
         if self.features.ndim != 2:
             raise ValueError("features must be (batch, dim)")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be (batch,)")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from conftest import NAN_FAMILY
-from zopd import engine, metrics, objectives, szo
+from zopd import engine, objectives, szo
 from zopd.baseline import RGFParams, run_rgf
 from zopd.engine import (
     ROLE_INIT,
@@ -379,18 +379,14 @@ class TestTraceRows:
         }[method]
         whole = run()
         calls = []
-        incidence, block_incidence = NetworkMatrices.incidence, metrics._incidence
+        incidence = NetworkMatrices.incidence
 
         def counted(self, x):
-            calls.append("step")
+            # a step's A x is of one vector, a block's of a stack of rows
+            calls.append("step" if np.ndim(x) == 1 else len(x))
             return incidence(self, x)
 
-        def counted_block(mats, x):
-            calls.append(len(x))
-            return block_incidence(mats, x)
-
         monkeypatch.setattr(NetworkMatrices, "incidence", counted)
-        monkeypatch.setattr(metrics, "_incidence", counted_block)
         monkeypatch.setattr(engine, "_GRADE_BLOCK", 5 * mats.total_dim + 3)
         assert run().records == whole.records
         assert calls.count("step") == per_iteration * params.total_iters

@@ -145,11 +145,15 @@ def _extreme_values(rng, shape, zero_share):
     kind=st.sampled_from(["ring", "path", "star", "complete", "random_connected"]),
     n=st.integers(2, 64),
     m=st.integers(1, 4),
+    rows=st.integers(1, 4),
     graph_seed=st.integers(0, 2**16),
     extra=st.sampled_from([0.0, 0.1, 0.5]),
     data_seed=st.integers(0, 2**31 - 1),
 )
-def test_scatter_add_is_the_sequential_sum_bitwise(kind, n, m, graph_seed, extra, data_seed):
+def test_scatter_add_is_the_sequential_sum_bitwise(kind, n, m, rows, graph_seed, extra, data_seed):
+    """scatter_add, and sum_entries on a stack of rows, give each row the
+    sequential sum's bits; every operator gives each row of a stack the bits
+    of a one-row call."""
     assume(kind != "ring" or n >= 3)
     topo = generate_graph(kind, n, extra_edge_prob=extra, seed=graph_seed, block_dim=m)
     mats = build_matrices(topo)
@@ -157,10 +161,21 @@ def test_scatter_add_is_the_sequential_sum_bitwise(kind, n, m, graph_seed, extra
 
     rng = np.random.default_rng(data_seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = _extreme_values(rng, (mats.node.size, m), 0.2)
+        terms = _extreme_values(rng, (rows, mats.node.size, m), 0.2)
         start = np.zeros((n, m))
-        expected = _sequential_sum(start, mats.node, terms).tobytes()
-        assert scatter_add(mats.sum_index, terms, n).tobytes() == expected
+        expected = [_sequential_sum(start, mats.node, t).tobytes() for t in terms]
+        assert scatter_add(mats.sum_index, terms[0], n).tobytes() == expected[0]
+        assert [s.tobytes() for s in mats.sum_entries(terms)] == expected
+        assert mats.sum_entries(terms[None]).tobytes() == b"".join(expected)
+
+        x = _extreme_values(rng, (rows, mats.total_dim), 0.2)
+        lam = _extreme_values(rng, (rows, mats.edge_dim), 0.2)
+        for op, stack in (
+            (mats.incidence, x), (mats.neighbor_sum, x), (mats.lplus, x), (mats.dual_pressure, lam),
+        ):
+            one_row = b"".join(op(v).tobytes() for v in stack)
+            assert op(stack).tobytes() == one_row
+            assert op(stack[None]).tobytes() == one_row
 
 
 def test_check_connected_examples():

@@ -1,9 +1,11 @@
 """Experiment orchestration: configs, persistence, sweep, CLI."""
 import copy
 import dataclasses
+import importlib
 import json
 import math
 import pickle
+import pkgutil
 import time
 from collections import Counter
 from pathlib import Path
@@ -14,6 +16,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zopd
 import zopd.harness as harness
 from zopd import engine, szo
 from zopd.cli import main as cli_main
@@ -140,6 +143,31 @@ class TestConfigValidation:
         raw["objective"] = {"kind": "logreg", "data_dir": str(ddir)}
         with pytest.raises(ConfigError, match="missing agent_002.csv"):
             config_from_dict(raw)
+        (ddir / "agent_002.csv").mkdir()
+        with pytest.raises(ConfigError, match="agent_002.csv: ") as exc:
+            config_from_dict(raw)
+        assert exc.value.field == "objective.data_dir"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "1.5x"])
+    def test_logreg_data_must_be_finite_numbers(self, tmp_path, bad):
+        ddir = tmp_path / "data"
+        ddir.mkdir()
+        assert cli_main(
+            ["gen-data", "--agents", "3", "--batch", "6", "--dim", "2", "--seed", "3",
+             "--out-dir", str(ddir)]
+        ) == 0
+        path = ddir / "agent_002.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = bad
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        raw = _tiny_raw(tmp_path)
+        raw["topology"] = {"kind": "ring", "num_nodes": 3, "block_dim": 2, "seed": 0}
+        raw["objective"] = {"kind": "logreg", "data_dir": str(ddir)}
+        with pytest.raises(ConfigError, match="agent_002.csv: ") as exc:
+            config_from_dict(raw)
+        assert exc.value.field == "objective.data_dir"
 
     def test_init_box_must_fit_domain(self, tmp_path):
         raw = _tiny_raw(tmp_path, init=[-60.0, 60.0])
@@ -296,10 +324,13 @@ class TestConfigValidation:
             (None, {"init": [-math.inf, 1.0]}, "algorithm.init[0]"),
             ({"kind": "quadratic", "hessian": [[math.nan]], "linear": [0.0]}, {},
              "objective.hessian"),
+            (None, {"iters": 0}, "algorithm.iters"),
+            (None, {"samples": 0}, "algorithm.samples"),
+            (None, {"seed": -1}, "algorithm.seed"),
         ],
         ids=["toy-box", "quadratic-box", "quadratic-seed", "retry-cap", "mc-samples",
              "noise-key", "none-std-dev", "nan-potential-weight", "infinite-mu",
-             "infinite-init", "nan-hessian"],
+             "infinite-init", "nan-hessian", "zero-iters", "zero-samples", "negative-seed"],
     )
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, objective, algo, field):
         raw = _tiny_raw(tmp_path / "o", **algo)
@@ -914,3 +945,12 @@ class TestCli:
         cfg_path.write_text(json.dumps(_tiny_raw(tmp_path / "o")))
         cfg = load_config(cfg_path)
         assert cfg.name == "tiny"
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from a module but left in its __all__ fails only on a
+    # star import, which nothing else here does
+    for info in pkgutil.iter_modules(zopd.__path__):
+        module = importlib.import_module(f"zopd.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"zopd.{info.name}.__all__ names {missing}"

@@ -16,7 +16,6 @@ from zopd.metrics import (
     potential_lower_bound,
     rate_fit,
     stationarity_gap,
-    trace_row,
     trace_rows,
     validate_params,
 )
@@ -138,7 +137,9 @@ def test_trace_row_is_the_three_functionals_bitwise(kind, n, m, graph_seed, data
     f_mu = float(rng.standard_normal())
     c, rho = rng.uniform(0.5, 20.0, 2)
     consts = derive_constants(1.0, 0.5, mats.total_dim, mats, float(c), float(rho))
-    assert trace_row(x, x_prev, lam_prev, lam, grad, f_mu, mats, consts) == (
+    # one row: 1-D arguments give 0-d columns
+    row = trace_rows(x, x_prev, lam_prev, lam, grad, f_mu, mats, consts)
+    assert tuple(float(col) for col in row) == (
         stationarity_gap(x, lam_prev, grad, mats, consts.rho),
         constraint_violation(x, mats),
         potential(x, x_prev, lam, mats, consts, f_mu),
