@@ -5,74 +5,18 @@ nonconvex nonsmooth local objectives using only noisy function evaluations.
 The package provides the graph operators, the two-point gradient estimator,
 benchmark objectives, centralized and message-passing engines, a random
 gradient-free baseline, convergence diagnostics, and a reproducible
-experiment harness with a CLI.
+experiment harness with a CLI. Each module's __all__ is the one list of its
+public names; the package republishes them all.
 """
-from .baseline import RGFParams, apply_mixing, build_mixing, mixing_coupling, rgf_step, run_rgf
-from .engine import (
-    AlgoParams,
-    Checkpoint,
-    RunResult,
-    dual_step,
-    primal_step,
-    run_centralized,
-    run_distributed,
-    substream,
-)
-from .graph import (
-    NetworkMatrices,
-    Topology,
-    build_matrices,
-    check_connected,
-    generate_graph,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentResult,
-    load_config,
-    replica_a_config,
-    replica_b_config,
-    run_experiment,
-    sweep,
-    validate_config,
-)
-from .metrics import (
-    AnalysisConstants,
-    MetricRecord,
-    ParamConditionReport,
-    RateFitResult,
-    constraint_violation,
-    derive_constants,
-    potential,
-    potential_lower_bound,
-    rate_fit,
-    stationarity_gap,
-    validate_params,
-)
-from .objectives import (
-    Box,
-    ClassificationData,
-    LocalObjective,
-    StackedObjective,
-    estimate_lipschitz,
-    logistic_regression_objective,
-    quadratic_objective,
-    random_quadratic,
-    read_classification_csv,
-    synthesize_classification_data,
-    toy_objective,
-    write_classification_csv,
-)
-from .szo import (
-    NoiseModel,
-    SmoothingParams,
-    SZOracle,
-    estimate_gradient,
-    estimator_norm_diagnostic,
-    measure_gradient_and_value,
-    smoothed_gradient_mc,
-    smoothed_gradient_reference,
-    smoothed_value,
-)
+from . import baseline, engine, graph, harness, metrics, objectives, szo
+from .baseline import *  # noqa: F403
+from .engine import *  # noqa: F403
+from .graph import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .metrics import *  # noqa: F403
+from .objectives import *  # noqa: F403
+from .szo import *  # noqa: F403
 
+_MODULES = (baseline, engine, graph, harness, metrics, objectives, szo)
+__all__ = [name for module in _MODULES for name in module.__all__]
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .graph import generate_graph
+from .graph import GRAPH_KINDS, generate_graph
 from .harness import (
     ENV_OUTPUT_DIR,
     ConfigError,
@@ -49,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("config", help="path to a JSON experiment config")
 
     p_graph = sub.add_parser("gen-graph", help="generate a connected topology as JSON")
-    p_graph.add_argument("--kind", default="random_connected",
-                         choices=["ring", "path", "star", "complete", "random_connected"])
+    p_graph.add_argument("--kind", default=GRAPH_KINDS[-1], choices=GRAPH_KINDS,
+                         help="graph family (default: %(default)s)")
     p_graph.add_argument("--nodes", type=int, required=True)
     p_graph.add_argument("--block-dim", type=int, default=1)
     p_graph.add_argument("--seed", type=int, default=0)

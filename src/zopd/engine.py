@@ -387,21 +387,22 @@ def _step_gradients(
     return g, values
 
 
+def _first_bad(topo: Topology, name: str, bad: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """The first agent (or edge, for lam) whose block of the mask bad holds a
+    True, named for a message, then that block of each of arrays."""
+    k = int(np.argmax(bad.reshape(-1, topo.block_dim).any(axis=1)))
+    who = f"edge {topo.edges[k]}" if name == "lam" else f"agent {k + 1}"
+    return (who, *(v.reshape(-1, topo.block_dim)[k] for v in arrays))
+
+
 def _check_finite(method: str, r: int, ctx: _RunContext, x: np.ndarray, lam: np.ndarray) -> None:
     """Raise when x^r or lam^r is not finite, naming the first agent (or
     edge) whose block is not, and that block."""
     if np.isfinite(x).all() and np.isfinite(lam).all():
         return
-    topo = ctx.mats.topology
-    xb, lb = (v.reshape(-1, topo.block_dim) for v in (x, lam))
-    bad = ~np.isfinite(xb).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        where = f"agent {i + 1} has x = {xb[i].tolist()}"
-    else:
-        e = int(np.argmax(~np.isfinite(lb).all(axis=1)))
-        where = f"edge {topo.edges[e]} has lam = {lb[e].tolist()}"
-    raise RuntimeError(f"{method} diverged at iteration {r}: {where}")
+    name, v = ("lam", lam) if np.isfinite(x).all() else ("x", x)
+    who, block = _first_bad(ctx.mats.topology, name, ~np.isfinite(v), v)
+    raise RuntimeError(f"{method} diverged at iteration {r}: {who} has {name} = {block.tolist()}")
 
 
 def _check_replay(
@@ -411,12 +412,10 @@ def _check_replay(
     first agent (or edge) whose block differs and its largest difference."""
     if (got == want).all():
         return
-    a, b = (v.reshape(-1, topo.block_dim) for v in (got, want))
-    k = int(np.argmax((a != b).any(axis=1)))
-    who = f"edge {topo.edges[k]}" if name == "lam" else f"agent {k + 1}"
+    who, a, b = _first_bad(topo, name, got != want, got, want)
     raise RuntimeError(
         f"centralized/distributed mismatch in trial {trial}: {name} of {who} at iteration "
-        f"{r} differs by {float(np.max(np.abs(a[k] - b[k]))):.3e}"
+        f"{r} differs by {float(np.max(np.abs(a - b))):.3e}"
     )
 
 

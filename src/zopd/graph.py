@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "GRAPH_KINDS",
     "Topology",
     "NetworkMatrices",
     "check_connected",
@@ -31,6 +32,9 @@ __all__ = [
     "build_matrices",
     "generate_graph",
 ]
+
+# the families generate_graph builds; config files and the CLI offer these
+GRAPH_KINDS = ("ring", "path", "star", "complete", "random_connected")
 
 
 @dataclass(frozen=True)
@@ -239,7 +243,7 @@ def generate_graph(
     seed: int = 0,
     block_dim: int = 1,
 ) -> Topology:
-    """Named families: ring, path, star, complete, random_connected.
+    """The named families of GRAPH_KINDS: ring, path, star, complete, random_connected.
 
     random_connected draws a random spanning tree, then adds each remaining
     pair independently with extra_edge_prob (0 -> tree, 1 -> complete).

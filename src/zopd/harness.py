@@ -17,7 +17,7 @@ import os
 import platform
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -27,7 +27,9 @@ import scipy
 
 from .baseline import RGFParams, run_rgf
 from .engine import AlgoParams, run_centralized, run_distributed
-from .graph import NetworkMatrices, Topology, build_matrices, check_connected, generate_graph
+from .graph import (
+    GRAPH_KINDS, NetworkMatrices, Topology, build_matrices, check_connected, generate_graph,
+)
 from .metrics import (
     MetricRecord,
     ParamConditionReport,
@@ -64,11 +66,9 @@ __all__ = [
 ]
 
 ENV_OUTPUT_DIR = "ZOPD_OUTPUT_DIR"
-_COLUMNS = ("stationarity_gap", "constraint_violation", "potential", "objective")
-CSV_HEADER = ",".join(("method", "trial", "iter") + _COLUMNS)
-
-_GRAPH_KINDS = ("ring", "path", "star", "complete", "random_connected")
-_OBJECTIVE_KINDS = ("toy", "logreg", "quadratic")
+_KEYS = ("method", "trial", "iter")  # then MetricRecord's fields after its iteration
+_COLUMNS = tuple(f.name for f in fields(MetricRecord))[1:]
+CSV_HEADER = ",".join(_KEYS + _COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -212,7 +212,7 @@ _TOPOLOGY_EDGES = (
     _Field("block_dim", _integer, 1),
 )
 _TOPOLOGY_GENERATED = (
-    _Field("kind", _choice(_GRAPH_KINDS)),
+    _Field("kind", _choice(GRAPH_KINDS)),
     _Field("num_nodes", _integer),
     _Field("block_dim", _integer, 1),
     _Field("seed", _integer, 0, low=0),
@@ -220,17 +220,25 @@ _TOPOLOGY_GENERATED = (
 )
 
 
+def _json_file(p: Path, field: str):
+    """The JSON document in the file p; a missing, unreadable or malformed
+    file is a ConfigError at field that names it."""
+    if not p.exists():
+        raise ConfigError(field, f"file not found: {p}")
+    try:
+        return json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(field, f"invalid JSON in {p}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(field, f"cannot read {p}: {exc}") from exc
+
+
 def _topology(section, path: str) -> dict:
     """Explicit edges, a topology file (normalized to its edges), or a
     generated family."""
     if isinstance(section, dict) and "file" in section:
         p = Path(_read(section, (_Field("file", _text),), path)["file"])
-        if not p.exists():
-            raise ConfigError(f"{path}.file", f"file not found: {p}")
-        try:
-            return _read(json.loads(p.read_text()), _TOPOLOGY_EDGES, f"{path}.file")
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{path}.file", str(exc)) from exc
+        return _read(_json_file(p, f"{path}.file"), _TOPOLOGY_EDGES, f"{path}.file")
     edges = isinstance(section, dict) and "edges" in section
     return _read(section, _TOPOLOGY_EDGES if edges else _TOPOLOGY_GENERATED, path)
 
@@ -242,7 +250,7 @@ _LOGREG = (
     _Field("alpha", _number, 0.1),
     _Field("epsilon", _number, 1e-3),
 )
-# (kind, whether the section holds the kind's variant key) -> table
+# objective kind -> variant key; (kind, whether the section holds it) -> table
 _VARIANT_KEY = {"toy": None, "logreg": "data_dir", "quadratic": "hessian"}
 _OBJECTIVES = {
     ("toy", False): (
@@ -278,7 +286,7 @@ def _objective(section, path: str) -> dict:
         raise ConfigError(path, "expected an object")
     if "kind" not in section:
         raise ConfigError(f"{path}.kind", "missing required field")
-    kind = _choice(_OBJECTIVE_KINDS)(section["kind"], f"{path}.kind")
+    kind = _choice(tuple(_VARIANT_KEY))(section["kind"], f"{path}.kind")
     if kind == "quadratic" and ("hessian" in section) != ("linear" in section):
         raise ConfigError(path, "explicit quadratic needs both hessian and linear")
     return _read(section, _OBJECTIVES[kind, _VARIANT_KEY[kind] in section], path)
@@ -487,13 +495,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError("config", f"file not found: {p}")
-    try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON: {exc}") from exc
+    raw = _json_file(Path(path), "config")
     override = os.environ.get(ENV_OUTPUT_DIR)
     if override and isinstance(raw, dict):
         raw["output_dir"] = override
@@ -522,9 +524,9 @@ def read_trace_csv(path: str | Path) -> list[dict]:
             raise ValueError(f"unexpected CSV header in {path}: {header!r}")
         for line in fh:
             parts = line.strip().split(",")
-            if len(parts) != 7:
+            if len(parts) != len(_KEYS) + len(_COLUMNS):
                 raise ValueError(f"malformed CSV row in {path}: {line!r}")
-            row = {"method": parts[0], "trial": int(parts[1]), "iter": int(parts[2])}
+            row = dict(zip(_KEYS, (parts[0], int(parts[1]), int(parts[2]))))
             rows.append(row | {c: float(v) for c, v in zip(_COLUMNS, parts[3:])})
     return rows
 

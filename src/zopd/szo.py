@@ -9,16 +9,18 @@ and averages the batch. `estimate_batch` does this for N agents under one
 NoiseModel from one (N, J, M + k) draw, agent i owning row i, with one
 StackedObjective.values call and no per-agent object.
 `measure_gradient_and_value` is its N = 1 view, charging 2 J queries to its
-oracle, and `estimate_gradient` that view's gradient. Every routine draws
-through one primitive, `_draw`, in one fixed order per agent: per sample
-phi, then a fresh phi for each in-box retry, then xi unless the noise kind
-is 'none' (a std_dev of 0.0 still draws). Retries past the end of an
-agent's row draw from its retry generator, for the N = 1 views their own
-generator. So a batch of J samples consumes the stream exactly as J
-consecutive single-sample calls do, and the batch mean is bitwise the mean
-of those single-sample estimates, near the domain boundary too. A draw holds
-at most `_MC_CHUNK` rows (agents x samples); a larger estimate takes several,
-each agent continuing one retry stream across them.
+SZOracle, which only counts queries, and `estimate_gradient` that view's
+gradient. The terms g_j have one formula, `_two_point`;
+`smoothed_gradient_mc` sums their squares too. Every routine draws through
+one primitive, `_draw`, in one fixed order per agent: per sample phi, then a
+fresh phi for each in-box retry, then xi unless the noise kind is 'none' (a
+std_dev of 0.0 still draws). Retries past the end of an agent's row draw
+from its retry generator, for the N = 1 views their own generator. So a
+batch of J samples consumes the stream exactly as J consecutive
+single-sample calls do, and the batch mean is bitwise the mean of those
+single-sample estimates, near the domain boundary too. A draw holds at most
+`_MC_CHUNK` rows (agents x samples); a larger estimate takes several, each
+agent continuing one retry stream across them.
 """
 from __future__ import annotations
 
@@ -61,11 +63,6 @@ class NoiseModel:
         if self.kind == "none" and self.std_dev != 0.0:
             raise ValueError("noise kind 'none' cannot carry a std_dev")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        if self.kind == "none":
-            return 0.0
-        return self.std_dev * rng.standard_normal()
-
 
 @dataclass(frozen=True)
 class SmoothingParams:
@@ -82,19 +79,12 @@ class SmoothingParams:
 
 
 class SZOracle:
-    """Noisy value access to one local objective, restricted to its box."""
+    """One agent's objective and noise model, and the queries charged to it."""
 
     def __init__(self, objective: LocalObjective, noise: NoiseModel = NoiseModel()):
         self.objective = objective
         self.noise = noise
         self.query_count = 0
-
-    def query(self, x: np.ndarray, rng: np.random.Generator) -> float:
-        x = np.asarray(x, dtype=float)
-        if not self.objective.box.contains(x):
-            raise ValueError("query point outside the domain box")
-        self.query_count += 1
-        return self.objective.value(x) + self.noise.draw(rng)
 
 
 class BoxExhausted(RuntimeError):
@@ -190,14 +180,15 @@ def _draw(
 _MC_CHUNK = 1 << 13  # rows (agents x samples) per draw
 
 
-def _draws(lo, hi, noise, xb, mu, count, rng, retry_rng, retry_cap):
-    """_draw of count samples per agent, in draws of at most _MC_CHUNK rows
-    (one sample per agent at least). Agent i's box retries continue one
+def _draws(stacked, noise, xb, mu, count, rng, retry_rng, retry_cap):
+    """_two_point of count samples per agent, in draws of at most _MC_CHUNK
+    rows (one sample per agent at least). Agent i's box retries continue one
     retry_rng(i) stream across the draws."""
-    retry = functools.cache(retry_rng)
+    lo, hi, retry = stacked.box_lo, stacked.box_hi, functools.cache(retry_rng)
     per = max(1, _MC_CHUNK // len(xb))
     for done in range(0, count, per):
-        yield _draw(lo, hi, noise, xb, mu, min(per, count - done), rng, retry, retry_cap)
+        d = _draw(lo, hi, noise, xb, mu, min(per, count - done), rng, retry, retry_cap)
+        yield _two_point(stacked, xb, mu, *d)
 
 
 def estimate_batch(
@@ -221,16 +212,18 @@ def estimate_batch(
     ran out.
     """
     mu, j = smoothing.mu, smoothing.samples
-    draw = (stacked.box_lo, stacked.box_hi, noise, xb, mu, j, rng, retry_rng, retry_cap)
+    # a lone draw skips _draws' generator and retry cache, a tenth of a small call's time
     if len(xb) * j <= _MC_CHUNK:
-        total, noisy, base = _two_point(stacked, xb, mu, *_draw(*draw))
-        return total / j, noisy, base
-    sums, noisy, base = zip(*(_two_point(stacked, xb, mu, *d) for d in _draws(*draw)))
+        d = _draw(stacked.box_lo, stacked.box_hi, noise, xb, mu, j, rng, retry_rng, retry_cap)
+        terms, noisy, base = _two_point(stacked, xb, mu, *d)
+        return terms.sum(axis=1) / j, noisy, base
+    draws = _draws(stacked, noise, xb, mu, j, rng, retry_rng, retry_cap)
+    sums, noisy, base = zip(*((terms.sum(axis=1), vals, b) for terms, vals, b in draws))
     return functools.reduce(np.add, sums) / j, np.concatenate(noisy, axis=1), base[-1]
 
 
 def _two_point(stacked, xb, mu, phis, xis, pts):
-    """One draw's (N, M) sums of ((noisy(x + mu phi) - noisy(x)) / mu) phi,
+    """One draw's (N, count, M) terms ((noisy(x + mu phi) - noisy(x)) / mu) phi,
     its (N, count) noisy perturbed values and the (N,) noise-free values at
     xb, from one StackedObjective.values call. The noise-free values are a
     copy, so a run that keeps them for its trace does not keep the call's
@@ -239,7 +232,7 @@ def _two_point(stacked, xb, mu, phis, xis, pts):
     vals = stacked.values(np.concatenate([pts, xb[:, None, :]], axis=1))
     noisy = vals[:, :count] + xis
     diffs = noisy - (vals[:, count:] + xis)
-    return ((diffs / mu)[:, :, None] * phis).sum(axis=1), noisy, vals[:, count].copy()
+    return (diffs / mu)[:, :, None] * phis, noisy, vals[:, count].copy()
 
 
 def estimate_gradient(
@@ -299,18 +292,16 @@ def smoothed_gradient_mc(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free Monte-Carlo reference of the smoothed gradient.
 
-    Averages ((f(x + mu phi) - f(x)) / mu) phi over the N = 1 draws, retrying
+    Averages the noise-free two-point terms of the N = 1 draws, retrying
     from rng itself; returns (estimate, per-coordinate standard error).
     """
     SmoothingParams(mu, mc_samples)  # checked before the first draw
-    x = np.asarray(x, dtype=float)
-    base = objective.value(x)
+    xb = np.asarray(x, dtype=float)[None]
+    stacked = StackedObjective([objective])
     acc = acc_sq = 0.0
-    for phis, _, pts in _draws(
-        objective.box.lo[None], objective.box.hi[None], NoiseModel(), x[None], mu,
-        mc_samples, rng, lambda i: rng, retry_cap,
-    ):
-        g = ((objective.value_many(pts[0]) - base) / mu)[:, None] * phis[0]
+    draws = _draws(stacked, NoiseModel(), xb, mu, mc_samples, rng, lambda i: rng, retry_cap)
+    for terms, _, _ in draws:
+        g = terms[0]
         acc += np.sum(g, axis=0)
         acc_sq += np.sum(g * g, axis=0)
     mean = acc / mc_samples

@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import importlib
+import importlib.util
 import json
 import math
 import pickle
@@ -217,6 +218,12 @@ class TestConfigValidation:
         raw["topology"] = {"file": str(tmp_path / "absent.json")}
         with pytest.raises(ConfigError, match="file not found"):
             config_from_dict(raw)
+        # an undecodable file is a config error at the field, naming the file
+        topo_file.write_bytes(b"\xff{}")
+        raw["topology"] = {"file": str(topo_file)}
+        with pytest.raises(ConfigError, match="topo.json: 'utf-8' codec") as exc:
+            config_from_dict(raw)
+        assert exc.value.field == "topology.file"
 
     def test_workers_field(self, tmp_path):
         raw = _tiny_raw(tmp_path)
@@ -880,6 +887,15 @@ class TestCli:
         assert cli_main(["run", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
         assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
+        # unreadable files are config errors that name the file
+        undecodable = tmp_path / "latin.json"
+        undecodable.write_bytes(b"\xff{}")
+        for path, problem in ((tmp_path, "Is a directory"), (undecodable, "'utf-8' codec")):
+            capsys.readouterr()
+            assert cli_main(["validate", str(path)]) == 2
+            assert f"config error: config: cannot read {path}: " in capsys.readouterr().err
+            with pytest.raises(ConfigError, match=problem):
+                load_config(path)
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         raw = _zero_quad_raw(tmp_path / "boom", iters=30)
@@ -949,8 +965,36 @@ class TestCli:
 
 def test_every_exported_name_resolves():
     # a name deleted from a module but left in its __all__ fails only on a
-    # star import, which nothing else here does
+    # star import, which the package's own __init__ does
+    exported = Counter()
     for info in pkgutil.iter_modules(zopd.__path__):
         module = importlib.import_module(f"zopd.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"zopd.{info.name}.__all__ names {missing}"
+        exported.update(getattr(module, "__all__", ()))
+    # the package republishes exactly the modules' lists, each name from one home
+    assert sorted(zopd.__all__) == sorted(exported)
+    assert [n for n, k in exported.items() if k > 1] == []
+    assert [n for n in zopd.__all__ if not hasattr(zopd, n)] == []
+
+
+def _load_tracer():
+    """perfbench/tracer.py, loaded by path as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer wraps these names; one that is gone makes its
+    # traced runs report it absent from zopd
+    tracer = _load_tracer()
+    absent = [
+        f"{home}.{func}"
+        for _, func, (home, *_) in tracer.FUNCTIONS
+        if not callable(getattr(importlib.import_module(f"zopd.{home}"), func, None))
+    ]
+    absent += [m for m in tracer.STACKED_METHODS if not hasattr(zopd.StackedObjective, m)]
+    assert absent == []

@@ -18,6 +18,7 @@ from zopd.objectives import (
 from zopd.szo import (
     BoxExhausted,
     NoiseModel,
+    OutsideBox,
     SmoothingParams,
     SZOracle,
     estimate_batch,
@@ -34,28 +35,38 @@ def _rng(*path):
     return np.random.default_rng(np.random.SeedSequence(path))
 
 
+def _one_agent_batch(obj, noise, x, mu, samples, rng):
+    """estimate_batch for the one agent obj at x, retrying from rng itself."""
+    xb = np.asarray(x, dtype=float)[None]
+    smoothing = SmoothingParams(mu, samples)
+    return estimate_batch(StackedObjective([obj]), noise, xb, smoothing, rng, lambda i: rng)
+
+
 class TestOracleQuery:
     def test_noiseless_values(self):
-        sq = SZOracle(quadratic_objective(2.0 * np.eye(1), np.zeros(1)))
-        assert sq.query(np.array([3.0]), _rng(0)) == pytest.approx(9.0)
-        toy = SZOracle(toy_objective())
-        assert toy.query(np.array([0.0]), _rng(0)) == pytest.approx(2.0)
+        sq = quadratic_objective(2.0 * np.eye(1), np.zeros(1))
+        assert sq.value(np.array([3.0])) == pytest.approx(9.0)
+        toy = toy_objective()
+        assert toy.value(np.array([0.0])) == pytest.approx(2.0)
+        # the estimator's noise-free values are the objective's
+        for obj, x in ((sq, [3.0]), (toy, [0.0])):
+            base = _one_agent_batch(obj, NoiseModel(), x, 0.1, 2, _rng(0))[2]
+            assert base[0] == obj.value(np.array(x))
 
     def test_noisy_mean(self):
+        # a linear objective's perturbed values average to its value at x, so
+        # the noisy values' mean less the noise-free value is the noise mean
         obj = linear_objective([2.0, -1.0])
-        oracle = SZOracle(obj, NoiseModel("additive_gaussian", 0.5))
-        rng = _rng(3)
-        x = np.array([1.0, 1.0])
-        n = 40_000
-        vals = np.array([oracle.query(x, rng) for _ in range(n)])
-        se = 0.5 / math.sqrt(n)
-        assert abs(float(np.mean(vals)) - 1.0) < 3.0 * se
-        assert oracle.query_count == n
+        x, mu, n = np.array([1.0, 1.0]), 0.01, 40_000
+        noise = NoiseModel("additive_gaussian", 0.5)
+        _, noisy, base = _one_agent_batch(obj, noise, x, mu, n, _rng(3))
+        assert base[0] == 1.0 and noisy.shape == (1, n)
+        se = math.sqrt(0.5**2 + 5.0 * mu**2) / math.sqrt(n)
+        assert abs(float(np.mean(noisy[0])) - base[0]) < 3.0 * se
 
     def test_out_of_box_rejected(self):
-        oracle = SZOracle(toy_objective())
-        with pytest.raises(ValueError, match="outside the domain box"):
-            oracle.query(np.array([5.1]), _rng(0))
+        with pytest.raises(OutsideBox, match="agent 1 outside the domain box"):
+            _one_agent_batch(toy_objective(), NoiseModel(), [5.1], 0.1, 2, _rng(0))
 
     def test_noise_model_rejections(self):
         with pytest.raises(ValueError, match="unknown noise kind"):
@@ -258,7 +269,8 @@ def _per_sample_walk(oracle, x, smoothing, rng, retry_cap):
             phi = rng.standard_normal(obj.dim)
         retries += tries
         phis[s] = phi
-        xis[s] = oracle.noise.draw(rng)
+        if oracle.noise.kind != "none":
+            xis[s] = oracle.noise.std_dev * rng.standard_normal()
     pert_vals = obj.value_many(x + smoothing.mu * phis)
     base_val = float(obj.value_many(x.reshape(1, obj.dim))[0])
     oracle.query_count += 2 * j
@@ -421,6 +433,22 @@ class TestSmoothedSurrogates:
         est, se = smoothed_gradient_mc(obj, x, mu, 10**6, _rng(25))
         assert se[0] > 0
         assert abs(est[0] - closed[0]) < 4.0 * se[0]
+
+    @pytest.mark.parametrize(
+        "obj,x,samples",
+        [
+            (toy_objective(phase=0.3), [5.0 - 0.01], 9),
+            (random_quadratic(3, 4, convex=False, box_lo=-1.0, box_hi=1.0), [0.99, 0.0, -0.2], 9),
+            (random_quadratic(3, 4, convex=False, box_lo=-1.0, box_hi=1.0), [0.5, 0.0, -0.2], 9000),
+        ],
+        ids=["toy-face", "quadratic-face", "quadratic-two-draws"],
+    )
+    def test_gradient_mc_is_the_noise_free_estimate(self, obj, x, samples):
+        # both take their terms from one draw order and one formula
+        x, mu = np.array(x), 0.05
+        est, _ = smoothed_gradient_mc(obj, x, mu, samples, _rng(27))
+        grad, _ = measure_gradient_and_value(SZOracle(obj), x, SmoothingParams(mu, samples), _rng(27))
+        assert est.tobytes() == grad.tobytes()
 
     def test_reference_dispatch(self):
         obj = toy_objective()
