@@ -56,6 +56,9 @@ from .szo import BoxExhausted, NoiseModel, OutsideBox, SmoothingParams, estimate
 
 __all__ = [
     "AlgoParams",
+    "GAP_GRADIENTS",
+    "GRADIENT_MODES",
+    "ParamMismatch",
     "Checkpoint",
     "RunResult",
     "substream",
@@ -78,6 +81,9 @@ _ROLE_NAMES = ("init", "output", "step", "meter", "baseline step", "baseline met
 
 # Elements B N M of a graded block's iterates (see the module docstring).
 _GRADE_BLOCK = 8192
+# The allowed values of AlgoParams.gradient_mode and AlgoParams.gap_gradient.
+GRADIENT_MODES = ("estimator", "reference")
+GAP_GRADIENTS = ("auto", "closed_form", "estimator", "mc")
 
 
 def substream(*path: int) -> np.random.Generator:
@@ -91,6 +97,14 @@ def substream(*path: int) -> np.random.Generator:
     else:
         key = tuple(int(p) for p in path)
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+class ParamMismatch(ValueError):
+    """A parameter the problem cannot run with, at the config field `field`."""
+
+    def __init__(self, field: str, problem: str):
+        self.field = field
+        super().__init__(problem)
 
 
 @dataclass(frozen=True)
@@ -119,9 +133,9 @@ class AlgoParams:
             raise ValueError("seed must be nonnegative")
         if self.init_lo > self.init_hi:
             raise ValueError("init box has lo > hi")
-        if self.gradient_mode not in ("estimator", "reference"):
+        if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
-        if self.gap_gradient not in ("auto", "closed_form", "estimator", "mc"):
+        if self.gap_gradient not in GAP_GRADIENTS:
             raise ValueError(f"unknown gap_gradient {self.gap_gradient!r}")
         if self.potential_weight is not None and not self.potential_weight > 0:
             raise ValueError("potential_weight must be positive")
@@ -130,19 +144,25 @@ class AlgoParams:
         if self.retry_cap < 0:
             raise ValueError("retry_cap must be >= 0")
 
-    def check_init_box(self, objectives: Sequence[LocalObjective]) -> None:
-        """The initialization box must lie inside every agent's domain box."""
-        lo = np.array([o.box.lo for o in objectives])
-        hi = np.array([o.box.hi for o in objectives])
-        bad = np.flatnonzero(np.any((lo > self.init_lo) | (hi < self.init_hi), axis=1))
-        if bad.size:
-            raise ValueError(f"initialization box exceeds the domain box of agent {bad[0] + 1}")
+    def check_problem(self, stacked: StackedObjective) -> None:
+        """Raise ParamMismatch unless these parameters can run on stacked:
+        the initialization box lies inside every agent's domain box, and a
+        setting that reads the smoothed closed forms finds them."""
+        outside = np.any((stacked.box_lo > self.init_lo) | (stacked.box_hi < self.init_hi), axis=1)
+        if outside.any():
+            k = int(np.argmax(outside)) + 1
+            raise ParamMismatch("init", f"initialization box exceeds the domain box of agent {k}")
+        for field, value in (("gradient_mode", "reference"), ("gap_gradient", "closed_form")):
+            if getattr(self, field) == value and not stacked.has_smoothed_closed_form:
+                raise ParamMismatch(field, f"{field}={value}: the objective has no closed forms")
 
-    def potential_weight_for(self, mats: NetworkMatrices) -> float:
-        """The configured potential weight c, or the graph's default."""
-        if self.potential_weight is None:
-            return default_potential_weight(mats)
-        return self.potential_weight
+    def analysis_constants(
+        self, stacked: StackedObjective, mats: NetworkMatrices
+    ) -> AnalysisConstants:
+        """The problem's constants, at the configured potential weight c or
+        else the graph's default."""
+        c, mu = self.potential_weight or default_potential_weight(mats), self.smoothing.mu
+        return derive_constants(stacked.lipschitz_l0, mu, stacked.total_dim, mats, c, self.rho)
 
 
 @dataclass
@@ -285,8 +305,6 @@ class _TraceMeter(_Estimator):
         mode = params.gap_gradient
         if mode == "auto":
             mode = "closed_form" if stacked.has_smoothed_closed_form else "estimator"
-        if mode == "closed_form" and not stacked.has_smoothed_closed_form:
-            raise ValueError("gap_gradient=closed_form but the objective has no closed form")
         self.mode, self.smoothing = mode, params.smoothing
         if mode == "mc":
             self.smoothing = SmoothingParams(params.smoothing.mu, params.mc_gap_samples)
@@ -353,19 +371,13 @@ def _prepare(
     stacked = StackedObjective(list(objectives))
     if stacked.block_dim != topo.block_dim:
         raise ValueError("objective dim does not match topology block_dim")
+    params.check_problem(stacked)
     if mats is None:
         mats = build_matrices(topo)
-    params.check_init_box(objectives)
-    if params.gradient_mode == "reference" and not stacked.has_smoothed_closed_form:
-        raise ValueError("gradient_mode=reference needs closed-form smoothed gradients")
 
     estimate = _Estimator(stacked, params, trial, roles[0])
     meter = _TraceMeter(stacked, params, trial, roles[1])
-
-    consts = derive_constants(
-        stacked.lipschitz_l0, params.smoothing.mu, stacked.total_dim, mats,
-        params.potential_weight_for(mats), params.rho,
-    )
+    consts = params.analysis_constants(stacked, mats)
 
     x0 = substream(params.seed, trial, ROLE_INIT).uniform(
         params.init_lo, params.init_hi, stacked.total_dim

@@ -26,7 +26,9 @@ import numpy as np
 import scipy
 
 from .baseline import RGFParams, run_rgf
-from .engine import AlgoParams, run_centralized, run_distributed
+from .engine import (
+    GAP_GRADIENTS, GRADIENT_MODES, AlgoParams, ParamMismatch, run_centralized, run_distributed,
+)
 from .graph import (
     GRAPH_KINDS, NetworkMatrices, Topology, build_matrices, check_connected, generate_graph,
 )
@@ -140,7 +142,7 @@ def _array(ndim: int):
 def _choice(options: tuple[str, ...]):
     def read(value, path: str) -> str:
         if value not in options:
-            raise ConfigError(path, f"unknown kind {value!r}; expected one of {options}")
+            raise ConfigError(path, f"unknown value {value!r}; expected one of {options}")
         return value
 
     return read
@@ -313,8 +315,8 @@ _ALGORITHM = (
     _Field("seed", _integer, low=0),
     _Field("init", _interval),
     _Field("noise", _noise, {"kind": "none"}),
-    _Field("gradient_mode", _as_is, "estimator"),
-    _Field("gap_gradient", _as_is, "auto"),
+    _Field("gradient_mode", _choice(GRADIENT_MODES), "estimator"),
+    _Field("gap_gradient", _choice(GAP_GRADIENTS), "auto"),
     _Field("potential_weight", _number, None),
     _Field("mc_gap_samples", _integer, 10**4, low=1),
     _Field("retry_cap", _integer, 100, low=0),
@@ -356,6 +358,8 @@ def _errors_at(path: str):
         yield
     except ConfigError:
         raise
+    except ParamMismatch as exc:
+        raise ConfigError(f"{path}.{exc.field}", str(exc)) from exc
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -465,12 +469,11 @@ class ExperimentConfig:
             objs = _build_objectives(norm["objective"], topo)
         with _errors_at("algorithm"):
             params = _build_params(norm["algorithm"])
+            params.check_problem(StackedObjective(objs))
         baseline, base = None, norm["baseline"]
         if base["enabled"]:
             with _errors_at("baseline"):
                 baseline = RGFParams(step_scale=base["step_scale"], mu=base["mu"])
-        with _errors_at("algorithm.init"):
-            params.check_init_box(objs)
         vars(self).update(
             normalized=norm, canonical=_canonical(norm), name=norm["name"], topology=topo,
             objectives=objs, params=params, modes=tuple(norm["algorithm"]["modes"]),
@@ -652,14 +655,10 @@ def _pooled_trial(run_trial: Callable, trial: int):
 
 
 def _versions() -> dict:
-    try:
-        from importlib.metadata import version
+    from . import __version__
 
-        pkg = version("artifact")
-    except Exception:
-        pkg = "unknown"
     return {
-        "package": pkg,
+        "package": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -772,26 +771,25 @@ def sweep(cfg: ExperimentConfig, horizons: list[int]) -> dict:
 
 
 def validate_config(cfg: ExperimentConfig) -> ParamConditionReport:
-    """Check the sufficient step-size conditions for the configured problem
-    without running it."""
-    mats = build_matrices(cfg.topology)
-    l0 = StackedObjective(cfg.objectives).lipschitz_l0
-    c = cfg.params.potential_weight_for(mats)
-    return validate_params(l0, cfg.params.smoothing.mu, mats.total_dim, mats, c, cfg.params.rho)
+    """Check the sufficient step-size conditions on the constants a run of
+    the configured problem derives, without running it."""
+    stacked, mats = StackedObjective(cfg.objectives), build_matrices(cfg.topology)
+    return validate_params(cfg.params.analysis_constants(stacked, mats))
 
 
 def report_text(report: ParamConditionReport) -> str:
     def flag(ok: bool) -> str:
         return "ok" if ok else "FAIL"
 
+    consts = report.constants
     return "\n".join(
         [
             "step-size condition report",
-            f"  smoothed-gradient lipschitz L1   {report.l1:.6g}",
-            f"  connectivity sigma_min           {report.sigma_min:.6g}",
-            f"  signless laplacian norm          {report.lplus_norm:.6g}",
-            f"  c  = {report.c:.6g}   required > {report.required_c:.6g}   [{flag(report.valid_c)}]",
-            f"  rho = {report.rho:.6g}   required > {report.required_rho:.6g}   [{flag(report.valid_rho)}]",
+            f"  smoothed-gradient lipschitz L1   {consts.l1:.6g}",
+            f"  connectivity sigma_min           {consts.sigma_min:.6g}",
+            f"  signless laplacian norm          {consts.lplus_norm:.6g}",
+            f"  c  = {consts.c:.6g}   required > {report.required_c:.6g}   [{flag(report.valid_c)}]",
+            f"  rho = {consts.rho:.6g}   required > {report.required_rho:.6g}   [{flag(report.valid_rho)}]",
             f"  descent coefficients: alpha1 {report.alpha1:.6g}, "
             f"alpha2 {report.alpha2_as_written:.6g} (as written) / "
             f"{report.alpha2_flipped:.6g} (flipped), alpha3 {report.alpha3:.6g}",

@@ -30,7 +30,6 @@ __all__ = [
     "AnalysisConstants",
     "ParamConditionReport",
     "RateFitResult",
-    "smoothed_lipschitz",
     "default_potential_weight",
     "derive_constants",
     "trace_rows",
@@ -73,11 +72,6 @@ class AnalysisConstants:
     lplus_norm: float
 
 
-def smoothed_lipschitz(l0: float, mu: float, total_dim: int) -> float:
-    """L1 = 2 l0 sqrt(Q) / mu, the Lipschitz constant of the smoothed gradient."""
-    return 2.0 * l0 * math.sqrt(total_dim) / mu
-
-
 def default_potential_weight(mats: NetworkMatrices) -> float:
     """Potential weight c when none is configured: 10% above the sufficient
     bound c > 6 ||L+|| / sigma_min."""
@@ -89,18 +83,11 @@ def derive_constants(
 ) -> AnalysisConstants:
     if l0 <= 0 or mu <= 0 or rho <= 0 or c <= 0:
         raise ValueError("l0, mu, rho, c must be positive")
-    l1 = smoothed_lipschitz(l0, mu, total_dim)
+    l1 = 2.0 * l0 * math.sqrt(total_dim) / mu
     k = 2.0 * (6.0 * l1**2 / (rho * mats.sigma_min) + 1.5 * c * l1)
     return AnalysisConstants(
-        l0=l0,
-        l1=l1,
-        mu=mu,
-        total_dim=total_dim,
-        rho=rho,
-        c=c,
-        k=k,
-        sigma_min=mats.sigma_min,
-        lplus_norm=mats.lplus_norm,
+        l0=l0, l1=l1, mu=mu, total_dim=total_dim, rho=rho, c=c, k=k,
+        sigma_min=mats.sigma_min, lplus_norm=mats.lplus_norm,
     )
 
 
@@ -179,11 +166,7 @@ class ParamConditionReport:
     explicit inequalities (required_c, required_rho).
     """
 
-    c: float
-    rho: float
-    l1: float
-    sigma_min: float
-    lplus_norm: float
+    constants: AnalysisConstants
     required_c: float
     required_rho: float
     valid_c: bool
@@ -195,15 +178,9 @@ class ParamConditionReport:
     alpha3: float
 
 
-def validate_params(
-    l0: float, mu: float, total_dim: int, mats: NetworkMatrices, c: float, rho: float
-) -> ParamConditionReport:
-    if l0 <= 0 or mu <= 0:
-        raise ValueError("l0 and mu must be positive")
-    if c <= 0 or rho <= 0:
-        raise ValueError("c and rho must be positive")
-    l1 = smoothed_lipschitz(l0, mu, total_dim)
-    sg, ln = mats.sigma_min, mats.lplus_norm
+def validate_params(consts: AnalysisConstants) -> ParamConditionReport:
+    """Judge consts.rho and consts.c against the sufficient conditions."""
+    c, rho, l1, sg, ln = consts.c, consts.rho, consts.l1, consts.sigma_min, consts.lplus_norm
     required_c = 6.0 * ln / sg
     b = c * l1 + 0.25 * l1 + 0.25 * l1**2 + 0.25
     required_rho = b + math.sqrt(b**2 + 6.0 * l1**2 / sg)
@@ -213,20 +190,9 @@ def validate_params(
     valid_c = c > required_c
     valid_rho = rho > required_rho
     return ParamConditionReport(
-        c=c,
-        rho=rho,
-        l1=l1,
-        sigma_min=sg,
-        lplus_norm=ln,
-        required_c=required_c,
-        required_rho=required_rho,
-        valid_c=valid_c,
-        valid_rho=valid_rho,
-        valid=valid_c and valid_rho,
-        alpha1=alpha1,
-        alpha2_as_written=alpha2_written,
-        alpha2_flipped=-alpha2_written,
-        alpha3=alpha3,
+        constants=consts, required_c=required_c, required_rho=required_rho,
+        valid_c=valid_c, valid_rho=valid_rho, valid=valid_c and valid_rho, alpha1=alpha1,
+        alpha2_as_written=alpha2_written, alpha2_flipped=-alpha2_written, alpha3=alpha3,
     )
 
 

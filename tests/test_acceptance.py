@@ -15,7 +15,7 @@ from zopd.engine import AlgoParams, run_centralized, run_distributed, primal_ste
 from zopd.graph import Topology, build_matrices, generate_graph
 from zopd.harness import config_from_dict, replica_a_config, replica_b_config, run_experiment, sweep
 from zopd.metrics import potential_lower_bound, validate_params
-from zopd.objectives import StackedObjective, quadratic_objective, random_quadratic, toy_objective
+from zopd.objectives import quadratic_objective, random_quadratic, toy_objective
 from zopd.szo import (
     NoiseModel,
     SmoothingParams,
@@ -193,23 +193,21 @@ def test_dual_step_tracks_consensus_residual(verdict, dense_ops):
 @pytest.fixture(scope="module")
 def valid_potential_run():
     # tiny curvature keeps the smoothed-gradient Lipschitz constant small
-    # enough that the sufficient step-size conditions are satisfiable
+    # enough that the sufficient step-size conditions are satisfiable, at
+    # the graph's default potential weight c; the validator judges the
+    # run's own constants
     topo = Topology(2, ((1, 2),), 1)
-    mats = build_matrices(topo)
     pieces = ((1.5e-3, 1e-3), (0.8e-3, -1e-3))
     objs = [
         quadratic_objective(np.array([[h]]), np.array([bb]), -3.0, 3.0) for h, bb in pieces
     ]
-    stacked = StackedObjective(objs)
     mu, rho, batch = 1.0, 1.0, 30
-    c = 1.1 * 6.0 * mats.lplus_norm / mats.sigma_min
-    report = validate_params(stacked.lipschitz_l0, mu, stacked.total_dim, mats, c, rho)
     params = AlgoParams(
         rho=rho, smoothing=SmoothingParams(mu, batch), total_iters=500, seed=77,
         init_lo=-2.0, init_hi=2.0, gradient_mode="reference", gap_gradient="closed_form",
-        potential_weight=c,
     )
     res = run_centralized(topo, objs, params)
+    report = validate_params(res.constants)
     # the blocks are independent in the objective term, so summing each
     # smoothed local cost's interior minimum bounds it from below
     f_lower = sum(-(bb * bb) / (2 * h) + 0.5 * mu**2 * h for h, bb in pieces)

@@ -883,8 +883,8 @@ class TestValidation:
     def test_init_box_error_names_the_first_agent(self):
         objs = [toy_objective(box_lo=lo) for lo in (-5.0, -5.0, -0.5, -5.0, -0.5)]
         with pytest.raises(ValueError, match="domain box of agent 3$"):
-            _params(init_lo=-1.0, init_hi=1.0).check_init_box(objs)
-        _params(init_lo=-0.5, init_hi=1.0).check_init_box(objs)
+            _params(init_lo=-1.0, init_hi=1.0).check_problem(StackedObjective(objs))
+        _params(init_lo=-0.5, init_hi=1.0).check_problem(StackedObjective(objs))
 
     def test_reference_mode_needs_closed_forms(self):
         topo, _ = _single_edge()

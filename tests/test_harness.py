@@ -334,10 +334,13 @@ class TestConfigValidation:
             (None, {"iters": 0}, "algorithm.iters"),
             (None, {"samples": 0}, "algorithm.samples"),
             (None, {"seed": -1}, "algorithm.seed"),
+            (None, {"gap_gradient": "foo"}, "algorithm.gap_gradient"),
+            (None, {"gradient_mode": "exact"}, "algorithm.gradient_mode"),
         ],
         ids=["toy-box", "quadratic-box", "quadratic-seed", "retry-cap", "mc-samples",
              "noise-key", "none-std-dev", "nan-potential-weight", "infinite-mu",
-             "infinite-init", "nan-hessian", "zero-iters", "zero-samples", "negative-seed"],
+             "infinite-init", "nan-hessian", "zero-iters", "zero-samples", "negative-seed",
+             "unknown-gap-gradient", "unknown-gradient-mode"],
     )
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, objective, algo, field):
         raw = _tiny_raw(tmp_path / "o", **algo)
@@ -350,6 +353,35 @@ class TestConfigValidation:
         cfg_path.write_text(json.dumps(raw))
         assert cli_main(["validate", str(cfg_path)]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "preset, algo, field",
+        [
+            ("replica-b", {"gradient_mode": "reference"}, "algorithm.gradient_mode"),
+            ("replica-b", {"gap_gradient": "closed_form"}, "algorithm.gap_gradient"),
+            ("phase-spread-toy", {"gap_gradient": "closed_form"}, "algorithm.gap_gradient"),
+        ],
+        ids=["replica-b-reference", "replica-b-closed-form-meter", "phase-spread-toy"],
+    )
+    def test_setting_without_closed_form_is_a_config_error(
+        self, tmp_path, capsys, preset, algo, field
+    ):
+        # refused when the config is built, so a run writes no file
+        out = tmp_path / "o"
+        if preset == "replica-b":
+            raw = replica_b_config(str(out), trials=1)
+            raw["algorithm"].update(algo)
+        else:
+            raw = _tiny_raw(out, **algo)
+            raw["objective"] = {"kind": "toy", "phase_spread": 0.5}
+        with pytest.raises(ConfigError, match="closed") as exc:
+            config_from_dict(raw)
+        assert exc.value.field == field
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replica_presets_resolve(self, tmp_path):
         a = config_from_dict(replica_a_config(str(tmp_path / "a"), trials=2))
@@ -520,6 +552,7 @@ class TestRunExperiment:
         versions = json.loads((result.output_dir / "meta.json").read_text())["versions"]
         assert versions["numpy"] == np.__version__
         assert versions["scipy"] == scipy.__version__
+        assert versions["package"] == zopd.__version__
 
     def test_plot_script_contents(self, tmp_path):
         result = run_experiment(config_from_dict(_tiny_raw(tmp_path / "o")))
@@ -857,6 +890,12 @@ class TestValidateAndReport:
         report = validate_config(config_from_dict(_zero_quad_raw(tmp_path / "v")))
         assert report.valid
         assert "overall: valid" in report_text(report)
+
+    @pytest.mark.parametrize("weight", [None, 40.0])
+    def test_validator_judges_the_constants_a_run_derives(self, tmp_path, weight):
+        cfg = config_from_dict(_tiny_raw(tmp_path / "o", potential_weight=weight))
+        res = engine.run_centralized(cfg.topology, cfg.objectives, cfg.params)
+        assert validate_config(cfg).constants == res.constants
 
     def test_toy_benchmark_reports_violated_thresholds(self, tmp_path):
         cfg = config_from_dict(replica_a_config(str(tmp_path / "a"), trials=1))

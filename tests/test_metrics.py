@@ -194,7 +194,8 @@ class TestParamValidator:
     def test_single_edge_required_weight(self):
         # one edge: smallest positive eigenvalue 2, doubled-degree norm 2
         mats = _single_edge()
-        report = validate_params(1.0, 2.0 * math.sqrt(2), 2, mats, c=7.0, rho=20.0)
+        mu = 2.0 * math.sqrt(2)
+        report = validate_params(derive_constants(1.0, mu, 2, mats, c=7.0, rho=20.0))
         assert report.required_c == pytest.approx(6.0, rel=1e-15)
         assert report.valid_c
 
@@ -202,8 +203,8 @@ class TestParamValidator:
         # l1 = 2 l0 sqrt(2) / mu = 1 for l0 = 1, mu = 2 sqrt(2)
         mats = _single_edge()
         mu = 2.0 * math.sqrt(2)
-        report = validate_params(1.0, mu, 2, mats, c=7.0, rho=16.0)
-        assert report.l1 == pytest.approx(1.0, rel=1e-14)
+        report = validate_params(derive_constants(1.0, mu, 2, mats, c=7.0, rho=16.0))
+        assert report.constants.l1 == pytest.approx(1.0, rel=1e-14)
         b = 7.0 + 0.25 + 0.25 + 0.25
         assert report.required_rho == pytest.approx(b + math.sqrt(b * b + 3.0), rel=1e-14)
         assert report.valid_rho  # 16 > 15.69...
@@ -212,15 +213,15 @@ class TestParamValidator:
     def test_alpha1_vanishes_at_threshold(self):
         mats = _single_edge()
         mu = 2.0 * math.sqrt(2)
-        probe = validate_params(1.0, mu, 2, mats, c=7.0, rho=1.0)
-        report = validate_params(1.0, mu, 2, mats, c=7.0, rho=probe.required_rho)
+        probe = validate_params(derive_constants(1.0, mu, 2, mats, c=7.0, rho=1.0))
+        report = validate_params(derive_constants(1.0, mu, 2, mats, c=7.0, rho=probe.required_rho))
         assert abs(report.alpha1) < 1e-9 * report.required_rho**2
 
     def test_alpha_coefficients(self):
         mats = _single_edge()
         mu = 2.0 * math.sqrt(2)
         c, rho = 7.0, 10.0
-        report = validate_params(1.0, mu, 2, mats, c=c, rho=rho)
+        report = validate_params(derive_constants(1.0, mu, 2, mats, c=c, rho=rho))
         assert report.alpha2_as_written == pytest.approx(
             3.0 * rho * 2.0 / 2.0 - 0.5 * c * rho, rel=1e-14
         )
@@ -229,23 +230,24 @@ class TestParamValidator:
 
     def test_threshold_is_strict(self):
         mats = _single_edge()
-        at = validate_params(1.0, 2.0 * math.sqrt(2), 2, mats, c=6.0, rho=100.0)
+        mu = 2.0 * math.sqrt(2)
+        at = validate_params(derive_constants(1.0, mu, 2, mats, c=6.0, rho=100.0))
         assert not at.valid_c
-        above = validate_params(1.0, 2.0 * math.sqrt(2), 2, mats, c=6.0 + 1e-9, rho=100.0)
+        above = validate_params(derive_constants(1.0, mu, 2, mats, c=6.0 + 1e-9, rho=100.0))
         assert above.valid_c
 
     def test_invalid_small_rho(self):
         mats = _single_edge()
-        report = validate_params(1.0, 0.01, 2, mats, c=7.0, rho=1.0)
+        report = validate_params(derive_constants(1.0, 0.01, 2, mats, c=7.0, rho=1.0))
         assert not report.valid_rho
         assert not report.valid
 
     def test_rejections(self):
         mats = _single_edge()
         with pytest.raises(ValueError, match="positive"):
-            validate_params(0.0, 0.1, 2, mats, 1.0, 1.0)
+            validate_params(derive_constants(0.0, 0.1, 2, mats, 1.0, 1.0))
         with pytest.raises(ValueError, match="positive"):
-            validate_params(1.0, 0.1, 2, mats, -1.0, 1.0)
+            validate_params(derive_constants(1.0, 0.1, 2, mats, -1.0, 1.0))
 
 
 class TestRateFit:
