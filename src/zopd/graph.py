@@ -89,21 +89,25 @@ class Topology:
 
 def check_connected(topo: Topology) -> bool:
     """Breadth-first reachability from node 1."""
+    return -1 not in _sides(topo)
+
+
+def _sides(topo: Topology) -> list[int]:
+    """Each node's side, 0 or 1, in a breadth-first two-colouring from node 1
+    (its depth's parity), or -1 where node 1 does not reach it. A connected
+    graph is bipartite exactly when every edge joins two sides."""
     adj: dict[int, list[int]] = {v: [] for v in range(1, topo.num_nodes + 1)}
     for i, j in topo.edges:
         adj[i].append(j)
         adj[j].append(i)
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == topo.num_nodes
+    side = [-1] * (topo.num_nodes + 1)
+    side[1], queue = 0, [1]
+    for v in queue:
+        for w in adj[v]:
+            if side[w] < 0:
+                side[w] = 1 - side[v]
+                queue.append(w)
+    return side[1:]
 
 
 def incidence_list(topo: Topology) -> tuple[np.ndarray, ...]:
@@ -144,8 +148,9 @@ class NetworkMatrices:
     flat_index at width M, computed once. Each operator takes a stack of
     vectors, (..., N M) or (..., E M), and gives every leading row the bits
     it gets alone. sigma_min is the smallest nonzero eigenvalue of the scalar
-    Laplacian L- = A'A, lplus_norm the spectral norm of the scalar
-    L+ = 2D - L-; the block operators repeat those spectra M times.
+    Laplacian L- = A'A, lplus_norm the spectral norm of the scalar signless
+    Laplacian L+ = 2D - L- (L-'s own top eigenvalue on a bipartite graph); the
+    block operators repeat those spectra M times.
     """
 
     topology: Topology
@@ -214,25 +219,32 @@ def _blocks(v: np.ndarray, count: int) -> np.ndarray:
 
 
 def build_matrices(topo: Topology) -> NetworkMatrices:
-    """Assemble the edge-list operators; rejects disconnected topologies."""
+    """Assemble the edge-list operators; rejects disconnected topologies.
+
+    sigma_min is entry [1] of one dense eigvalsh of L-. On a bipartite graph
+    L+ = S L- S, with S the +-1 diagonal of the sides, so ||L+|| is that
+    solve's last entry (Cvetkovic, Rowlinson and Simic, 2007); only a graph
+    with an odd cycle solves L+ = 2D - L- as well.
+    """
     if topo.num_edges == 0:
         raise ValueError("topology has no edges")
-    if not check_connected(topo):
+    side = np.array(_sides(topo))
+    if (side < 0).any():
         raise ValueError("graph is not connected")
     node, edge, nbr, sign = incidence_list(topo)
     deg = topo.degrees()
+    ends = np.asarray(topo.edges, dtype=np.intp) - 1
 
     scalar_lminus = np.diag(deg)
     scalar_lminus[node, nbr] = -1.0
-    # connected (checked above): one zero eigenvalue, then sigma_min
-    sigma_min = float(np.linalg.eigvalsh(scalar_lminus)[1])
-    lplus_norm = float(np.linalg.eigvalsh(2.0 * np.diag(deg) - scalar_lminus)[-1])
-
-    ends = np.asarray(topo.edges, dtype=np.intp) - 1
+    evals = np.linalg.eigvalsh(scalar_lminus)
+    sigma_min = float(evals[1])  # connected: one zero eigenvalue, then sigma_min
+    if (side[ends[:, 0]] == side[ends[:, 1]]).any():  # an odd cycle: L+ has its own spectrum
+        evals = np.linalg.eigvalsh(2.0 * np.diag(deg) - scalar_lminus)
     return NetworkMatrices(
         topology=topo, tail=ends[:, 0], head=ends[:, 1], node=node, edge=edge, neighbor=nbr,
         sign=sign, sum_index=flat_index(node, topo.block_dim), degree=deg,
-        sigma_min=sigma_min, lplus_norm=lplus_norm,
+        sigma_min=sigma_min, lplus_norm=float(evals[-1]),
     )
 
 

@@ -10,7 +10,8 @@ topology's edge list. The library never forms them; tests compare its
 edge-list products against these.
 
 linear_objective, zero_objective and NAN_FAMILY are objectives outside the
-built-in families, which tests import from here.
+built-in families, and estimate_lipschitz is the sampled slope that audits
+every family's declared lipschitz_l0; tests import them from here.
 """
 import math
 from types import SimpleNamespace
@@ -46,6 +47,18 @@ def dense_operators(topo):
 @pytest.fixture(scope="session")
 def dense_ops():
     return dense_operators
+
+
+def estimate_lipschitz(value_many, box, samples=10**5, seed=0):
+    """Max difference quotient |f(a)-f(b)| / ||a-b|| over sampled box pairs,
+    a lower bound on the Lipschitz constant of f on the box."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, box.dim, samples)))
+    a = rng.uniform(box.lo, box.hi, size=(samples, box.dim))
+    b = rng.uniform(box.lo, box.hi, size=(samples, box.dim))
+    dist = np.linalg.norm(a - b, axis=1)
+    keep = dist > 1e-12
+    quot = np.abs(value_many(a[keep]) - value_many(b[keep])) / dist[keep]
+    return float(np.max(quot))
 
 
 # Family kernels are module-level functions, so that these objectives pickle

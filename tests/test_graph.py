@@ -124,6 +124,68 @@ def test_sigma_min_independent_of_block_dim(m):
     assert build_matrices(topo).sigma_min == build_matrices(scalar).sigma_min
 
 
+def _random_bipartite(n, prob, seed):
+    """A connected graph on the sides 1..a and a+1..n, a = max(1, n // 3),
+    every edge across: each node joins a random node of the other side placed
+    before it, then each other cross pair is added with probability prob."""
+    rng, a = np.random.default_rng(seed), max(1, n // 3)
+    placed, edges = [1, a + 1], {(1, a + 1)}
+    for v in rng.permutation(np.arange(2, n + 1)).tolist():
+        if v != a + 1:
+            u = rng.choice([w for w in placed if (w > a) != (v > a)])
+            edges.add((min(u, v), max(u, v)))
+            placed.append(v)
+    cross = [(i, j) for i in range(1, a + 1) for j in range(a + 1, n + 1)]
+    edges |= {e for e in cross if rng.uniform() < prob}
+    return Topology(n, tuple(sorted(edges)))
+
+
+def _bipartite_graph(kind, n, seed, prob):
+    if kind == "even_ring":
+        return generate_graph("ring", 2 * max(2, n // 2))
+    if kind == "tree":
+        return generate_graph("random_connected", n, seed=seed)
+    if kind == "bipartite":
+        return _random_bipartite(n, prob, seed)
+    return generate_graph(kind, n)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["path", "star", "even_ring", "tree", "bipartite"]),
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+    prob=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+)
+def test_bipartite_lplus_norm_is_the_signless_top_eigenvalue(kind, n, seed, prob, dense_ops):
+    # the one eigvalsh of L- gives sigma_min bit for bit, and ||L+|| to
+    # rounding: L+ = S L- S has L-'s spectrum
+    topo = _bipartite_graph(kind, n, seed, prob)
+    mats, ref = build_matrices(topo), dense_ops(topo)
+    assert mats.sigma_min == np.linalg.eigvalsh(ref.lminus)[1]
+    assert mats.lplus_norm == pytest.approx(np.linalg.eigvalsh(ref.lplus)[-1], rel=1e-12)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["ring", "complete"]), half=st.integers(1, 25))
+def test_odd_cycle_lplus_norm_is_the_dense_value_bitwise(kind, half, dense_ops):
+    topo = generate_graph(kind, 2 * half + 1 if kind == "ring" else half + 2)
+    mats, ref = build_matrices(topo), dense_ops(topo)
+    assert mats.sigma_min == np.linalg.eigvalsh(ref.lminus)[1]
+    assert mats.lplus_norm == np.linalg.eigvalsh(ref.lplus)[-1]
+
+
+def test_second_eigensolve_only_on_an_odd_cycle(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    build_matrices(generate_graph("ring", 400))
+    assert shapes == [(400, 400)]
+    shapes.clear()
+    build_matrices(generate_graph("ring", 401))
+    assert shapes == [(401, 401)] * 2
+
+
 def _sequential_sum(start, rows, terms):
     """Reference accumulation: each entry added to its row in list order."""
     out = np.array(start, dtype=float)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import estimate_lipschitz
 from zopd.objectives import (
     Box,
     ClassificationData,
     StackedObjective,
-    estimate_lipschitz,
     logistic_regression_objective,
     quadratic_objective,
     random_quadratic,
@@ -95,6 +95,25 @@ class TestToyObjective:
         rng = np.random.default_rng(12)
         pts = rng.uniform(obj.box.lo, obj.box.hi, size=(10**5, 1))
         assert float(np.min(obj.value_many(pts))) >= obj.lower_bound
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        phase=st.floats(-math.pi, math.pi),
+        ends=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)).filter(
+            lambda e: abs(e[0] - e[1]) > 1e-3
+        ),
+    )
+    def test_lipschitz_bound_covers_sampled_slopes(self, phase, ends):
+        # l0 = 2 + exp(hi) bounds every difference quotient, for every phase
+        # and box: |sin| + |sign| + exp(x) bounds the inner slope
+        lo, hi = sorted(ends)
+        obj = toy_objective(phase=phase, box_lo=lo, box_hi=hi)
+        sampled = estimate_lipschitz(obj.value_many, obj.box, samples=2 * 10**4, seed=7)
+        assert sampled <= obj.lipschitz_l0
+
+    def test_box_beyond_exp_range_rejected(self):
+        with pytest.raises(ValueError, match="at or below 700"):
+            toy_objective(box_hi=710.0)
 
     def test_phase_shift_disables_closed_forms(self):
         shifted = toy_objective(phase=0.4)
@@ -247,6 +266,13 @@ class TestSynthesizedData:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ValueError, match="no data rows"):
+            read_classification_csv(path)
+
+    @pytest.mark.parametrize("text", ["1,0.5\n-1\n", "1,0.5\n-1,0.5,2\n"])
+    def test_ragged_csv_rejected(self, tmp_path, text):
+        path = tmp_path / "agent.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="number of columns changed"):
             read_classification_csv(path)
 
 

@@ -10,13 +10,18 @@ were taken on an AVX-512 CPU. The logistic kernel keeps a row's bits the same
 at any BLAS thread count, so the logreg and Replica B pins hold with
 OPENBLAS_NUM_THREADS=1 too.
 
-The ring-scale pin also depends on OpenBLAS's thread count. On its 400-agent
-ring, the dense eigvalsh in build_matrices gives sigma_min
-0.00024673503667876494 and ||L+|| 3.9999999999999996 with
-OPENBLAS_NUM_THREADS=1, but 0.000246735036678628 and 3.999999999999998 with
-2, 3, 4 or 8 threads, where the pin was taken; with one thread its mean.csv
-hashes to 04b86ff7... and the test fails. A spectral path that does not go
-through the dense eigensolver would end that dependence (ROADMAP item 13).
+The ring-scale pin also depends on OpenBLAS's thread count. Its 400-agent
+ring is bipartite, so build_matrices reads sigma_min and ||L+|| from one dense
+eigvalsh of L-, which gives 0.00024673503667876494 and 3.9999999999999996
+with OPENBLAS_NUM_THREADS=1, but 0.000246735036678628 and 3.999999999999998
+with 2, 3, 4 or 8 threads, where the pin was taken; with one thread its
+mean.csv hashes to 04b86ff7... and the test fails. A spectral path that does
+not go through the dense eigensolver would end that dependence (ROADMAP item
+13).
+
+The toy-pool and Replica A pins were re-taken when the toy's lipschitz_l0
+became the closed-form bound 2 + exp(box_hi): only their potential column,
+which reads l0 through L1, moved.
 """
 import hashlib
 import importlib.util
@@ -36,8 +41,8 @@ PINNED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 # trial 0 (one trial).
 WORKLOAD_PINS = {
     "toy-pool": {
-        "mean.csv": "d51e07a5a51f9c4b292175b7ad9935f5c0401f4f738823ca8e42eb49b1912966",
-        "trial_000.csv": "e2d83990d33db86991c410ae613d95b28be595a7b50be1ea47f182c22f08404b",
+        "mean.csv": "0e3cc67108d34763a3d1c7a0c41b7b2c078999273202d39b6bf7aaf60a852716",
+        "trial_000.csv": "098de334d3e3ddb2a6a9dc11c1a3f6de521145b2b201f8edfe07fa25edd916bf",
     },
     "logreg": {
         "mean.csv": "019ae01bfd333643583a7dae9d90d9bde519ac06adf9f92a64e2960ffae7a84a",
@@ -50,7 +55,7 @@ WORKLOAD_PINS = {
 }
 REPLICA_PINS = {
     "replica-a": (
-        replica_a_config, "0169196607d1604a9351e8554f775fa901d5c90c70e3e3b5e5672c052b86c378"
+        replica_a_config, "75396ec5c37534bfbb64bfcdae0761ddc0675a78b31b4baab1ab89260d184ce4"
     ),
     "replica-b": (
         replica_b_config, "eacf65a3ce1d9f0627ac104e077d3ff4b2dfa28274bb14886f225570346445b6"
