@@ -16,9 +16,10 @@ one block per draw with agent i reading its row. x^0 is one (seed, trial,
 init) block of N M uniforms, agent i's M entries in its row, shared by all
 executions of a trial. Each estimating role draws one block per iteration,
 keyed by (seed, trial, role, iteration); an agent whose row needs box
-retries continues from (seed, trial, role, agent, iteration). So the
-centralized run and the distributed message-passing run consume identical
-streams, and a resumed run reproduces the remaining iterations bit for bit.
+retries continues from (seed, trial, role, agent, iteration). So step r's
+draws depend only on (seed, trial, role, r): either run's g^r is a fresh
+estimate at x^r on those streams, and the centralized run and the
+distributed message-passing run consume identical streams.
 The message-passing run keeps each agent's inbox and dual copies as arrays
 over the node-major incidence list. Both runs sum the consensus operators
 through NetworkMatrices.sum_entries, one np.bincount that adds each node's
@@ -59,7 +60,6 @@ __all__ = [
     "GAP_GRADIENTS",
     "GRADIENT_MODES",
     "ParamMismatch",
-    "Checkpoint",
     "RunResult",
     "substream",
     "primal_step",
@@ -166,38 +166,6 @@ class AlgoParams:
 
 
 @dataclass
-class Checkpoint:
-    """Resumable snapshot: iteration counter plus the primal-dual pair, and
-    the trial and seed whose streams produced it (None: not recorded, so not
-    checked on resume)."""
-
-    iteration: int
-    x: np.ndarray
-    lam: np.ndarray
-    trial: int | None = None
-    seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "iteration": int(self.iteration),
-            "x": [float(v) for v in np.asarray(self.x).ravel()],
-            "lam": [float(v) for v in np.asarray(self.lam).ravel()],
-            "trial": self.trial,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Checkpoint":
-        return Checkpoint(
-            iteration=int(d["iteration"]),
-            x=np.asarray(d["x"], dtype=float),
-            lam=np.asarray(d["lam"], dtype=float),
-            trial=d.get("trial"),
-            seed=d.get("seed"),
-        )
-
-
-@dataclass
 class RunResult:
     method: str
     trial: int
@@ -209,19 +177,7 @@ class RunResult:
     output_x: np.ndarray | None
     output_lam: np.ndarray | None
     constants: AnalysisConstants
-    start_iteration: int = 0
     messages_per_agent: dict[int, int] | None = None
-    seed: int | None = None
-
-    @property
-    def final_checkpoint(self) -> Checkpoint:
-        return Checkpoint(
-            iteration=self.start_iteration + self.states_x.shape[0] - 1,
-            x=self.states_x[-1].copy(),
-            lam=self.states_lam[-1].copy(),
-            trial=self.trial,
-            seed=self.seed,
-        )
 
 
 def _primal_update(x, neighbor_sum, dual_pressure, grad, degree, rho):
@@ -441,41 +397,23 @@ def _drive(
     step: _Step,
     method: str,
     output_pick: int | None,
-    resume: Checkpoint | None = None,
     on_record: Callable[[MetricRecord], None] | None = None,
 ) -> RunResult:
-    """The run loop every method shares.
+    """The run loop every method shares, from (x^0, 0) at iteration 0.
 
     step(x, lam, r) returns (x^{r+1}, lam^{r+1}, g^r) and the agents'
     noise-free values at x^r that its estimate read, or None; it keeps the
     contract in the module docstring. Emits one metric row per iteration
-    start+1..T; row r grades the pair (x^r, lam^{r-1}) and the potential at
+    1..T; row r grades the pair (x^r, lam^{r-1}) and the potential at
     (x^r, lam^r), and takes its objective from step r's values when there
     are any. Rows are graded and passed to on_record a block at a time (see
     the module docstring), so on_record sees row r at most one block after
     iteration r. When step r fails, rows up to r are still recorded before
     the failure is raised. The output pair is the iterate at output_pick,
-    when given. A resume checkpoint must match the run's trial and seed,
-    where it records them, and its shapes.
+    when given.
     """
     horizon = params.total_iters
-    if resume is None:
-        start = 0
-        x = ctx.x0
-        lam = np.zeros(ctx.mats.edge_dim)
-    else:
-        start = int(resume.iteration)
-        if not 0 <= start < horizon:
-            raise ValueError("checkpoint iteration outside 0..T-1")
-        x = np.array(resume.x, dtype=float).reshape(-1)
-        lam = np.array(resume.lam, dtype=float).reshape(-1)
-        for what, got, want in (
-            ("trial", resume.trial, trial), ("seed", resume.seed, params.seed),
-            ("len(x)", len(x), ctx.mats.total_dim), ("len(lam)", len(lam), ctx.mats.edge_dim),
-        ):
-            if got is not None and got != want:
-                raise ValueError(f"checkpoint {what} is {got}, but this run's is {want}")
-
+    x, lam = ctx.x0, np.zeros(ctx.mats.edge_dim)
     xs = [x]
     lams = [lam]
     gs = []
@@ -494,7 +432,7 @@ def _drive(
         xb, lb = np.array(bx), np.array(blam)
         grads, f_mu, f = ctx.meter.grade(xb[1:], measured)
         cols = trace_rows(xb[1:], xb[:-1], lb[:-1], lb[1:], grads, f_mu, ctx.mats, ctx.consts)
-        first = start + 1 + len(records)
+        first = 1 + len(records)
         rows = range(first, first + len(measured))
         new = list(map(MetricRecord, rows, *(c.tolist() for c in cols), f.tolist()))
         records.extend(new)
@@ -504,7 +442,7 @@ def _drive(
                 on_record(rec)
 
     try:
-        for r in range(start, horizon + 1):
+        for r in range(horizon + 1):
             if r == output_pick:
                 out_x, out_lam, out_iter = x, lam, r
             values = None
@@ -512,7 +450,7 @@ def _drive(
                 if r < horizon:
                     x_new, lam_new, g, values = step(x, lam, r)
             finally:
-                if r > start:
+                if r > 0:
                     measured.append(ctx.meter.measure(x, r, values))
                     if len(measured) == block:
                         grade()
@@ -540,8 +478,6 @@ def _drive(
         output_x=out_x,
         output_lam=out_lam,
         constants=ctx.consts,
-        start_iteration=start,
-        seed=params.seed,
     )
 
 
@@ -551,7 +487,6 @@ def run_centralized(
     params: AlgoParams,
     trial: int = 0,
     mats: NetworkMatrices | None = None,
-    resume: Checkpoint | None = None,
     on_record: Callable[[MetricRecord], None] | None = None,
 ) -> RunResult:
     """Centralized execution on the stacked state. Emits one metric row per
@@ -565,7 +500,7 @@ def run_centralized(
         x_new = primal_step(x, lam, g, ctx.mats, params.rho)
         return x_new, dual_step(x_new, lam, ctx.mats, params.rho), g, values
 
-    return _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, resume, on_record)
+    return _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, on_record)
 
 
 def run_distributed(

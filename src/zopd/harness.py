@@ -527,10 +527,13 @@ def read_trace_csv(path: str | Path) -> list[dict]:
             raise ValueError(f"unexpected CSV header in {path}: {header!r}")
         for line in fh:
             parts = line.strip().split(",")
-            if len(parts) != len(_KEYS) + len(_COLUMNS):
-                raise ValueError(f"malformed CSV row in {path}: {line!r}")
-            row = dict(zip(_KEYS, (parts[0], int(parts[1]), int(parts[2]))))
-            rows.append(row | {c: float(v) for c, v in zip(_COLUMNS, parts[3:])})
+            try:
+                if len(parts) != len(_KEYS) + len(_COLUMNS):
+                    raise ValueError(f"{len(parts)} cells")
+                row = dict(zip(_KEYS, (parts[0], int(parts[1]), int(parts[2]))))
+                rows.append(row | {c: float(v) for c, v in zip(_COLUMNS, parts[3:])})
+            except ValueError as exc:
+                raise ValueError(f"malformed CSV row in {path}: {line!r}: {exc}") from None
     return rows
 
 
@@ -584,9 +587,6 @@ class ExperimentResult:
     meta: dict
     records: dict[str, list[list[MetricRecord]]]
     mean: dict[str, list[MetricRecord]]
-
-    def mean_column(self, method: str, column: str) -> np.ndarray:
-        return np.array([getattr(r, column) for r in self.mean[method]])
 
 
 class _Stopped(Exception):

@@ -177,10 +177,6 @@ class LocalObjective:
     def smoothed_value(self, x: np.ndarray, mu: float) -> np.ndarray:
         return self._rows("smoothed", x, mu)[1]
 
-    def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.value_many(x.reshape(1, self.dim))[0])
-
 
 @dataclass
 class StackedObjective:

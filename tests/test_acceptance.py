@@ -235,8 +235,9 @@ def test_potential_stays_above_certified_floor(valid_potential_run, verdict):
 
 
 def _trend_numbers(result):
-    gap = np.asarray(result.mean_column("primal_dual", "stationarity_gap"))
-    vio = np.asarray(result.mean_column("primal_dual", "constraint_violation"))
+    rows = result.mean["primal_dual"]
+    gap = np.array([r.stationarity_gap for r in rows])
+    vio = np.array([r.constraint_violation for r in rows])
     ratio = float(vio[-1] / vio[0])
     ma = np.convolve(gap, np.ones(100) / 100.0, mode="valid")
     max_inc = float(np.diff(ma[-500:]).max())
@@ -270,8 +271,8 @@ def test_beats_gradient_free_baseline(replica_a, replica_b, verdict):
     ok = True
     for name, (result, _) in (("A", replica_a), ("B", replica_b)):
         for col in ("stationarity_gap", "constraint_violation"):
-            ours = float(result.mean_column("primal_dual", col)[-1])
-            theirs = float(result.mean_column("rgf", col)[-1])
+            ours = getattr(result.mean["primal_dual"][-1], col)
+            theirs = getattr(result.mean["rgf"][-1], col)
             ok = ok and ours < theirs
             margins.append(f"{name} {col.split('_')[0]} {ours:.1e}<{theirs:.1e}")
     verdict("baseline dominance", ok, ", ".join(margins))

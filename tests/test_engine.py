@@ -17,7 +17,6 @@ from zopd.engine import (
     ROLE_INIT,
     ROLE_STEP,
     AlgoParams,
-    Checkpoint,
     dual_step,
     primal_step,
     run_centralized,
@@ -59,6 +58,30 @@ def _params(**kw):
 def _quad_objectives(n, dim, seed=0):
     # roomy boxes keep the early primal-dual transient well interior
     return [random_quadratic(dim, seed=seed + i, box_lo=-50, box_hi=50) for i in range(n)]
+
+
+def _placing(step, states):
+    """step, except that the call that makes iterate r returns states[r]: a
+    run placed in a given state at an iteration."""
+    calls = []
+
+    def placed(*args):
+        calls.append(None)
+        r = len(calls)
+        return states[r] if r in states else step(*args)
+
+    return placed
+
+
+def _assert_fresh_step_gradients(result, objs, params):
+    """Every g^r of result is, bitwise, a fresh step estimate at x^r on
+    iteration r's streams: no draw depends on an earlier iteration."""
+    stacked = StackedObjective(objs)
+    assert len(result.states_grad) == params.total_iters
+    for r, g in enumerate(result.states_grad):
+        fresh = engine._Estimator(stacked, params, result.trial, ROLE_STEP)
+        want = fresh(stacked.blocks(result.states_x[r]), params.smoothing, r)[0]
+        assert g.tobytes() == want.reshape(-1).tobytes(), r
 
 
 class TestClosedFormSteps:
@@ -252,90 +275,6 @@ class TestCentralizedRun:
         assert collected == result.records
 
 
-class TestCheckpointResume:
-    def test_resume_reproduces_suffix_bitwise(self):
-        topo = generate_graph("ring", 3, block_dim=1, seed=0)
-        objs = _quad_objectives(3, 1)
-        params = _params(total_iters=8, noise=NoiseModel("additive_gaussian", 0.2))
-        full = run_centralized(topo, objs, params)
-        chk = Checkpoint(iteration=3, x=full.states_x[3], lam=full.states_lam[3])
-        part = run_centralized(topo, objs, params, resume=chk)
-        assert part.start_iteration == 3
-        np.testing.assert_array_equal(part.states_x, full.states_x[3:])
-        np.testing.assert_array_equal(part.states_lam, full.states_lam[3:])
-        assert [r.iteration for r in part.records] == list(range(4, 9))
-        for mine, ref in zip(part.records, full.records[3:]):
-            assert mine.stationarity_gap == ref.stationarity_gap
-            assert mine.potential == ref.potential
-
-    @settings(max_examples=30, derandomize=True, deadline=None)
-    @given(
-        n=st.integers(2, 8),
-        m=st.integers(1, 3),
-        graph_seed=st.integers(0, 2**16),
-        seed=st.integers(0, 2**31 - 1),
-        samples=st.integers(1, 6),
-        noisy=st.booleans(),
-        horizon=st.integers(2, 10),
-        split=st.floats(0.0, 1.0),
-    )
-    def test_resume_at_random_split_reproduces_suffix(
-        self, n, m, graph_seed, seed, samples, noisy, horizon, split
-    ):
-        topo = generate_graph("random_connected", n, seed=graph_seed, block_dim=m)
-        noise = NoiseModel("additive_gaussian", 0.05) if noisy else NoiseModel()
-        params = _params(
-            seed=seed, total_iters=horizon, smoothing=SmoothingParams(0.05, samples),
-            noise=noise, gap_gradient="estimator",
-        )
-        objs = _quad_objectives(n, m, seed=graph_seed)
-        full = run_centralized(topo, objs, params)
-        at = min(int(split * horizon), horizon - 1)
-        chk = Checkpoint(iteration=at, x=full.states_x[at], lam=full.states_lam[at])
-        part = run_centralized(topo, objs, params, resume=chk)
-        np.testing.assert_array_equal(part.states_x, full.states_x[at:])
-        np.testing.assert_array_equal(part.states_lam, full.states_lam[at:])
-        np.testing.assert_array_equal(part.states_grad, full.states_grad[at:])
-        assert part.records == full.records[at:]
-
-    def test_final_checkpoint_round_trip(self):
-        topo, _ = _single_edge()
-        objs = _quad_objectives(2, 1)
-        result = run_centralized(topo, objs, _params(total_iters=4))
-        chk = result.final_checkpoint
-        assert chk.iteration == 4
-        back = Checkpoint.from_dict(chk.to_dict())
-        np.testing.assert_array_equal(back.x, chk.x)
-        np.testing.assert_array_equal(back.lam, chk.lam)
-        assert (back.trial, back.seed) == (chk.trial, chk.seed) == (0, 123)
-
-    @pytest.mark.parametrize(
-        "field, change, message",
-        [
-            ("trial", {"trial": 3}, "checkpoint trial is 3, but this run's is 0"),
-            ("seed", {"seed": 124}, "checkpoint seed is 124, but this run's is 123"),
-            ("x", {"x": np.zeros(7)}, r"checkpoint len\(x\) is 7, but this run's is 3"),
-            ("lam", {"lam": np.zeros(2)}, r"checkpoint len\(lam\) is 2, but this run's is 3"),
-        ],
-    )
-    def test_checkpoint_of_another_run_is_refused(self, field, change, message):
-        topo = generate_graph("ring", 3, block_dim=1, seed=0)
-        objs = _quad_objectives(3, 1)
-        full = run_centralized(topo, objs, _params(total_iters=4))
-        chk = dataclasses.replace(
-            Checkpoint.from_dict(full.final_checkpoint.to_dict()), iteration=2, **change
-        )
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            run_centralized(topo, objs, _params(total_iters=4), resume=chk)
-
-    def test_checkpoint_iteration_validated(self):
-        topo, _ = _single_edge()
-        objs = _quad_objectives(2, 1)
-        bad = Checkpoint(iteration=6, x=np.zeros(2), lam=np.zeros(1))
-        with pytest.raises(ValueError, match="checkpoint iteration"):
-            run_centralized(topo, objs, _params(total_iters=6), resume=bad)
-
-
 class TestTraceRows:
     """Row r grades the gap at (x^r, lam^{r-1}) and the potential at
     (x^r, x^{r-1}, lam^r), from one A x^r per row."""
@@ -404,10 +343,10 @@ class TestBlockGrading:
         at its iteration."""
         stacked, consts = StackedObjective(objs), result.constants
         meter = engine._TraceMeter(stacked, params, result.trial, role)
-        xs, lams, start = result.states_x, result.states_lam, result.start_iteration
+        xs, lams = result.states_x, result.states_lam
         rows = []
-        for k in range(1, len(xs)):
-            r, x = start + k, xs[k]
+        for r in range(1, len(xs)):
+            x = xs[r]
             if meter.mode == "closed_form":
                 grad = stacked.smoothed_gradient_stacked(x, meter.smoothing.mu)
                 f_mu = stacked.smoothed_value_stacked(x, meter.smoothing.mu)
@@ -416,8 +355,8 @@ class TestBlockGrading:
                 g, noisy, base = meter(stacked.blocks(x), meter.smoothing, r)
                 grad, f = g.reshape(-1), float(np.sum(base))
                 f_mu = float(np.sum(np.mean(noisy, axis=1)))
-            gap = stationarity_gap(x, lams[k - 1], grad, mats, consts.rho)
-            pot = potential(x, xs[k - 1], lams[k], mats, consts, f_mu)
+            gap = stationarity_gap(x, lams[r - 1], grad, mats, consts.rho)
+            pot = potential(x, xs[r - 1], lams[r], mats, consts, f_mu)
             rows.append(MetricRecord(r, gap, constraint_violation(x, mats), pot, f))
         return rows
 
@@ -433,14 +372,13 @@ class TestBlockGrading:
             block=st.integers(2, 4),
             full_blocks=st.integers(2, 3),
             extra=st.integers(0, 2),
-            split=st.integers(1, 20),
             seed=st.integers(0, 2**31 - 1),
         )
         @example(
             kind="random_connected", n=9, m=3, toy=False, meter="closed_form", noisy=True,
-            block=3, full_blocks=3, extra=1, split=4, seed=5,
+            block=3, full_blocks=3, extra=1, seed=5,
         )
-        def check(kind, n, m, toy, meter, noisy, block, full_blocks, extra, split, seed):
+        def check(kind, n, m, toy, meter, noisy, block, full_blocks, extra, seed):
             m = 1 if toy else m
             topo = generate_graph(kind, n, extra_edge_prob=0.3, seed=seed % 97, block_dim=m)
             mats = build_matrices(topo)
@@ -461,15 +399,9 @@ class TestBlockGrading:
                     (run_distributed(topo, objs, params, mats=mats), engine.ROLE_METER),
                     (run_rgf(topo, objs, params, rgf, mats=mats), engine.ROLE_BASELINE_METER),
                 )
-                # a resume whose first row falls inside a block of the full run
-                at = split % full_blocks * block + 1 + split % (block - 1)
-                cen = runs[0][0]
-                chk = Checkpoint(iteration=at, x=cen.states_x[at], lam=cen.states_lam[at])
-                part = run_centralized(topo, objs, params, mats=mats, resume=chk)
             for result, role in runs:
                 assert [r.iteration for r in result.records] == list(range(1, horizon + 1))
                 assert result.records == self._views(result, objs, params, role, mats)
-            assert part.records == cen.records[at:]
 
         check()
 
@@ -569,6 +501,30 @@ class TestDistributedRun:
         np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
         np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
 
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        m=st.integers(1, 3),
+        graph_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**31 - 1),
+        trial=st.integers(0, 3),
+        samples=st.integers(1, 6),
+        noisy=st.booleans(),
+        horizon=st.integers(2, 10),
+    )
+    def test_step_draws_depend_only_on_seed_trial_role_and_iteration(
+        self, n, m, graph_seed, seed, trial, samples, noisy, horizon
+    ):
+        topo = generate_graph("random_connected", n, seed=graph_seed, block_dim=m)
+        noise = NoiseModel("additive_gaussian", 0.05) if noisy else NoiseModel()
+        params = _params(
+            seed=seed, total_iters=horizon, smoothing=SmoothingParams(0.05, samples),
+            noise=noise, gap_gradient="estimator",
+        )
+        objs = _quad_objectives(n, m, seed=graph_seed)
+        for run in (run_centralized, run_distributed):
+            _assert_fresh_step_gradients(run(topo, objs, params, trial=trial), objs, params)
+
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
         kind=st.sampled_from(["ring", "path", "star", "complete", "random_connected"]),
@@ -638,25 +594,24 @@ class TestDistributedRun:
         np.testing.assert_array_equal(cen.states_x, dis.states_x)
         np.testing.assert_array_equal(cen.states_lam, dis.states_lam)
         np.testing.assert_array_equal(cen.states_grad, dis.states_grad)
-        chk = Checkpoint(iteration=0, x=cen.states_x[0], lam=cen.states_lam[0])
-        again = run_centralized(topo, objs, params, resume=chk)
-        assert again.states_x.tobytes() == cen.states_x.tobytes()
+        # box retries included
+        _assert_fresh_step_gradients(cen, objs, params)
 
     def test_box_exhaustion_names_role_agent_and_iteration(self):
-        # a checkpoint on the box face with no retries allowed: the first
+        # x^3 placed on the box face with no retries allowed: the first
         # agent whose step row holds an outward direction fails
         topo = generate_graph("ring", 3, block_dim=1, seed=0)
         objs = [toy_objective()] * 3
         params = _params(retry_cap=0, smoothing=SmoothingParams(0.01, 4), seed=7)
         block = substream(7, 0, ROLE_STEP, 3).standard_normal((3, 4, 1))
         agent = 1 + int(np.flatnonzero(np.any(block[..., 0] > 0.0, axis=1))[0])
-        chk = Checkpoint(iteration=3, x=np.full(3, 5.0), lam=np.zeros(3))
-        with pytest.raises(
+        face = _placing(engine.primal_step, {3: np.full(3, 5.0)})
+        with mock.patch.object(engine, "primal_step", face), pytest.raises(
             RuntimeError,
             match=rf"^step estimate of agent {agent} at iteration 3: smoothing perturbation "
             "left the domain box 1 times",
         ):
-            run_centralized(topo, objs, params, resume=chk)
+            run_centralized(topo, objs, params)
 
     def test_message_traffic_per_round(self):
         topo, _ = _single_edge()
@@ -850,18 +805,22 @@ class TestDivergence:
             run()
 
     def test_non_finite_dual_names_the_edge(self):
-        # duals at the float maximum cancel in A'lam, so the primal step stays
-        # finite (x+ is about [0.25, 0, -0.25]), and the ascent by rho A x+
-        # overflows the duals of edges (1, 2) and (2, 3)
+        # x^2 = [1, 0, -1] and duals at the float maximum, placed: the duals
+        # cancel in A'lam, so the primal step stays finite (x+ is about
+        # [0.25, 0, -0.25]), and the ascent by rho A x+ overflows the duals of
+        # edges (1, 2) and (2, 3)
         topo = generate_graph("ring", 3, block_dim=1, seed=0)
         top = np.finfo(float).max
-        chk = Checkpoint(iteration=2, x=np.array([1.0, 0.0, -1.0]), lam=np.full(3, top))
+        primal = _placing(engine.primal_step, {2: np.array([1.0, 0.0, -1.0])})
+        dual = _placing(engine.dual_step, {2: np.full(3, top)})
         params = _params(gradient_mode="reference", rho=1e294)
-        with np.errstate(over="ignore"), pytest.raises(
+        with mock.patch.object(engine, "primal_step", primal), mock.patch.object(
+            engine, "dual_step", dual
+        ), np.errstate(over="ignore"), pytest.raises(
             RuntimeError,
             match=r"^primal_dual diverged at iteration 3: edge \(1, 2\) has lam = \[inf\]$",
         ):
-            run_centralized(topo, _quad_objectives(3, 1), params, resume=chk)
+            run_centralized(topo, _quad_objectives(3, 1), params)
 
 
 class TestValidation:

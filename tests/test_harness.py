@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import pkgutil
+import re
 import time
 from collections import Counter
 from pathlib import Path
@@ -526,8 +527,8 @@ class TestRunExperiment:
             for col in ("stationarity_gap", "constraint_violation", "potential", "objective"):
                 expected = float(np.mean([m[0][col] for m in matching]))
                 assert row[col] == pytest.approx(expected, rel=1e-15, abs=1e-300)
-        # the in-memory mean is the rows mean.csv holds, and mean_column its
-        # columns: the trial CSVs' column means, exactly
+        # the in-memory mean is the rows mean.csv holds, and its columns are
+        # the trial CSVs' column means, exactly
         for method in ("primal_dual", "rgf"):
             written = [r for r in mean_rows if r["method"] == method]
             assert [dataclasses.asdict(r) for r in result.mean[method]] == [
@@ -536,13 +537,12 @@ class TestRunExperiment:
             for col in harness._COLUMNS:
                 stack = [[r[col] for r in trial if r["method"] == method] for trial in trials]
                 np.testing.assert_array_equal(
-                    result.mean_column(method, col), np.array(stack).mean(axis=0)
+                    [getattr(r, col) for r in result.mean[method]], np.array(stack).mean(axis=0)
                 )
 
     def test_result_accessors(self, tmp_path):
         result = run_experiment(config_from_dict(_tiny_raw(tmp_path / "o")))
-        gaps = result.mean_column("primal_dual", "stationarity_gap")
-        assert gaps.shape == (5,)
+        assert [r.iteration for r in result.mean["primal_dual"]] == [1, 2, 3, 4, 5]
         assert result.meta["config_hash"] == config_from_dict(_tiny_raw(tmp_path / "o")).config_hash
         assert len(result.records["rgf"]) == 2
 
@@ -854,10 +854,18 @@ class TestTraceCsv:
             read_trace_csv(bad)
 
     def test_row_width_checked(self, tmp_path):
+        # a short row, a cell that is not a number, and a trial or iter that
+        # is not an integer each name the file and the row
         bad = tmp_path / "bad.csv"
-        bad.write_text(CSV_HEADER + "\nprimal_dual,0,1,2\n")
-        with pytest.raises(ValueError, match="malformed CSV row"):
-            read_trace_csv(bad)
+        for row in (
+            "primal_dual,0,1,2",
+            "primal_dual,0,1,abc,0.5,0.25,1.0",
+            "primal_dual,0.5,1,1.0,0.5,0.25,1.0",
+            "primal_dual,0,x,1.0,0.5,0.25,1.0",
+        ):
+            bad.write_text(f"{CSV_HEADER}\n{row}\n")
+            with pytest.raises(ValueError, match=f"^malformed CSV row in {re.escape(str(bad))}: "):
+                read_trace_csv(bad)
 
 
 class TestSweep:

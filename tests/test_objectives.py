@@ -43,16 +43,16 @@ def _gaussian_smoothed_mc(value_many, x, mu, samples, seed):
 class TestToyObjective:
     def test_value_examples(self):
         obj = toy_objective()
-        assert obj.value(np.array([0.0])) == pytest.approx(2.0, abs=1e-15)
+        assert obj.value_many(np.array([[0.0]]))[0] == pytest.approx(2.0, abs=1e-15)
         expected_pi = abs(math.cos(math.pi) + math.pi + math.exp(math.pi))
-        assert obj.value(np.array([math.pi])) == pytest.approx(expected_pi, rel=1e-15)
+        assert obj.value_many(np.array([[math.pi]]))[0] == pytest.approx(expected_pi, rel=1e-15)
 
     def test_kink_at_zero(self):
         # one-sided difference quotients straddling the |x| kink
         obj = toy_objective()
         h = 1e-6
-        right = (obj.value(np.array([h])) - obj.value(np.array([0.0]))) / h
-        left = (obj.value(np.array([0.0])) - obj.value(np.array([-h]))) / h
+        right = (obj.value_many(np.array([[h]]))[0] - obj.value_many(np.array([[0.0]]))[0]) / h
+        left = (obj.value_many(np.array([[0.0]]))[0] - obj.value_many(np.array([[-h]]))[0]) / h
         assert right == pytest.approx(2.0, abs=1e-4)
         assert left == pytest.approx(0.0, abs=1e-4)
         assert right - left > 1.5
@@ -121,7 +121,7 @@ class TestToyObjective:
         for closed_form in (shifted.smoothed_gradient, shifted.smoothed_value):
             with pytest.raises(ValueError, match="no smoothed closed form"):
                 closed_form(np.array([0.0]), 0.1)
-        assert shifted.value(np.array([0.0])) == pytest.approx(
+        assert shifted.value_many(np.array([[0.0]]))[0] == pytest.approx(
             abs(math.cos(0.4) + 1.0), rel=1e-15
         )
 
@@ -137,20 +137,21 @@ class TestLogisticRegression:
     def test_value_at_origin_alpha_zero(self):
         data = self._tiny()
         obj = logistic_regression_objective(data, num_agents=3, alpha=0.0)
-        assert obj.value(np.zeros(3)) == pytest.approx(math.log(2.0) / 3.0, rel=1e-14)
+        assert obj.value_many(np.zeros((1, 3)))[0] == pytest.approx(math.log(2.0) / 3.0, rel=1e-14)
 
     def test_value_at_origin_unit_epsilon(self):
         # log(eps + 0) vanishes at eps=1, so the regularizer adds nothing
         data = self._tiny()
         plain = logistic_regression_objective(data, num_agents=3, alpha=0.0)
         reg = logistic_regression_objective(data, num_agents=3, alpha=1.0, epsilon=1.0)
-        assert reg.value(np.zeros(3)) == pytest.approx(plain.value(np.zeros(3)), rel=1e-14)
+        x = np.zeros((1, 3))
+        assert reg.value_many(x)[0] == pytest.approx(plain.value_many(x)[0], rel=1e-14)
 
     def test_single_point_margin(self):
         data = ClassificationData(np.array([[1.0, 0.0]]), np.array([1.0]))
         obj = logistic_regression_objective(data, num_agents=5, alpha=0.0)
         expected = math.log(1.0 + math.exp(-10.0)) / 5.0
-        assert obj.value(np.array([10.0, 0.0])) == pytest.approx(expected, rel=1e-12)
+        assert obj.value_many(np.array([[10.0, 0.0]]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_matches_plain_python_recomputation(self):
         """Loop-based reimplementation of the same formula as an oracle."""
@@ -164,7 +165,7 @@ class TestLogisticRegression:
                 loss += math.log1p(math.exp(-y * float(np.dot(x, v))))
             loss += alpha * math.log(eps + float(np.sum(np.abs(x))))
             expected = loss / (n * data.batch)
-            assert obj.value(x) == pytest.approx(expected, rel=1e-12)
+            assert obj.value_many(x[None])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_extreme_margins_give_the_linear_asymptote(self):
         # exp(-m) overflows at m = -1e3: softplus(-m) must still be max(-m, 0)
@@ -280,7 +281,7 @@ class TestQuadraticFamily:
     def test_isotropic_example(self):
         obj = quadratic_objective(2.0 * np.eye(2), np.zeros(2))
         x = np.array([1.0, 0.0])
-        assert obj.value(x) == pytest.approx(1.0)
+        assert obj.value_many(x[None])[0] == pytest.approx(1.0)
         np.testing.assert_allclose(obj.smoothed_gradient(x, 0.1), [2.0, 0.0])
         # trace(2 I_2) = 4, so the smoothing offset is mu^2 * 2
         assert obj.smoothed_value(x, 0.1) == pytest.approx(1.0 + 0.01 * 2.0)
@@ -289,13 +290,13 @@ class TestQuadraticFamily:
         a = np.array([1.5, -2.0, 0.5])
         obj = quadratic_objective(np.zeros((3, 3)), a)
         x = np.array([0.3, 0.1, -0.2])
-        assert obj.smoothed_value(x, 0.7) == pytest.approx(obj.value(x))
+        assert obj.smoothed_value(x, 0.7) == pytest.approx(obj.value_many(x[None])[0])
         np.testing.assert_allclose(obj.smoothed_gradient(x, 0.7), a)
 
     def test_indefinite_example(self):
         obj = quadratic_objective(np.diag([1.0, -1.0]), np.zeros(2))
         x = np.array([1.0, 1.0])
-        assert obj.value(x) == pytest.approx(0.0, abs=1e-15)
+        assert obj.value_many(x[None])[0] == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(obj.smoothed_gradient(x, 0.2), [1.0, -1.0])
         assert obj.smoothed_value(x, 0.2) == pytest.approx(0.0, abs=1e-15)
         assert obj.lower_bound == -math.inf
@@ -318,7 +319,7 @@ class TestQuadraticFamily:
         a = random_quadratic(4, seed=3)
         b = random_quadratic(4, seed=3)
         x = np.array([0.2, -1.1, 0.5, 0.0])
-        assert a.value(x) == b.value(x)
+        assert a.value_many(x[None])[0] == b.value_many(x[None])[0]
 
 
 def test_stacked_assembly_matches_blockwise_sum():
@@ -326,7 +327,7 @@ def test_stacked_assembly_matches_blockwise_sum():
     stacked = StackedObjective(locals_)
     rng = np.random.default_rng(21)
     for x in rng.uniform(-2, 2, size=(100, 10)):
-        parts = [locals_[i].value(x[2 * i : 2 * i + 2]) for i in range(5)]
+        parts = [locals_[i].value_many(x[None, 2 * i : 2 * i + 2])[0] for i in range(5)]
         assert stacked.value(x) == float(np.sum(parts))
 
 
@@ -371,7 +372,7 @@ def test_stacked_values_equal_per_agent_rows():
         assert stacked.values(pts).tobytes() == want.tobytes()
         x = pts[:, 0, :].reshape(-1)
         agents = list(enumerate(locals_))
-        assert stacked.value(x) == float(np.sum([o.value(pts[i, 0]) for i, o in agents]))
+        assert stacked.value(x) == float(np.sum([o.value_many(pts[i, :1])[0] for i, o in agents]))
         if stacked.has_smoothed_closed_form:
             grads = np.concatenate([o.smoothed_gradient(pts[i, 0], 0.1) for i, o in agents])
             vals = [o.smoothed_value(pts[i, 0], 0.1) for i, o in agents]
@@ -423,7 +424,7 @@ def test_logreg_family_rows_equal_agent_views():
         got = stacked.values(pts)
         want = np.array([o.value_many(pts[i]) for i, o in enumerate(locals_)])
         assert got.tobytes() == want.tobytes()
-        single = [[o.value(p) for p in pts[i]] for i, o in enumerate(locals_)]
+        single = [[o.value_many(p[None])[0] for p in pts[i]] for i, o in enumerate(locals_)]
         assert got.tobytes() == np.array(single).tobytes()
 
     check()
@@ -459,7 +460,7 @@ def test_logreg_rows_do_not_depend_on_the_batch():
             assert part.tobytes() == whole[:, :rows].tobytes()
         for i, o in enumerate(locals_):
             assert o.value_many(pts[i]).tobytes() == whole[i].tobytes()
-            assert np.array([o.value(pts[i, -1])]).tobytes() == whole[i, -1:].tobytes()
+            assert o.value_many(pts[i, -1:]).tobytes() == whole[i, -1:].tobytes()
         one = StackedObjective([locals_[0]] * n).values(pts)
         assert one.tobytes() == np.array([locals_[0].value_many(p) for p in pts]).tobytes()
 
@@ -502,7 +503,7 @@ def test_quadratic_rows_are_row_stable():
     def check(dim, rows, convex, seed):
         obj = random_quadratic(dim, seed=seed % 1000, convex=convex)
         pts = np.random.default_rng(seed).uniform(-3.0, 3.0, (rows, dim))
-        single = [obj.value(p) for p in pts]
+        single = [obj.value_many(p[None])[0] for p in pts]
         assert obj.value_many(pts).tobytes() == np.array(single).tobytes()
 
     check()

@@ -45,13 +45,13 @@ def _one_agent_batch(obj, noise, x, mu, samples, rng):
 class TestOracleQuery:
     def test_noiseless_values(self):
         sq = quadratic_objective(2.0 * np.eye(1), np.zeros(1))
-        assert sq.value(np.array([3.0])) == pytest.approx(9.0)
+        assert sq.value_many(np.array([[3.0]]))[0] == pytest.approx(9.0)
         toy = toy_objective()
-        assert toy.value(np.array([0.0])) == pytest.approx(2.0)
+        assert toy.value_many(np.array([[0.0]]))[0] == pytest.approx(2.0)
         # the estimator's noise-free values are the objective's
         for obj, x in ((sq, [3.0]), (toy, [0.0])):
             base = _one_agent_batch(obj, NoiseModel(), x, 0.1, 2, _rng(0))[2]
-            assert base[0] == obj.value(np.array(x))
+            assert base[0] == obj.value_many(np.array(x)[None])[0]
 
     def test_noisy_mean(self):
         # a linear objective's perturbed values average to its value at x, so
