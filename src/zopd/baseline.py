@@ -127,17 +127,15 @@ def run_rgf(
     its domain box. The dual is identically zero in every record. on_record
     receives the rows a graded block at a time, the failing round's row
     included."""
-    ctx = _prepare(
-        topo, objectives, params, trial, mats, (ROLE_BASELINE_STEP, ROLE_BASELINE_METER)
-    )
+    roles, single = (ROLE_BASELINE_STEP, ROLE_BASELINE_METER), SmoothingParams(rgf.mu, 1)
+    ctx = _prepare(topo, objectives, params, trial, mats, roles, single)
     mixing = _Mixing(mixing_coupling(ctx.mats), ctx.mats)
-    single = SmoothingParams(mu=rgf.mu, samples=1)
 
     def step(x, lam, r):
         blocks = ctx.stacked.blocks(x)
-        grads, _, values = ctx.estimate(blocks, single, r)
+        grads = ctx.estimate(blocks, r)[0]
         mixed = rgf_step(blocks, grads, mixing, ctx.mats, rgf.step_scale, r + 1)
         x_new = np.clip(mixed, ctx.stacked.box_lo, ctx.stacked.box_hi)
-        return x_new.reshape(-1), lam, grads.reshape(-1), values
+        return x_new.reshape(-1), lam, grads.reshape(-1)
 
     return _drive(ctx, params, trial, step, "rgf", None, on_record=on_record)

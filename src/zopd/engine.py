@@ -27,19 +27,20 @@ own slice in list order, so they also agree bit for bit. The message-passing
 run can also replay a centralized result, checking each round against it bit
 for bit and taking its step gradients and rows, with no estimate of its own.
 
-One loop drives both runs and the baseline. A step returns fresh arrays,
-or an input passed through unchanged, and never writes into an array it was
-given or has returned, so the loop keeps each iterate as the step returned
-it, with no copy. The step also hands over the noise-free values its
-estimate read at x^r, which give the trace row's objective column.
+One loop drives both runs and the baseline. A step maps (x, lam, r) to
+(x', lam', g) and takes its gradients from its role's _Estimator, as the
+meter does. It returns fresh arrays, or an input passed through unchanged,
+and never writes into an array it was given or has returned, so the loop
+keeps each iterate as the step returned it, with no copy.
 
 The loop grades its rows in blocks of max(1, _GRADE_BLOCK // (N M)) rows,
 holding references to the block's iterates and each row's meter output. A
 block is graded when it is full, at the end of the run and before any
-failure is raised: one closed-form meter call on its (N, B, M) points, one
-values call for the rows without step values, and one metrics.trace_rows
-pass. Each row gets the bits it would get graded alone. An estimating meter
-still estimates every iteration, on its own streams.
+failure is raised: a closed-form meter makes one closed-form call and one
+values call on its (N, B, M) points, and then one metrics.trace_rows pass
+grades the block. Each row gets the bits it would get graded alone. An
+estimating meter estimates every iteration, on its own streams, and takes
+each row's objective from its estimate's noise-free values.
 """
 from __future__ import annotations
 
@@ -223,21 +224,27 @@ def dual_step(
 
 
 class _Estimator:
-    """Every agent's estimates for one role of a trial, from the role's block
-    and retry streams."""
+    """Every agent's gradients for one role of a trial at the role's
+    smoothing: the smoothed closed forms when closed_form, or else estimates
+    from the role's block and retry streams."""
 
-    def __init__(self, stacked: StackedObjective, params: AlgoParams, trial: int, role: int):
+    def __init__(
+        self, stacked: StackedObjective, params: AlgoParams, trial: int, role: int,
+        smoothing: SmoothingParams, closed_form: bool = False,
+    ):
         self.stacked, self.params, self.trial, self.role = stacked, params, trial, role
+        self.smoothing, self.closed_form = smoothing, closed_form
 
-    def __call__(
-        self, xb: np.ndarray, smoothing: SmoothingParams, iteration: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(N, M) gradients, (N, J) noisy values and (N,) noise-free values at
-        the blocks xb (N, M)."""
+    def __call__(self, xb: np.ndarray, iteration: int) -> tuple:
+        """(N, M) gradients at the blocks xb (N, M), then an estimate's (N, J)
+        noisy values and (N,) noise-free values there, or None and None."""
+        if self.closed_form:
+            g = self.stacked.smoothed_gradient_stacked(xb, self.smoothing.mu)
+            return g.reshape(xb.shape), None, None
         key = (self.params.seed, self.trial, self.role)
         try:
             return estimate_batch(
-                self.stacked, self.params.noise, xb, smoothing, substream(*key, iteration),
+                self.stacked, self.params.noise, xb, self.smoothing, substream(*key, iteration),
                 lambda i: substream(*key, i, iteration), self.params.retry_cap,
             )
         except (BoxExhausted, OutsideBox) as exc:
@@ -250,53 +257,46 @@ class _Estimator:
 class _TraceMeter(_Estimator):
     """Resolves the smoothed gradient/value used by the per-iteration trace.
 
-    Modes: closed_form (exact), estimator (an independent J-sample batched
-    estimate on the meter role's streams), mc (the same at mc_gap_samples
-    samples). The measurement never feeds the algorithm; it only grades
-    iterates.
+    Its mode is gap_gradient: closed_form (exact), estimator (an independent
+    J-sample batched estimate on the meter role's streams) or mc (the same at
+    mc_gap_samples samples); auto is closed_form when the objective has the
+    closed forms, else estimator. The measurement never feeds the algorithm;
+    it only grades iterates.
     """
 
     def __init__(self, stacked: StackedObjective, params: AlgoParams, trial: int, role: int):
-        super().__init__(stacked, params, trial, role)
         mode = params.gap_gradient
         if mode == "auto":
             mode = "closed_form" if stacked.has_smoothed_closed_form else "estimator"
-        self.mode, self.smoothing = mode, params.smoothing
+        smoothing = params.smoothing
         if mode == "mc":
-            self.smoothing = SmoothingParams(params.smoothing.mu, params.mc_gap_samples)
+            smoothing = SmoothingParams(smoothing.mu, params.mc_gap_samples)
+        super().__init__(stacked, params, trial, role, smoothing, mode == "closed_form")
 
-    def measure(
-        self, x: np.ndarray, iteration: int, values: np.ndarray | None = None
-    ) -> tuple:
-        """Row `iteration`'s meter output at x, given the step's (N,)
-        noise-free values there, or None: an estimate, made now on the
+    def measure(self, x: np.ndarray, iteration: int) -> tuple | None:
+        """Row `iteration`'s meter output at x: an estimate, made now on the
         iteration's streams, as (smoothed gradient, smoothed value, its (N,)
         noise-free base values); the closed form waits for the row's block,
-        as (None, None, values)."""
-        if self.mode == "closed_form":
-            return None, None, values
-        g, noisy, base = self(self.stacked.blocks(x), self.smoothing, iteration)
+        as None."""
+        if self.closed_form:
+            return None
+        g, noisy, base = self(self.stacked.blocks(x), iteration)
         return g.reshape(-1), float(np.sum(np.mean(noisy, axis=1))), base
 
-    def grade(self, xs: np.ndarray, measured: list[tuple]) -> tuple[np.ndarray, ...]:
+    def grade(self, xs: np.ndarray, measured: list) -> tuple[np.ndarray, ...]:
         """(B, N M) smoothed gradients, (B,) smoothed values and (B,)
         objectives at the rows of xs (B, N M), from their measure outputs.
-        The closed form takes one call on the block's (N, B, M) points, and
-        one values call evaluates the rows that came without values. Every
-        row sums its agents' values over a contiguous last axis, pairwise,
-        as numpy sums one row alone."""
+        The closed form takes one closed-form call and one values call on the
+        block's (N, B, M) points. Every row sums its agents' values over a
+        contiguous last axis, pairwise, as numpy sums one row alone."""
+        if not self.closed_form:
+            grads, f_mu, values = zip(*measured)
+            return np.asarray(grads), np.asarray(f_mu), np.array(values).sum(axis=1)
         st = self.stacked
-        grads, f_mu, values = map(list, zip(*measured))
-        if self.mode == "closed_form":
-            pts = np.ascontiguousarray(xs.reshape(len(xs), st.num_agents, -1).transpose(1, 0, 2))
-            g, v = st._smoothed_pair(pts, self.smoothing.mu)
-            grads = g.transpose(1, 0, 2).reshape(len(xs), -1)
-            f_mu = np.ascontiguousarray(v.T).sum(axis=1)
-            missing = [t for t, vals in enumerate(values) if vals is None]
-            if missing:
-                for t, vals in zip(missing, st.values(pts[:, missing]).T):
-                    values[t] = vals
-        return np.asarray(grads), np.asarray(f_mu), np.array(values).sum(axis=1)
+        pts = np.ascontiguousarray(xs.reshape(len(xs), st.num_agents, -1).transpose(1, 0, 2))
+        g, v = st._smoothed_pair(pts, self.smoothing.mu)
+        row_sums = [np.ascontiguousarray(a.T).sum(axis=1) for a in (v, st.values(pts))]
+        return (g.transpose(1, 0, 2).reshape(len(xs), -1), *row_sums)
 
 
 @dataclass
@@ -317,9 +317,12 @@ def _prepare(
     trial: int,
     mats: NetworkMatrices | None,
     roles: tuple[int, int],
+    step_smoothing: SmoothingParams | None = None,
 ) -> _RunContext:
     """Checks and shared state of one execution; roles are its (step, meter)
-    substream roles."""
+    substream roles. The step estimates at step_smoothing, or else takes the
+    primal-dual step's gradients: at params.smoothing, by the closed forms
+    when gradient_mode is "reference"."""
     if len(objectives) != topo.num_nodes:
         raise ValueError(
             f"need one objective per node: got {len(objectives)} for {topo.num_nodes} nodes"
@@ -331,7 +334,8 @@ def _prepare(
     if mats is None:
         mats = build_matrices(topo)
 
-    estimate = _Estimator(stacked, params, trial, roles[0])
+    closed = step_smoothing is None and params.gradient_mode == "reference"
+    estimate = _Estimator(stacked, params, trial, roles[0], step_smoothing or params.smoothing, closed)
     meter = _TraceMeter(stacked, params, trial, roles[1])
     consts = params.analysis_constants(stacked, mats)
 
@@ -340,19 +344,6 @@ def _prepare(
     )
     output_pick = int(substream(params.seed, trial, ROLE_OUTPUT).integers(params.total_iters))
     return _RunContext(mats, stacked, estimate, meter, consts, x0, output_pick)
-
-
-def _step_gradients(
-    ctx: _RunContext, params: AlgoParams, xb: np.ndarray, r: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Every agent's step gradient at its block of xb (N, M), and an
-    estimate's (N,) noise-free values there (None for reference gradients);
-    both engines call this, and agent i takes row i."""
-    if params.gradient_mode == "reference":
-        g = ctx.stacked.smoothed_gradient_stacked(xb, params.smoothing.mu)
-        return g.reshape(xb.shape), None
-    g, _, values = ctx.estimate(xb, params.smoothing, r)
-    return g, values
 
 
 def _first_bad(topo: Topology, name: str, bad: np.ndarray, *arrays: np.ndarray) -> tuple:
@@ -387,7 +378,7 @@ def _check_replay(
     )
 
 
-_Step = Callable[[np.ndarray, np.ndarray, int], tuple]
+_Step = Callable[[np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _drive(
@@ -401,12 +392,10 @@ def _drive(
 ) -> RunResult:
     """The run loop every method shares, from (x^0, 0) at iteration 0.
 
-    step(x, lam, r) returns (x^{r+1}, lam^{r+1}, g^r) and the agents'
-    noise-free values at x^r that its estimate read, or None; it keeps the
-    contract in the module docstring. Emits one metric row per iteration
-    1..T; row r grades the pair (x^r, lam^{r-1}) and the potential at
-    (x^r, lam^r), and takes its objective from step r's values when there
-    are any. Rows are graded and passed to on_record a block at a time (see
+    step(x, lam, r) returns (x^{r+1}, lam^{r+1}, g^r) and keeps the contract
+    in the module docstring. Emits one metric row per iteration 1..T; row r
+    grades the pair (x^r, lam^{r-1}) and the potential at (x^r, lam^r).
+    Rows are graded and passed to on_record a block at a time (see
     the module docstring), so on_record sees row r at most one block after
     iteration r. When step r fails, rows up to r are still recorded before
     the failure is raised. The output pair is the iterate at output_pick,
@@ -445,13 +434,12 @@ def _drive(
         for r in range(horizon + 1):
             if r == output_pick:
                 out_x, out_lam, out_iter = x, lam, r
-            values = None
             try:
                 if r < horizon:
-                    x_new, lam_new, g, values = step(x, lam, r)
+                    x_new, lam_new, g = step(x, lam, r)
             finally:
                 if r > 0:
-                    measured.append(ctx.meter.measure(x, r, values))
+                    measured.append(ctx.meter.measure(x, r))
                     if len(measured) == block:
                         grade()
             if r == horizon:
@@ -495,10 +483,9 @@ def run_centralized(
     ctx = _prepare(topo, objectives, params, trial, mats, (ROLE_STEP, ROLE_METER))
 
     def step(x, lam, r):
-        g, values = _step_gradients(ctx, params, ctx.mats.node_blocks(x), r)
-        g = g.reshape(-1)
+        g = ctx.estimate(ctx.mats.node_blocks(x), r)[0].reshape(-1)
         x_new = primal_step(x, lam, g, ctx.mats, params.rho)
-        return x_new, dual_step(x_new, lam, ctx.mats, params.rho), g, values
+        return x_new, dual_step(x_new, lam, ctx.mats, params.rho), g
 
     return _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, on_record)
 
@@ -566,8 +553,8 @@ def run_distributed(
 
     def step(x, lam, r):
         # each agent estimates at its own block and takes its row of the batch
-        grads, values = _step_gradients(ctx, params, blocks, r)
-        return *exchange(grads), grads.reshape(-1), values
+        grads = ctx.estimate(blocks, r)[0]
+        return *exchange(grads), grads.reshape(-1)
 
     result = _drive(ctx, params, trial, step, "primal_dual", ctx.output_pick, on_record=on_record)
     result.messages_per_agent = messages

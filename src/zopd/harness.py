@@ -92,6 +92,18 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _positive(value, path: str) -> float:
+    if not _number(value, path) > 0:
+        raise ConfigError(path, f"must be > 0, got {value!r}")
+    return float(value)
+
+
+def _probability(value, path: str) -> float:
+    if not 0.0 <= _number(value, path) <= 1.0:
+        raise ConfigError(path, f"must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
 def _integer(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
@@ -209,16 +221,16 @@ def _read(section, fields: tuple[_Field, ...], path: str) -> dict:
 
 
 _TOPOLOGY_EDGES = (
-    _Field("num_nodes", _integer),
+    _Field("num_nodes", _integer, low=2),
     _Field("edges", _edges),
-    _Field("block_dim", _integer, 1),
+    _Field("block_dim", _integer, 1, low=1),
 )
 _TOPOLOGY_GENERATED = (
     _Field("kind", _choice(GRAPH_KINDS)),
-    _Field("num_nodes", _integer),
-    _Field("block_dim", _integer, 1),
+    _Field("num_nodes", _integer, low=2),
+    _Field("block_dim", _integer, 1, low=1),
     _Field("seed", _integer, 0, low=0),
-    _Field("extra_edge_prob", _number, 0.15),
+    _Field("extra_edge_prob", _probability, 0.15),
 )
 
 
@@ -249,8 +261,8 @@ _KIND = _Field("kind", _as_is)
 _LOGREG = (
     _KIND,
     _Field("box", _interval, [-10.0, 10.0]),
-    _Field("alpha", _number, 0.1),
-    _Field("epsilon", _number, 1e-3),
+    _Field("alpha", _number, 0.1, low=0.0),
+    _Field("epsilon", _positive, 1e-3),
 )
 # objective kind -> variant key; (kind, whether the section holds it) -> table
 _VARIANT_KEY = {"toy": None, "logreg": "data_dir", "quadratic": "hessian"}
@@ -264,7 +276,7 @@ _OBJECTIVES = {
     ("logreg", False): _LOGREG + (
         _Field("batch", _integer, 100, low=1),
         _Field("data_seed", _integer, 0, low=0),
-        _Field("flip_prob", _number, 0.05),
+        _Field("flip_prob", _probability, 0.05),
     ),
     ("logreg", True): _LOGREG + (_Field("data_dir", lambda v, path: str(Path(_text(v, path)))),),
     ("quadratic", False): (
@@ -308,8 +320,8 @@ def _noise(section, path: str) -> dict:
 
 
 _ALGORITHM = (
-    _Field("rho", _number),
-    _Field("mu", _number),
+    _Field("rho", _positive),
+    _Field("mu", _positive),
     _Field("samples", _integer, low=1),
     _Field("iters", _integer, low=1),
     _Field("seed", _integer, low=0),
@@ -317,15 +329,15 @@ _ALGORITHM = (
     _Field("noise", _noise, {"kind": "none"}),
     _Field("gradient_mode", _choice(GRADIENT_MODES), "estimator"),
     _Field("gap_gradient", _choice(GAP_GRADIENTS), "auto"),
-    _Field("potential_weight", _number, None),
+    _Field("potential_weight", _positive, None),
     _Field("mc_gap_samples", _integer, 10**4, low=1),
     _Field("retry_cap", _integer, 100, low=0),
     _Field("modes", _modes, ["centralized"]),
 )
 _BASELINE = (
     _Field("enabled", _flag, True),
-    _Field("step_scale", _number, 1.0),
-    _Field("mu", _number, 1e-2),
+    _Field("step_scale", _positive, 1.0),
+    _Field("mu", _positive, 1e-2),
     _Field("mixing", _choice(("metropolis",)), "metropolis"),
 )
 

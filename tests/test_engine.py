@@ -14,6 +14,7 @@ from conftest import NAN_FAMILY
 from zopd import engine, objectives, szo
 from zopd.baseline import RGFParams, run_rgf
 from zopd.engine import (
+    GRADIENT_MODES,
     ROLE_INIT,
     ROLE_STEP,
     AlgoParams,
@@ -79,8 +80,8 @@ def _assert_fresh_step_gradients(result, objs, params):
     stacked = StackedObjective(objs)
     assert len(result.states_grad) == params.total_iters
     for r, g in enumerate(result.states_grad):
-        fresh = engine._Estimator(stacked, params, result.trial, ROLE_STEP)
-        want = fresh(stacked.blocks(result.states_x[r]), params.smoothing, r)[0]
+        fresh = engine._Estimator(stacked, params, result.trial, ROLE_STEP, params.smoothing)
+        want = fresh(stacked.blocks(result.states_x[r]), r)[0]
         assert g.tobytes() == want.reshape(-1).tobytes(), r
 
 
@@ -347,12 +348,12 @@ class TestBlockGrading:
         rows = []
         for r in range(1, len(xs)):
             x = xs[r]
-            if meter.mode == "closed_form":
+            if meter.closed_form:
                 grad = stacked.smoothed_gradient_stacked(x, meter.smoothing.mu)
                 f_mu = stacked.smoothed_value_stacked(x, meter.smoothing.mu)
                 f = stacked.value(x)
             else:
-                g, noisy, base = meter(stacked.blocks(x), meter.smoothing, r)
+                g, noisy, base = meter(stacked.blocks(x), r)
                 grad, f = g.reshape(-1), float(np.sum(base))
                 f_mu = float(np.sum(np.mean(noisy, axis=1)))
             gap = stationarity_gap(x, lams[r - 1], grad, mats, consts.rho)
@@ -368,6 +369,7 @@ class TestBlockGrading:
             m=st.integers(1, 3),
             toy=st.booleans(),
             meter=st.sampled_from(["closed_form", "estimator", "mc"]),
+            mode=st.sampled_from(GRADIENT_MODES),
             noisy=st.booleans(),
             block=st.integers(2, 4),
             full_blocks=st.integers(2, 3),
@@ -375,10 +377,10 @@ class TestBlockGrading:
             seed=st.integers(0, 2**31 - 1),
         )
         @example(
-            kind="random_connected", n=9, m=3, toy=False, meter="closed_form", noisy=True,
-            block=3, full_blocks=3, extra=1, seed=5,
+            kind="random_connected", n=9, m=3, toy=False, meter="closed_form",
+            mode="estimator", noisy=True, block=3, full_blocks=3, extra=1, seed=5,
         )
-        def check(kind, n, m, toy, meter, noisy, block, full_blocks, extra, seed):
+        def check(kind, n, m, toy, meter, mode, noisy, block, full_blocks, extra, seed):
             m = 1 if toy else m
             topo = generate_graph(kind, n, extra_edge_prob=0.3, seed=seed % 97, block_dim=m)
             mats = build_matrices(topo)
@@ -389,6 +391,7 @@ class TestBlockGrading:
             horizon = full_blocks * block + 1 + extra % (block - 1)
             params = _params(
                 seed=seed, total_iters=horizon, gap_gradient=meter, mc_gap_samples=7,
+                gradient_mode=mode,
                 noise=NoiseModel("additive_gaussian", 0.05) if noisy else NoiseModel(),
                 rho=60.0 if toy else 6.0,
             )

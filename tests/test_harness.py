@@ -337,16 +337,35 @@ class TestConfigValidation:
             (None, {"seed": -1}, "algorithm.seed"),
             (None, {"gap_gradient": "foo"}, "algorithm.gap_gradient"),
             (None, {"gradient_mode": "exact"}, "algorithm.gradient_mode"),
+            # bounds that the library also checks, named at their field
+            (None, {"rho": 0}, "algorithm.rho"),
+            (None, {"mu": 0}, "algorithm.mu"),
+            (None, {"potential_weight": -1}, "algorithm.potential_weight"),
+            ({"baseline": {"step_scale": 0}}, {}, "baseline.step_scale"),
+            ({"baseline": {"mu": 0}}, {}, "baseline.mu"),
+            ({"topology": {"kind": "ring", "num_nodes": 1}}, {}, "topology.num_nodes"),
+            ({"topology": {"kind": "ring", "num_nodes": 3, "block_dim": 0}}, {},
+             "topology.block_dim"),
+            ({"topology": {"kind": "ring", "num_nodes": 3, "extra_edge_prob": 2}}, {},
+             "topology.extra_edge_prob"),
+            ({"kind": "logreg", "epsilon": 0}, {}, "objective.epsilon"),
+            ({"kind": "logreg", "alpha": -1}, {}, "objective.alpha"),
+            ({"kind": "logreg", "flip_prob": 2}, {}, "objective.flip_prob"),
         ],
         ids=["toy-box", "quadratic-box", "quadratic-seed", "retry-cap", "mc-samples",
              "noise-key", "none-std-dev", "nan-potential-weight", "infinite-mu",
              "infinite-init", "nan-hessian", "zero-iters", "zero-samples", "negative-seed",
-             "unknown-gap-gradient", "unknown-gradient-mode"],
+             "unknown-gap-gradient", "unknown-gradient-mode", "zero-rho", "zero-mu",
+             "negative-potential-weight", "zero-baseline-step-scale", "zero-baseline-mu",
+             "one-node", "zero-block-dim", "edge-prob-above-one", "zero-logreg-epsilon",
+             "negative-logreg-alpha", "flip-prob-above-one"],
     )
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, objective, algo, field):
         raw = _tiny_raw(tmp_path / "o", **algo)
+        # an objective section (it has a kind) replaces the objective; any
+        # other dict replaces the sections it names
         if objective is not None:
-            raw["objective"] = objective
+            raw.update(objective if "kind" not in objective else {"objective": objective})
         with pytest.raises(ConfigError) as exc:
             config_from_dict(raw)
         assert exc.value.field == field
