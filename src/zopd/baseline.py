@@ -66,21 +66,9 @@ def build_mixing(topo: Topology) -> np.ndarray:
     return w
 
 
-class _Mixing:
-    """A run's mixing rounds, set up once: the mixing_coupling column, the
-    scatter index with every node's own block first and then its incidence
-    entries, and the term array each round fills in place in that order."""
-
-    def __init__(self, coupling: np.ndarray, mats: NetworkMatrices):
-        n, m = mats.topology.num_nodes, mats.topology.block_dim
-        self.coupling = coupling
-        self.index = np.concatenate((np.arange(n * m), mats.sum_index))
-        self.terms = np.empty((n + len(mats.node), m))
-
-
-def apply_mixing(coupling, mats: NetworkMatrices, blocks: np.ndarray) -> np.ndarray:
+def apply_mixing(coupling: np.ndarray, mats: NetworkMatrices, blocks: np.ndarray) -> np.ndarray:
     """Difference-form mixing: x_i + sum_j W_ij (x_j - x_i), with coupling
-    the mixing_coupling column, or a run's rounds built from it once.
+    the mixing_coupling column.
 
     Equal to W x row by row, but consensual inputs are fixed points exactly
     (every difference vanishes), which the dense product cannot guarantee in
@@ -88,12 +76,9 @@ def apply_mixing(coupling, mats: NetworkMatrices, blocks: np.ndarray) -> np.ndar
     terms in edge order, through the same scatter_add and incidence list as
     the primal-dual engines.
     """
-    mix = coupling if isinstance(coupling, _Mixing) else _Mixing(coupling, mats)
-    own, edges = mix.terms[: len(blocks)], mix.terms[len(blocks) :]
-    own[...] = blocks
-    np.subtract(blocks.take(mats.neighbor, 0), blocks.take(mats.node, 0), out=edges)
-    edges *= mix.coupling
-    return scatter_add(mix.index, mix.terms, len(blocks))
+    diffs = coupling * (blocks.take(mats.neighbor, 0) - blocks.take(mats.node, 0))
+    index = np.concatenate((np.arange(blocks.size), mats.sum_index))
+    return scatter_add(index, np.concatenate((blocks, diffs)), len(blocks))
 
 
 def rgf_step(
@@ -104,9 +89,8 @@ def rgf_step(
     step_scale: float,
     round_index: int,
 ) -> np.ndarray:
-    """One baseline round, mixing with the mixing_coupling column (or the
-    run's rounds, as apply_mixing takes it) over the run's operators mats;
-    round_index counts from 1 for the 1/sqrt decay."""
+    """One baseline round, mixing with the mixing_coupling column over the
+    run's operators mats; round_index counts from 1 for the 1/sqrt decay."""
     if round_index < 1:
         raise ValueError("round_index counts from 1")
     step = step_scale / math.sqrt(round_index)
@@ -129,12 +113,12 @@ def run_rgf(
     included."""
     roles, single = (ROLE_BASELINE_STEP, ROLE_BASELINE_METER), SmoothingParams(rgf.mu, 1)
     ctx = _prepare(topo, objectives, params, trial, mats, roles, single)
-    mixing = _Mixing(mixing_coupling(ctx.mats), ctx.mats)
+    coupling = mixing_coupling(ctx.mats)
 
     def step(x, lam, r):
         blocks = ctx.stacked.blocks(x)
         grads = ctx.estimate(blocks, r)[0]
-        mixed = rgf_step(blocks, grads, mixing, ctx.mats, rgf.step_scale, r + 1)
+        mixed = rgf_step(blocks, grads, coupling, ctx.mats, rgf.step_scale, r + 1)
         x_new = np.clip(mixed, ctx.stacked.box_lo, ctx.stacked.box_hi)
         return x_new.reshape(-1), lam, grads.reshape(-1)
 

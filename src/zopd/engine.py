@@ -33,14 +33,17 @@ meter does. It returns fresh arrays, or an input passed through unchanged,
 and never writes into an array it was given or has returned, so the loop
 keeps each iterate as the step returned it, with no copy.
 
-The loop grades its rows in blocks of max(1, _GRADE_BLOCK // (N M)) rows,
-holding references to the block's iterates and each row's meter output. A
-block is graded when it is full, at the end of the run and before any
-failure is raised: a closed-form meter makes one closed-form call and one
-values call on its (N, B, M) points, and then one metrics.trace_rows pass
-grades the block. Each row gets the bits it would get graded alone. An
-estimating meter estimates every iteration, on its own streams, and takes
-each row's objective from its estimate's noise-free values.
+Each iteration r = 1..T takes one straight path: step from (x^{r-1},
+lam^{r-1}), check that x^r and lam^r are finite, record them in the run's
+histories, then measure row r. The output pair is read from the histories.
+Rows are graded in blocks of max(1, _GRADE_BLOCK // (N M)) rows, from the
+histories and each row's meter output. A block is graded when it is full, at
+the end of the run and before any failure is raised: a closed-form meter
+makes one closed-form call and one values call on its (N, B, M) points, and
+then one metrics.trace_rows pass grades the block. Each row gets the bits it
+would get graded alone. An estimating meter estimates every iteration, on its
+own streams, and takes each row's objective from its estimate's noise-free
+values.
 """
 from __future__ import annotations
 
@@ -393,64 +396,48 @@ def _drive(
     """The run loop every method shares, from (x^0, 0) at iteration 0.
 
     step(x, lam, r) returns (x^{r+1}, lam^{r+1}, g^r) and keeps the contract
-    in the module docstring. Emits one metric row per iteration 1..T; row r
-    grades the pair (x^r, lam^{r-1}) and the potential at (x^r, lam^r).
-    Rows are graded and passed to on_record a block at a time (see
-    the module docstring), so on_record sees row r at most one block after
-    iteration r. When step r fails, rows up to r are still recorded before
-    the failure is raised. The output pair is the iterate at output_pick,
-    when given.
+    in the module docstring. Iteration r steps, checks x^r and lam^r, appends
+    them to the histories and measures row r, which grades the pair
+    (x^r, lam^{r-1}) and the potential at (x^r, lam^r). Rows are graded from
+    the histories and passed to on_record a block at a time (see the module
+    docstring), so on_record sees row r at most one block after iteration r.
+    When step r fails, rows up to r are still recorded before the failure is
+    raised. The output pair, when output_pick is given, is read from the
+    histories at that iteration.
     """
-    horizon = params.total_iters
-    x, lam = ctx.x0, np.zeros(ctx.mats.edge_dim)
-    xs = [x]
-    lams = [lam]
-    gs = []
+    xs, lams, gs = [ctx.x0], [np.zeros(ctx.mats.edge_dim)], []
     records: list[MetricRecord] = []
-    out_x = out_lam = out_iter = None
-    # The block's pending rows: each row's measure output, and the iterates
-    # x and lam from the iteration before its first row on.
+    # The block's pending rows, each row's measure output; the block's
+    # iterates are the histories from the iterate before its first row on.
     block = max(1, _GRADE_BLOCK // ctx.mats.total_dim)
     measured: list[tuple] = []
-    bx, blam = [x], [lam]
 
     def grade() -> None:
-        nonlocal measured, bx, blam
+        nonlocal measured
         if not measured:
             return
-        xb, lb = np.array(bx), np.array(blam)
+        first, count = len(records), len(measured)
+        xb, lb = (np.array(h[first : first + count + 1]) for h in (xs, lams))
         grads, f_mu, f = ctx.meter.grade(xb[1:], measured)
         cols = trace_rows(xb[1:], xb[:-1], lb[:-1], lb[1:], grads, f_mu, ctx.mats, ctx.consts)
-        first = 1 + len(records)
-        rows = range(first, first + len(measured))
+        rows = range(first + 1, first + 1 + count)
         new = list(map(MetricRecord, rows, *(c.tolist() for c in cols), f.tolist()))
         records.extend(new)
-        measured, bx, blam = [], bx[-1:], blam[-1:]
+        measured = []
         if on_record is not None:
             for rec in new:
                 on_record(rec)
 
     try:
-        for r in range(horizon + 1):
-            if r == output_pick:
-                out_x, out_lam, out_iter = x, lam, r
-            try:
-                if r < horizon:
-                    x_new, lam_new, g = step(x, lam, r)
-            finally:
-                if r > 0:
-                    measured.append(ctx.meter.measure(x, r))
-                    if len(measured) == block:
-                        grade()
-            if r == horizon:
-                break
-            _check_finite(method, r + 1, ctx, x_new, lam_new)
-            x, lam = x_new, lam_new
+        for r in range(1, params.total_iters + 1):
+            x, lam, g = step(xs[-1], lams[-1], r - 1)
+            _check_finite(method, r, ctx, x, lam)
             xs.append(x)
             lams.append(lam)
             gs.append(g)
-            bx.append(x)
-            blam.append(lam)
+            measured.append(ctx.meter.measure(x, r))
+            if len(measured) == block:
+                grade()
     finally:
         # the last rows, also when a step, a check or the meter failed
         grade()
@@ -462,9 +449,9 @@ def _drive(
         states_x=np.asarray(xs),
         states_lam=np.asarray(lams),
         states_grad=np.asarray(gs),
-        output_iteration=out_iter,
-        output_x=out_x,
-        output_lam=out_lam,
+        output_iteration=output_pick,
+        output_x=None if output_pick is None else xs[output_pick],
+        output_lam=None if output_pick is None else lams[output_pick],
         constants=ctx.consts,
     )
 

@@ -382,7 +382,8 @@ def _build_topology(norm: dict) -> Topology:
             norm["kind"], norm["num_nodes"], extra_edge_prob=norm["extra_edge_prob"],
             seed=norm["seed"], block_dim=norm["block_dim"],
         )
-    topo = Topology.from_dict(norm)
+    with _errors_at("topology.edges"):
+        topo = Topology.from_dict(norm)
     if not check_connected(topo):
         raise ValueError("graph is not connected")
     return topo
@@ -433,7 +434,11 @@ def _build_objectives(norm: dict, topo: Topology, path="objective") -> list[Loca
             for ds in _logreg_data(norm, n, m, path)
         ]
     if "hessian" in norm:
-        obj = quadratic_objective(np.asarray(norm["hessian"]), np.asarray(norm["linear"]), lo, hi)
+        h, b = norm["hessian"], norm["linear"]
+        if len(b) != len(h):
+            raise ConfigError(f"{path}.linear", f"has {len(b)} entries for {len(h)} hessian rows")
+        with _errors_at(f"{path}.hessian"):
+            obj = quadratic_objective(np.asarray(h), np.asarray(b), lo, hi)
         if obj.dim != m:
             raise ConfigError(f"{path}.hessian", f"dimension {obj.dim} does not match block_dim {m}")
         return [obj] * n

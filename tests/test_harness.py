@@ -351,6 +351,19 @@ class TestConfigValidation:
             ({"kind": "logreg", "epsilon": 0}, {}, "objective.epsilon"),
             ({"kind": "logreg", "alpha": -1}, {}, "objective.alpha"),
             ({"kind": "logreg", "flip_prob": 2}, {}, "objective.flip_prob"),
+            # rules on one field that the library checks, named at that field
+            ({"topology": {"num_nodes": 3, "edges": [[1, 1], [1, 2], [2, 3]]}}, {},
+             "topology.edges"),
+            ({"topology": {"num_nodes": 3, "edges": [[1, 2], [2, 3], [3, 4]]}}, {},
+             "topology.edges"),
+            ({"topology": {"num_nodes": 3, "edges": [[1, 2], [2, 3], [3, 2]]}}, {},
+             "topology.edges"),
+            ({"kind": "quadratic", "hessian": [[1.0, 0.0]], "linear": [0.0]}, {},
+             "objective.hessian"),
+            ({"kind": "quadratic", "hessian": [[1.0, 0.5], [0.0, 1.0]], "linear": [0.0, 0.0]},
+             {}, "objective.hessian"),
+            ({"kind": "quadratic", "hessian": [[1.0]], "linear": [0.0, 0.0]}, {},
+             "objective.linear"),
         ],
         ids=["toy-box", "quadratic-box", "quadratic-seed", "retry-cap", "mc-samples",
              "noise-key", "none-std-dev", "nan-potential-weight", "infinite-mu",
@@ -358,7 +371,8 @@ class TestConfigValidation:
              "unknown-gap-gradient", "unknown-gradient-mode", "zero-rho", "zero-mu",
              "negative-potential-weight", "zero-baseline-step-scale", "zero-baseline-mu",
              "one-node", "zero-block-dim", "edge-prob-above-one", "zero-logreg-epsilon",
-             "negative-logreg-alpha", "flip-prob-above-one"],
+             "negative-logreg-alpha", "flip-prob-above-one", "self-loop", "node-out-of-range",
+             "duplicate-edge", "non-square-hessian", "asymmetric-hessian", "linear-length"],
     )
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, objective, algo, field):
         raw = _tiny_raw(tmp_path / "o", **algo)
@@ -786,12 +800,12 @@ class TestRunExperiment:
             run_experiment(config_from_dict(raw))
         assert "0" in {p.name for p in started.iterdir()} <= {"0", "1", "2"}
 
-    @pytest.mark.parametrize("failure", ["box exhaustion", "divergence"])
+    @pytest.mark.parametrize("failure", ["box exhaustion", "divergence", "meter exhaustion"])
     def test_failure_after_several_blocks_keeps_every_row(self, tmp_path, monkeypatch, failure):
         # rows are graded in blocks of 4 on the 3-ring; the run fails in its
         # third block, and every row before the failure reaches the CSV
         monkeypatch.setattr(engine, "_GRADE_BLOCK", 4 * 3)
-        rows, calls = 9, []
+        rows, calls, algo = 9, [], {}
         if failure == "box exhaustion":
             # step estimate 9 fails: row 9 is recorded before the failure
             batch = engine.estimate_batch
@@ -804,7 +818,7 @@ class TestRunExperiment:
 
             monkeypatch.setattr(engine, "estimate_batch", exhausted)
             message = f"step estimate of agent 2 at iteration {rows}: smoothing perturbation"
-        else:
+        elif failure == "divergence":
             # step 9 returns a NaN x^10
             primal = engine.primal_step
 
@@ -815,7 +829,21 @@ class TestRunExperiment:
 
             monkeypatch.setattr(engine, "primal_step", diverging)
             message = rf"primal_dual diverged at iteration {rows + 1}: agent 1 has x = \[nan\]$"
-        raw = _tiny_raw(tmp_path / "o", iters=20)
+        else:
+            # the meter's estimate for row 10 fails: rows 1..9 are recorded
+            algo["gap_gradient"], algo["mc_gap_samples"] = "mc", 4
+            batch = engine.estimate_batch
+
+            def meter_exhausted(*args):
+                if args[3].samples == algo["mc_gap_samples"]:
+                    calls.append(1)
+                    if len(calls) == rows + 1:
+                        raise szo.BoxExhausted(1, 0)
+                return batch(*args)
+
+            monkeypatch.setattr(engine, "estimate_batch", meter_exhausted)
+            message = f"meter estimate of agent 2 at iteration {rows + 1}: smoothing perturbation"
+        raw = _tiny_raw(tmp_path / "o", iters=20, **algo)
         raw.update(trials=1, workers=1, baseline={"enabled": False})
         with pytest.raises(RuntimeError, match=rf"^trial 0 failed after {rows} rows: {message}"):
             run_experiment(config_from_dict(raw))
