@@ -248,11 +248,11 @@ def _json_file(p: Path, field: str):
 
 
 def _topology(section, path: str) -> dict:
-    """Explicit edges, a topology file (normalized to its edges), or a
-    generated family."""
+    """Explicit edges, a topology file (read as the section it normalizes
+    to, so its fields are named as inline ones are), or a generated family."""
     if isinstance(section, dict) and "file" in section:
         p = Path(_read(section, (_Field("file", _text),), path)["file"])
-        return _read(_json_file(p, f"{path}.file"), _TOPOLOGY_EDGES, f"{path}.file")
+        return _read(_json_file(p, f"{path}.file"), _TOPOLOGY_EDGES, path)
     edges = isinstance(section, dict) and "edges" in section
     return _read(section, _TOPOLOGY_EDGES if edges else _TOPOLOGY_GENERATED, path)
 
@@ -422,10 +422,12 @@ def _build_objectives(norm: dict, topo: Topology, path="objective") -> list[Loca
             raise ConfigError(f"{path}.kind", "toy objective needs block_dim=1")
         spread = norm["phase_spread"]
         if spread == 0:
-            return [toy_objective(box_lo=lo, box_hi=hi)] * n
+            with _errors_at(f"{path}.box"):
+                return [toy_objective(box_lo=lo, box_hi=hi)] * n
         rng = np.random.default_rng(np.random.SeedSequence((norm["phase_seed"], n)))
         phases = rng.uniform(-spread, spread, n)
-        return [toy_objective(phase=float(p), box_lo=lo, box_hi=hi) for p in phases]
+        with _errors_at(f"{path}.box"):
+            return [toy_objective(phase=float(p), box_lo=lo, box_hi=hi) for p in phases]
     if norm["kind"] == "logreg":
         return [
             logistic_regression_objective(

@@ -7,16 +7,16 @@ Every objective (the toy, the quadratic, logistic regression, or one a caller
 writes) is a Family member: a value kernel and, where the family has them, one
 kernel for both closed forms of the Gaussian-smoothed surrogate, each acting
 on many agents' stacked data in one call. StackedObjective makes one such call
-per family for all of its agents, and the agent's own value_many,
-smoothed_gradient and smoothed_value are the same kernels at N = 1. A value
-kernel writes its
-scratch arrays into a reused Workspace: at the logreg shape (15 agents x 31
-rows x 100 data points) each scratch array is 372 KB, above glibc malloc's
-128 KiB mmap threshold, so a fresh temporary is a fresh mapping whose every
-page faults on first touch. With fresh arrays the one stacked call was no
-faster than the per-agent loop; one perfbench logreg experiment took
-30,000-90,000 minor page faults that way and about 800 with the workspace
-(2-core x86-64 host, numpy 2.4.6).
+per family for all of its agents, and is the one place a kernel is called: an
+agent's own value_many is its rows of a one-agent stack, and the closed forms
+are reached only through a stack, which refuses a family without them with a
+ValueError. A value kernel writes its scratch arrays into a reused
+Workspace: at the logreg shape (15 agents x 31 rows x 100 data points) each
+scratch array is 372 KB, above glibc malloc's 128 KiB mmap threshold, so a
+fresh temporary is a fresh mapping whose every page faults on first touch.
+With fresh arrays the one stacked call was no faster than the per-agent
+loop; one perfbench logreg experiment took 30,000-90,000 minor page faults
+that way and about 800 with the workspace (2-core x86-64 host, numpy 2.4.6).
 """
 from __future__ import annotations
 
@@ -73,9 +73,6 @@ class Box:
     def dim(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
     @staticmethod
     def cube(dim: int, lo: float, hi: float) -> "Box":
         return Box(np.full(dim, float(lo)), np.full(dim, float(hi)))
@@ -123,23 +120,13 @@ class Family:
         return (self.kernel, self.params, tuple(a.shape for a in self.data), self.smoothed)
 
 
-def _shaped(got, lead: tuple) -> tuple[np.ndarray, ...]:
-    """A kernel's output, one array or the closed forms' pair, as a tuple of
-    arrays whose (n, S) axes are reshaped to lead."""
-    if isinstance(got, tuple):
-        return tuple([a.reshape(lead + a.shape[2:]) for a in got])
-    return (got.reshape(lead),)
-
-
 @dataclass
 class LocalObjective:
     """One agent's objective: a Family member with analysis metadata.
 
-    value_many evaluates points (..., dim) row-stably to (...) values.
-    smoothed_gradient / smoothed_value give the family's exact closed forms
-    of the Gaussian-smoothed surrogate and its gradient at points (..., dim),
-    where family.smoothed is set. All three call the family's kernels at
-    N = 1, so an agent's rows equal its rows in a StackedObjective bitwise.
+    value_many evaluates points (..., dim) row-stably to (...) values: this
+    agent's rows of a one-agent StackedObjective, so they equal its rows in
+    any stack bitwise.
     """
 
     dim: int
@@ -157,25 +144,10 @@ class LocalObjective:
         if self.lipschitz_l0 <= 0:
             raise ValueError("lipschitz_l0 must be positive")
 
-    def _rows(self, name: str, x: np.ndarray, arg) -> tuple[np.ndarray, ...]:
-        """The family's kernel `name` on points x (..., dim) as this agent's
-        rows; each output keeps x's leading shape."""
-        fam = self.family
-        kernel = getattr(fam, name)
-        if kernel is None:
-            raise ValueError(f"objective {self.name!r} has no smoothed closed form")
-        x = np.asarray(x, dtype=float)
-        data = tuple(a[None] for a in fam.data)
-        return _shaped(kernel(data, fam.params, x.reshape(1, -1, x.shape[-1]), arg), x.shape[:-1])
-
     def value_many(self, pts: np.ndarray) -> np.ndarray:
-        return self._rows("kernel", pts, Workspace())[0]
-
-    def smoothed_gradient(self, x: np.ndarray, mu: float) -> np.ndarray:
-        return self._rows("smoothed", x, mu)[0]
-
-    def smoothed_value(self, x: np.ndarray, mu: float) -> np.ndarray:
-        return self._rows("smoothed", x, mu)[1]
+        pts = np.asarray(pts, dtype=float)
+        rows = StackedObjective([self]).values(pts.reshape(1, -1, self.dim))
+        return rows.reshape(pts.shape[:-1])
 
 
 @dataclass
@@ -226,15 +198,21 @@ class StackedObjective:
     def blocks(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float).reshape(self.num_agents, self.block_dim)
 
-    @staticmethod
-    def _call(name: str, group: tuple, pts: np.ndarray, mu: float | None) -> tuple:
+    def _call(self, name: str, group: tuple, pts: np.ndarray, mu: float | None) -> tuple:
         """Kernel `name` on a group's rows pts (n, S, M), as a tuple of its
         (n, S) or (n, S, M) outputs; a group whose agents hold one object
-        passes them as that object's rows."""
-        fam, _, data, one, work = group
+        passes them as that object's rows. The one call site of a Family
+        kernel: a family without closed forms is refused here."""
+        fam, idx, data, one, work = group
+        kernel, lead = getattr(fam, name), pts.shape[:2]
+        if kernel is None:
+            who = self.locals_[idx[0]].name
+            raise ValueError(f"objective {who!r} has no smoothed closed form")
         rows = pts.reshape(1, -1, pts.shape[2]) if one else pts
-        got = getattr(fam, name)(data, fam.params, rows, work if mu is None else mu)
-        return _shaped(got, pts.shape[:2])
+        got = kernel(data, fam.params, rows, work if mu is None else mu)
+        if isinstance(got, tuple):  # the closed forms' pair
+            return tuple([a.reshape(lead + a.shape[2:]) for a in got])
+        return (got.reshape(lead),)
 
     def _apply(self, name: str, pts: np.ndarray, mu: float | None = None) -> tuple:
         """Every group's kernel `name` on its agents' rows of pts (N, S, M),

@@ -43,7 +43,6 @@ __all__ = [
     "measure_gradient_and_value",
     "smoothed_value",
     "smoothed_gradient_mc",
-    "smoothed_gradient_reference",
     "estimator_norm_diagnostic",
 ]
 
@@ -309,21 +308,6 @@ def smoothed_gradient_mc(
     return mean, np.sqrt(var / mc_samples)
 
 
-def smoothed_gradient_reference(
-    objective: LocalObjective,
-    x: np.ndarray,
-    mu: float,
-    mc_samples: int = 10**4,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Exact closed form when the objective carries one, else Monte-Carlo."""
-    if objective.family.smoothed is not None:
-        return np.asarray(objective.smoothed_gradient(np.asarray(x, dtype=float), mu))
-    if rng is None:
-        raise ValueError("objective has no closed form; an rng is required for MC")
-    return smoothed_gradient_mc(objective, x, mu, mc_samples, rng)[0]
-
-
 def estimator_norm_diagnostic(
     oracle: SZOracle,
     x: np.ndarray,
@@ -336,15 +320,19 @@ def estimator_norm_diagnostic(
 
     Reports the mean squared norm E||g||^2 and mean squared deviation
     E||g - grad_mu||^2 with standard errors, alongside the claimed bound
-    L0^2 (dim+4)^2 / J^2 for side-by-side inspection.
+    L0^2 (dim+4)^2 / J^2 for side-by-side inspection. Without reference_grad,
+    grad_mu is the objective's closed form where it has one, else a 10^4
+    sample Monte-Carlo reference drawn from rng first.
     """
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
     obj = oracle.objective
     if reference_grad is None:
-        reference_grad = smoothed_gradient_reference(
-            obj, x, smoothing.mu, mc_samples=10**4, rng=rng
-        )
+        stacked = StackedObjective([obj])
+        if stacked.has_smoothed_closed_form:
+            reference_grad = stacked.smoothed_gradient_stacked(x, smoothing.mu)
+        else:
+            reference_grad = smoothed_gradient_mc(obj, x, smoothing.mu, 10**4, rng)[0]
     reference_grad = np.asarray(reference_grad, dtype=float)
     sq_norms = np.empty(replicates)
     sq_devs = np.empty(replicates)

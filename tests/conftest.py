@@ -10,8 +10,10 @@ topology's edge list. The library never forms them; tests compare its
 edge-list products against these.
 
 linear_objective, zero_objective and NAN_FAMILY are objectives outside the
-built-in families, and estimate_lipschitz is the sampled slope that audits
-every family's declared lipschitz_l0; tests import them from here.
+built-in families, estimate_lipschitz is the sampled slope that audits
+every family's declared lipschitz_l0, and smoothed_pair reads one
+objective's closed forms through a one-agent StackedObjective; tests import
+them from here.
 """
 import math
 from types import SimpleNamespace
@@ -19,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zopd.objectives import Box, Family, LocalObjective
+from zopd.objectives import Box, Family, LocalObjective, StackedObjective
 
 
 def dense_operators(topo):
@@ -59,6 +61,14 @@ def estimate_lipschitz(value_many, box, samples=10**5, seed=0):
     keep = dist > 1e-12
     quot = np.abs(value_many(a[keep]) - value_many(b[keep])) / dist[keep]
     return float(np.max(quot))
+
+
+def smoothed_pair(obj, x, mu):
+    """obj's closed forms at points x (..., dim), through a one-agent
+    StackedObjective: the smoothed gradients (..., dim) and values (...)."""
+    x = np.asarray(x, dtype=float)
+    grad, val = StackedObjective([obj])._smoothed_pair(x.reshape(1, -1, obj.dim), mu)
+    return grad.reshape(x.shape), val.reshape(x.shape[:-1])
 
 
 # Family kernels are module-level functions, so that these objectives pickle

@@ -18,6 +18,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import smoothed_pair
 import zopd
 import zopd.harness as harness
 from zopd import engine, szo
@@ -225,6 +226,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="topo.json: 'utf-8' codec") as exc:
             config_from_dict(raw)
         assert exc.value.field == "topology.file"
+        # the file's fields are named as inline ones are: a malformed pair
+        # and a self-loop are errors at topology.edges
+        for edges in ([[1, 2], [2]], [[1, 2], [2, 2], [2, 3]]):
+            topo_file.write_text(json.dumps({"num_nodes": 3, "edges": edges}))
+            with pytest.raises(ConfigError) as exc:
+                config_from_dict(raw)
+            assert exc.value.field == "topology.edges"
 
     def test_workers_field(self, tmp_path):
         raw = _tiny_raw(tmp_path)
@@ -321,6 +329,7 @@ class TestConfigValidation:
         "objective, algo, field",
         [
             ({"kind": "toy", "box": [5.0, -5.0]}, {}, "objective.box"),
+            ({"kind": "toy", "box": [-5.0, 800.0]}, {}, "objective.box"),
             ({"kind": "quadratic", "box": [3.0, -3.0], "seed": 5}, {}, "objective.box"),
             ({"kind": "quadratic", "seed": -1}, {}, "objective.seed"),
             (None, {"retry_cap": -1}, "algorithm.retry_cap"),
@@ -365,7 +374,7 @@ class TestConfigValidation:
             ({"kind": "quadratic", "hessian": [[1.0]], "linear": [0.0, 0.0]}, {},
              "objective.linear"),
         ],
-        ids=["toy-box", "quadratic-box", "quadratic-seed", "retry-cap", "mc-samples",
+        ids=["toy-box", "toy-box-above-700", "quadratic-box", "quadratic-seed", "retry-cap", "mc-samples",
              "noise-key", "none-std-dev", "nan-potential-weight", "infinite-mu",
              "infinite-init", "nan-hessian", "zero-iters", "zero-samples", "negative-seed",
              "unknown-gap-gradient", "unknown-gradient-mode", "zero-rho", "zero-mu",
@@ -462,10 +471,9 @@ class TestPickledConfig:
             assert (copied.family.smoothed is None) == (orig.family.smoothed is None)
             if orig.family.smoothed is not None:
                 for x in pts:
-                    assert np.array_equal(
-                        copied.smoothed_gradient(x, 0.05), orig.smoothed_gradient(x, 0.05)
-                    )
-                    assert copied.smoothed_value(x, 0.05) == orig.smoothed_value(x, 0.05)
+                    got, want = smoothed_pair(copied, x, 0.05), smoothed_pair(orig, x, 0.05)
+                    assert np.array_equal(got[0], want[0])
+                    assert got[1] == want[1]
         assert clone.params == cfg.params
 
 

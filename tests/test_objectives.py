@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import estimate_lipschitz
+from conftest import estimate_lipschitz, smoothed_pair
 from zopd.objectives import (
     Box,
     ClassificationData,
@@ -63,7 +63,7 @@ class TestToyObjective:
         val, val_se, _, _ = _gaussian_smoothed_mc(
             obj.value_many, np.array([x]), mu, 2 * 10**6, seed=5
         )
-        closed = obj.smoothed_value(np.array([x]), mu)
+        closed = smoothed_pair(obj, np.array([x]), mu)[1]
         assert abs(closed - val) < 4.0 * val_se + 1e-12
 
     @pytest.mark.parametrize("x,mu", [(1.0, 0.5), (-0.7, 0.5), (0.3, 0.8)])
@@ -72,7 +72,7 @@ class TestToyObjective:
         _, _, grad, grad_se = _gaussian_smoothed_mc(
             obj.value_many, np.array([x]), mu, 4 * 10**6, seed=6
         )
-        closed = obj.smoothed_gradient(np.array([x]), mu)
+        closed = smoothed_pair(obj, np.array([x]), mu)[0]
         assert abs(closed[0] - grad[0]) < 4.0 * grad_se[0]
 
     def test_closed_gradient_differentiates_closed_value(self):
@@ -82,10 +82,10 @@ class TestToyObjective:
             for mu in (0.05, 0.3):
                 h = 1e-6
                 fd = (
-                    obj.smoothed_value(np.array([x + h]), mu)
-                    - obj.smoothed_value(np.array([x - h]), mu)
+                    smoothed_pair(obj, np.array([x + h]), mu)[1]
+                    - smoothed_pair(obj, np.array([x - h]), mu)[1]
                 ) / (2 * h)
-                g = obj.smoothed_gradient(np.array([x]), mu)[0]
+                g = smoothed_pair(obj, np.array([x]), mu)[0][0]
                 assert g == pytest.approx(fd, rel=1e-7, abs=1e-7)
 
     def test_lipschitz_and_lower_bound_audit(self):
@@ -118,7 +118,8 @@ class TestToyObjective:
     def test_phase_shift_disables_closed_forms(self):
         shifted = toy_objective(phase=0.4)
         assert shifted.family.smoothed is None
-        for closed_form in (shifted.smoothed_gradient, shifted.smoothed_value):
+        stacked = StackedObjective([shifted])
+        for closed_form in (stacked.smoothed_gradient_stacked, stacked.smoothed_value_stacked):
             with pytest.raises(ValueError, match="no smoothed closed form"):
                 closed_form(np.array([0.0]), 0.1)
         assert shifted.value_many(np.array([[0.0]]))[0] == pytest.approx(
@@ -282,23 +283,23 @@ class TestQuadraticFamily:
         obj = quadratic_objective(2.0 * np.eye(2), np.zeros(2))
         x = np.array([1.0, 0.0])
         assert obj.value_many(x[None])[0] == pytest.approx(1.0)
-        np.testing.assert_allclose(obj.smoothed_gradient(x, 0.1), [2.0, 0.0])
+        np.testing.assert_allclose(smoothed_pair(obj, x, 0.1)[0], [2.0, 0.0])
         # trace(2 I_2) = 4, so the smoothing offset is mu^2 * 2
-        assert obj.smoothed_value(x, 0.1) == pytest.approx(1.0 + 0.01 * 2.0)
+        assert smoothed_pair(obj, x, 0.1)[1] == pytest.approx(1.0 + 0.01 * 2.0)
 
     def test_linear_family_is_smoothing_fixed_point(self):
         a = np.array([1.5, -2.0, 0.5])
         obj = quadratic_objective(np.zeros((3, 3)), a)
         x = np.array([0.3, 0.1, -0.2])
-        assert obj.smoothed_value(x, 0.7) == pytest.approx(obj.value_many(x[None])[0])
-        np.testing.assert_allclose(obj.smoothed_gradient(x, 0.7), a)
+        assert smoothed_pair(obj, x, 0.7)[1] == pytest.approx(obj.value_many(x[None])[0])
+        np.testing.assert_allclose(smoothed_pair(obj, x, 0.7)[0], a)
 
     def test_indefinite_example(self):
         obj = quadratic_objective(np.diag([1.0, -1.0]), np.zeros(2))
         x = np.array([1.0, 1.0])
         assert obj.value_many(x[None])[0] == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(obj.smoothed_gradient(x, 0.2), [1.0, -1.0])
-        assert obj.smoothed_value(x, 0.2) == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(smoothed_pair(obj, x, 0.2)[0], [1.0, -1.0])
+        assert smoothed_pair(obj, x, 0.2)[1] == pytest.approx(0.0, abs=1e-15)
         assert obj.lower_bound == -math.inf
 
     def test_rejections(self):
@@ -374,16 +375,16 @@ def test_stacked_values_equal_per_agent_rows():
         agents = list(enumerate(locals_))
         assert stacked.value(x) == float(np.sum([o.value_many(pts[i, :1])[0] for i, o in agents]))
         if stacked.has_smoothed_closed_form:
-            grads = np.concatenate([o.smoothed_gradient(pts[i, 0], 0.1) for i, o in agents])
-            vals = [o.smoothed_value(pts[i, 0], 0.1) for i, o in agents]
+            grads = np.concatenate([smoothed_pair(o, pts[i, 0], 0.1)[0] for i, o in agents])
+            vals = [smoothed_pair(o, pts[i, 0], 0.1)[1] for i, o in agents]
             assert stacked.smoothed_gradient_stacked(x, 0.1).tobytes() == grads.tobytes()
             assert stacked.smoothed_value_stacked(x, 0.1) == float(np.sum(vals))
             # the trace meter's one pass over all S rows, against the agents
             for mu in (0.01, 0.1, 0.7):
                 grad, value = stacked._smoothed_pair(pts, mu)
-                want = [o.smoothed_gradient(pts[i], mu) for i, o in agents]
+                want = [smoothed_pair(o, pts[i], mu)[0] for i, o in agents]
                 assert grad.tobytes() == np.array(want).tobytes()
-                want = [o.smoothed_value(pts[i], mu) for i, o in agents]
+                want = [smoothed_pair(o, pts[i], mu)[1] for i, o in agents]
                 assert value.tobytes() == np.array(want).tobytes()
 
     check()
@@ -509,6 +510,32 @@ def test_quadratic_rows_are_row_stable():
     check()
 
 
+@pytest.mark.parametrize(
+    "locals_",
+    [
+        [logistic_regression_objective(ClassificationData(np.eye(2), np.array([1.0, -1.0])), 1)],
+        [toy_objective(phase=0.3)],
+        [toy_objective(), toy_objective(phase=0.3)],
+    ],
+    ids=["logreg", "toy-phase", "two-groups"],
+)
+def test_closed_forms_refused_without_a_kernel(locals_):
+    """Every closed form asked of a stack with a family that has none is one
+    ValueError, from the one place that calls a kernel; a two-group stack
+    refuses at its group without closed forms."""
+    stacked = StackedObjective(locals_)
+    assert not stacked.has_smoothed_closed_form
+    x = np.zeros(stacked.total_dim)
+    calls = (
+        lambda: stacked.smoothed_gradient_stacked(x, 0.1),
+        lambda: stacked.smoothed_value_stacked(x, 0.1),
+        lambda: stacked._smoothed_pair(stacked.blocks(x)[:, None, :], 0.1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="no smoothed closed form"):
+            call()
+
+
 def test_stacked_metadata():
     locals_ = [random_quadratic(2, seed=s) for s in range(3)]
     stacked = StackedObjective(locals_)
@@ -520,12 +547,6 @@ def test_stacked_metadata():
     assert stacked.has_smoothed_closed_form
     mixed = StackedObjective([toy_objective(), toy_objective(phase=0.3)])
     assert not mixed.has_smoothed_closed_form
-
-
-def test_box_membership():
-    box = Box.cube(2, -1.0, 2.0)
-    assert box.contains(np.array([0.0, 1.9]))
-    assert not box.contains(np.array([0.0, 2.1]))
 
 
 def test_estimate_lipschitz_recovers_linear_slope():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_objective, zero_objective
+from conftest import linear_objective, smoothed_pair, zero_objective
 from zopd import szo
 from zopd.objectives import (
     StackedObjective,
@@ -26,7 +26,6 @@ from zopd.szo import (
     estimator_norm_diagnostic,
     measure_gradient_and_value,
     smoothed_gradient_mc,
-    smoothed_gradient_reference,
     smoothed_value,
 )
 
@@ -91,7 +90,7 @@ class TestEstimatorStatistics:
         dim = 4
         obj = quadratic_objective(np.diag([1.0, 2.0, 0.5, 3.0]), np.array([0.3, 0.0, -1.0, 0.2]))
         x = np.array([0.5, -0.4, 1.0, 0.1])
-        exact = obj.smoothed_gradient(x, 0.1)
+        exact = smoothed_pair(obj, x, 0.1)[0]
         for noise in (NoiseModel(), NoiseModel("additive_gaussian", 0.1)):
             oracle = SZOracle(obj, noise)
             rng = _rng(10, noise.kind == "none")
@@ -114,14 +113,14 @@ class TestEstimatorStatistics:
             [estimate_gradient(oracle, x, SmoothingParams(0.05, 100), rng) for _ in range(reps)]
         )
         se = np.std(ests, axis=0, ddof=1) / math.sqrt(reps)
-        exact = obj.smoothed_gradient(x, 0.05)
+        exact = smoothed_pair(obj, x, 0.05)[0]
         assert np.all(np.abs(ests.mean(axis=0) - exact) < 4.0 * se)
         assert np.all(se < 0.1)
 
     def test_variance_scales_inversely_with_samples(self):
         obj = quadratic_objective(np.diag([1.0, 2.0, 0.5]), np.zeros(3))
         x = np.array([1.0, 0.5, -0.8])
-        exact = obj.smoothed_gradient(x, 0.1)
+        exact = smoothed_pair(obj, x, 0.1)[0]
         msd = {}
         for j in (1, 16):
             oracle = SZOracle(obj)
@@ -259,10 +258,15 @@ def _per_sample_walk(oracle, x, smoothing, rng, retry_cap):
     phis = np.empty((j, obj.dim))
     xis = np.zeros(j)
     retries = 0
+
+    def inside(phi):
+        p = x + smoothing.mu * phi
+        return np.all(p >= obj.box.lo) and np.all(p <= obj.box.hi)
+
     for s in range(j):
         phi = rng.standard_normal(obj.dim)
         tries = 0
-        while not obj.box.contains(x + smoothing.mu * phi):
+        while not inside(phi):
             tries += 1
             if tries > retry_cap:
                 raise RuntimeError("left the domain box")
@@ -400,7 +404,7 @@ class TestSmoothedSurrogates:
     def test_value_mc_matches_toy_closed_form(self):
         obj = toy_objective()
         x, mu = np.array([1.0]), 0.01
-        closed = obj.smoothed_value(x, mu)
+        closed = smoothed_pair(obj, x, mu)[1]
         est = smoothed_value(SZOracle(obj), x, mu, 10**6, _rng(21))
         # per-sample std is about mu |f'(x)|, estimated here analytically
         se = mu * 3.0 / math.sqrt(10**6)
@@ -409,7 +413,7 @@ class TestSmoothedSurrogates:
     def test_value_mc_matches_quadratic_offset(self):
         obj = quadratic_objective(2.0 * np.eye(3), np.zeros(3))
         x, mu = np.array([1.0, 0.0, -0.5]), 0.2
-        closed = obj.smoothed_value(x, mu)  # ||x||^2 + 3 mu^2
+        closed = smoothed_pair(obj, x, mu)[1]  # ||x||^2 + 3 mu^2
         assert closed == pytest.approx(float(x @ x) + 3 * mu**2)
         n = 4 * 10**5
         est = smoothed_value(SZOracle(obj), x, mu, n, _rng(22))
@@ -429,7 +433,7 @@ class TestSmoothedSurrogates:
     def test_gradient_mc_matches_toy_closed_form(self):
         obj = toy_objective()
         x, mu = np.array([0.5]), 0.05
-        closed = obj.smoothed_gradient(x, mu)
+        closed = smoothed_pair(obj, x, mu)[0]
         est, se = smoothed_gradient_mc(obj, x, mu, 10**6, _rng(25))
         assert se[0] > 0
         assert abs(est[0] - closed[0]) < 4.0 * se[0]
@@ -451,17 +455,19 @@ class TestSmoothedSurrogates:
         assert est.tobytes() == grad.tobytes()
 
     def test_reference_dispatch(self):
-        obj = toy_objective()
-        x = np.array([0.5])
-        np.testing.assert_array_equal(
-            smoothed_gradient_reference(obj, x, 0.05), obj.smoothed_gradient(x, 0.05)
-        )
+        # without a reference_grad the diagnostic deviates from the closed
+        # form, or else from a 10^4-sample Monte-Carlo reference that it
+        # draws from its rng before the replicates
+        x, smoothing = np.array([0.5]), SmoothingParams(0.05, 4)
+        closed = toy_objective()
+        exact = smoothed_pair(closed, x, 0.05)[0]
+        want = estimator_norm_diagnostic(SZOracle(closed), x, smoothing, 100, _rng(26), exact)
+        assert estimator_norm_diagnostic(SZOracle(closed), x, smoothing, 100, _rng(26)) == want
         shifted = toy_objective(phase=0.3)
-        with pytest.raises(ValueError, match="rng"):
-            smoothed_gradient_reference(shifted, x, 0.05)
-        a = smoothed_gradient_reference(shifted, x, 0.05, mc_samples=500, rng=_rng(26))
-        b = smoothed_gradient_reference(shifted, x, 0.05, mc_samples=500, rng=_rng(26))
-        np.testing.assert_array_equal(a, b)
+        rng = _rng(26)
+        mc = smoothed_gradient_mc(shifted, x, 0.05, 10**4, rng)[0]
+        want = estimator_norm_diagnostic(SZOracle(shifted), x, smoothing, 100, rng, mc)
+        assert estimator_norm_diagnostic(SZOracle(shifted), x, smoothing, 100, _rng(26)) == want
 
     def test_smoothed_gradient_is_lipschitz(self):
         # difference quotients of the closed-form smoothed gradient stay
@@ -473,11 +479,9 @@ class TestSmoothedSurrogates:
         a = rng.uniform(-5, 5, size=1000)
         b = rng.uniform(-5, 5, size=1000)
         keep = np.abs(a - b) > 1e-9
-        quots = np.array(
-            [
-                abs(obj.smoothed_gradient(np.array([ai]), mu)[0] - obj.smoothed_gradient(np.array([bi]), mu)[0])
-                / abs(ai - bi)
-                for ai, bi in zip(a[keep], b[keep])
-            ]
-        )
+
+        def grad(v):
+            return smoothed_pair(obj, np.array([v]), mu)[0][0]
+
+        quots = np.array([abs(grad(ai) - grad(bi)) / abs(ai - bi) for ai, bi in zip(a[keep], b[keep])])
         assert float(np.max(quots)) <= 1.05 * bound
