@@ -26,7 +26,7 @@ from .engine import (
     _drive,
     _prepare,
 )
-from .graph import NetworkMatrices, Topology, build_matrices, scatter_add
+from .graph import ConfigError, NetworkMatrices, Topology, build_matrices, scatter_add
 from .metrics import MetricRecord
 from .objectives import LocalObjective
 from .szo import SmoothingParams
@@ -44,9 +44,9 @@ class RGFParams:
 
     def __post_init__(self):
         if not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
+            raise ConfigError("step_scale", f"must be positive, got {self.step_scale!r}")
         if not self.mu > 0:
-            raise ValueError("mu must be positive")
+            raise ConfigError("mu", f"must be positive, got {self.mu!r}")
 
 
 def mixing_coupling(mats: NetworkMatrices) -> np.ndarray:

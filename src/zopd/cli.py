@@ -13,10 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from .graph import GRAPH_KINDS, generate_graph
+from .graph import GRAPH_KINDS, ConfigError, generate_graph
 from .harness import (
     ENV_OUTPUT_DIR,
-    ConfigError,
+    _errors_at,
     load_config,
     report_text,
     run_experiment,
@@ -102,7 +102,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen_graph(args) -> int:
-    try:
+    with _errors_at("gen-graph"):
         topo = generate_graph(
             args.kind,
             args.nodes,
@@ -110,8 +110,6 @@ def _cmd_gen_graph(args) -> int:
             seed=args.seed,
             block_dim=args.block_dim,
         )
-    except ValueError as exc:
-        raise ConfigError("gen-graph", str(exc))
     text = json.dumps(topo.to_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -122,12 +120,10 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    try:
+    with _errors_at("gen-data"):
         datasets, planted = synthesize_classification_data(
             args.agents, args.batch, args.dim, args.seed, args.flip_prob
         )
-    except ValueError as exc:
-        raise ConfigError("gen-data", str(exc))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, ds in enumerate(datasets, start=1):

@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import NetworkMatrices, Topology, build_matrices
+from .graph import ConfigError, NetworkMatrices, Topology, build_matrices
 from .metrics import (
     AnalysisConstants, MetricRecord, default_potential_weight, derive_constants, trace_rows,
 )
@@ -63,7 +63,6 @@ __all__ = [
     "AlgoParams",
     "GAP_GRADIENTS",
     "GRADIENT_MODES",
-    "ParamMismatch",
     "RunResult",
     "substream",
     "primal_step",
@@ -103,17 +102,11 @@ def substream(*path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-class ParamMismatch(ValueError):
-    """A parameter the problem cannot run with, at the config field `field`."""
-
-    def __init__(self, field: str, problem: str):
-        self.field = field
-        super().__init__(problem)
-
-
 @dataclass(frozen=True)
 class AlgoParams:
-    """Step-size, smoothing, horizon, and randomness configuration."""
+    """Step-size, smoothing, horizon, and randomness configuration. Each
+    ConfigError names the config field: iters for total_iters, init for
+    the init_lo, init_hi range."""
 
     rho: float
     smoothing: SmoothingParams
@@ -130,35 +123,36 @@ class AlgoParams:
 
     def __post_init__(self):
         if not self.rho > 0:
-            raise ValueError("rho must be positive")
+            raise ConfigError("rho", f"must be positive, got {self.rho!r}")
         if self.total_iters < 1:
-            raise ValueError("total_iters must be >= 1")
+            raise ConfigError("iters", f"must be >= 1, got {self.total_iters!r}")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ConfigError("seed", f"must be nonnegative, got {self.seed!r}")
         if self.init_lo > self.init_hi:
-            raise ValueError("init box has lo > hi")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
-        if self.gap_gradient not in GAP_GRADIENTS:
-            raise ValueError(f"unknown gap_gradient {self.gap_gradient!r}")
-        if self.potential_weight is not None and not self.potential_weight > 0:
-            raise ValueError("potential_weight must be positive")
+            raise ConfigError("init", f"lo {self.init_lo!r} > hi {self.init_hi!r}")
+        for field, allowed in (("gradient_mode", GRADIENT_MODES), ("gap_gradient", GAP_GRADIENTS)):
+            value = getattr(self, field)
+            if value not in allowed:
+                raise ConfigError(field, f"unknown value {value!r}; expected one of {allowed}")
+        weight = self.potential_weight
+        if weight is not None and not weight > 0:
+            raise ConfigError("potential_weight", f"must be positive, got {weight!r}")
         if self.mc_gap_samples < 1:
-            raise ValueError("mc_gap_samples must be >= 1")
+            raise ConfigError("mc_gap_samples", f"must be >= 1, got {self.mc_gap_samples!r}")
         if self.retry_cap < 0:
-            raise ValueError("retry_cap must be >= 0")
+            raise ConfigError("retry_cap", f"must be >= 0, got {self.retry_cap!r}")
 
     def check_problem(self, stacked: StackedObjective) -> None:
-        """Raise ParamMismatch unless these parameters can run on stacked:
+        """Raise a ConfigError unless these parameters can run on stacked:
         the initialization box lies inside every agent's domain box, and a
         setting that reads the smoothed closed forms finds them."""
         outside = np.any((stacked.box_lo > self.init_lo) | (stacked.box_hi < self.init_hi), axis=1)
         if outside.any():
             k = int(np.argmax(outside)) + 1
-            raise ParamMismatch("init", f"initialization box exceeds the domain box of agent {k}")
+            raise ConfigError("init", f"initialization box exceeds the domain box of agent {k}")
         for field, value in (("gradient_mode", "reference"), ("gap_gradient", "closed_form")):
             if getattr(self, field) == value and not stacked.has_smoothed_closed_form:
-                raise ParamMismatch(field, f"{field}={value}: the objective has no closed forms")
+                raise ConfigError(field, f"{field}={value}: the objective has no closed forms")
 
     def analysis_constants(
         self, stacked: StackedObjective, mats: NetworkMatrices
@@ -205,7 +199,7 @@ def primal_step(
 ) -> np.ndarray:
     """Minimizer of the linearized degree-weighted proximal subproblem."""
     if rho <= 0:
-        raise ValueError("rho must be positive")
+        raise ConfigError("rho", f"must be positive, got {rho!r}")
     x_new = _primal_update(
         mats.node_blocks(x),
         mats.neighbor_sum(x),
@@ -222,7 +216,7 @@ def dual_step(
 ) -> np.ndarray:
     """Ascent on the edge constraints: lam + rho A x+."""
     if rho <= 0:
-        raise ValueError("rho must be positive")
+        raise ConfigError("rho", f"must be positive, got {rho!r}")
     return lam + rho * mats.incidence(x_new)
 
 

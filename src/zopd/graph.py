@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "GRAPH_KINDS",
     "Topology",
     "NetworkMatrices",
@@ -37,6 +38,25 @@ __all__ = [
 GRAPH_KINDS = ("ring", "path", "star", "complete", "random_connected")
 
 
+class ConfigError(ValueError):
+    """A value outside its field's domain, at the dotted path `field`.
+
+    The library call that takes a configurable value checks its rules and
+    raises this at the field's own name; each config section the harness
+    builds prefixes its path, e.g. to `algorithm.noise.std_dev`. A rule
+    joining several fields is a plain ValueError. Defined here, in the one
+    module that imports no other zopd module, so every module can raise it."""
+
+    def __init__(self, field: str, problem: str):
+        self.field, self.problem = field, problem
+        super().__init__(f"{field}: {problem}")
+
+
+def _check_num_nodes(n: int) -> None:
+    if n < 2:
+        raise ConfigError("num_nodes", f"must be at least 2, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Topology:
     """Graph plus the per-node block dimension."""
@@ -46,20 +66,21 @@ class Topology:
     block_dim: int = 1
 
     def __post_init__(self):
-        if self.num_nodes < 2:
-            raise ValueError("topology needs at least 2 nodes")
+        _check_num_nodes(self.num_nodes)
         if self.block_dim < 1:
-            raise ValueError("block_dim must be >= 1")
+            raise ConfigError("block_dim", f"must be >= 1, got {self.block_dim!r}")
         norm_edges = tuple((int(i), int(j)) for i, j in self.edges)
         seen = set()
         for i, j in norm_edges:
             if i == j:
-                raise ValueError(f"self-loop at node {i}")
+                raise ConfigError("edges", f"self-loop at node {i}")
             if not (1 <= i <= self.num_nodes and 1 <= j <= self.num_nodes):
-                raise ValueError(f"edge ({i},{j}) has node index out of range 1..{self.num_nodes}")
+                raise ConfigError(
+                    "edges", f"edge ({i},{j}) has node index out of range 1..{self.num_nodes}"
+                )
             key = (min(i, j), max(i, j))
             if key in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
+                raise ConfigError("edges", f"duplicate edge ({i},{j})")
             seen.add(key)
         object.__setattr__(self, "edges", norm_edges)
 
@@ -259,8 +280,12 @@ def generate_graph(
 
     random_connected draws a random spanning tree, then adds each remaining
     pair independently with extra_edge_prob (0 -> tree, 1 -> complete).
+    num_nodes and extra_edge_prob are checked for every kind.
     """
     n = num_nodes
+    _check_num_nodes(n)
+    if not 0.0 <= extra_edge_prob <= 1.0:
+        raise ConfigError("extra_edge_prob", f"must lie in [0, 1], got {extra_edge_prob!r}")
     if kind == "ring":
         if n < 3:
             raise ValueError("ring needs at least 3 nodes")
@@ -272,8 +297,6 @@ def generate_graph(
     elif kind == "complete":
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     elif kind == "random_connected":
-        if not 0.0 <= extra_edge_prob <= 1.0:
-            raise ValueError("extra_edge_prob must be in [0, 1]")
         rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
         order = rng.permutation(n) + 1
         tree = set()
@@ -288,5 +311,6 @@ def generate_graph(
                     edges.append((i, j))
         edges = sorted(edges)
     else:
-        raise ValueError(f"unknown graph kind {kind!r}")
+        raise ConfigError("kind", f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
     return Topology(num_nodes=n, edges=tuple(edges), block_dim=block_dim)
+

@@ -26,11 +26,9 @@ import numpy as np
 import scipy
 
 from .baseline import RGFParams, run_rgf
-from .engine import (
-    GAP_GRADIENTS, GRADIENT_MODES, AlgoParams, ParamMismatch, run_centralized, run_distributed,
-)
+from .engine import AlgoParams, run_centralized, run_distributed
 from .graph import (
-    GRAPH_KINDS, NetworkMatrices, Topology, build_matrices, check_connected, generate_graph,
+    ConfigError, NetworkMatrices, Topology, build_matrices, check_connected, generate_graph,
 )
 from .metrics import (
     MetricRecord,
@@ -51,7 +49,6 @@ from .objectives import (
 from .szo import NoiseModel, SmoothingParams
 
 __all__ = [
-    "ConfigError",
     "ExperimentConfig",
     "ExperimentResult",
     "CSV_HEADER",
@@ -73,34 +70,15 @@ _COLUMNS = tuple(f.name for f in fields(MetricRecord))[1:]
 CSV_HEADER = ",".join(_KEYS + _COLUMNS)
 
 
-class ConfigError(ValueError):
-    """Config validation failure carrying the offending field path."""
-
-    def __init__(self, field: str, problem: str):
-        self.field = field
-        super().__init__(f"{field}: {problem}")
-
-
 # ---------------------------------------------------------------------------
 # Field readers: each takes (raw value, dotted field path) and returns the
-# normalized value, or raises ConfigError naming the field.
+# normalized value, or raises ConfigError naming the field. They check JSON
+# types and finiteness; the library call that takes a value checks its rules.
 
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _positive(value, path: str) -> float:
-    if not _number(value, path) > 0:
-        raise ConfigError(path, f"must be > 0, got {value!r}")
-    return float(value)
-
-
-def _probability(value, path: str) -> float:
-    if not 0.0 <= _number(value, path) <= 1.0:
-        raise ConfigError(path, f"must lie in [0, 1], got {value!r}")
     return float(value)
 
 
@@ -130,10 +108,7 @@ def _as_is(value, path: str):
 def _interval(value, path: str) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(path, "expected a [lo, hi] pair")
-    lo, hi = _number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")
-    if lo > hi:
-        raise ConfigError(path, f"lo {lo!r} > hi {hi!r}")
-    return [lo, hi]
+    return [_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]")]
 
 
 def _array(ndim: int):
@@ -184,8 +159,8 @@ _REQUIRED = object()
 
 class _Field(NamedTuple):
     """One config field: name, reader, default (or _REQUIRED) and an
-    inclusive lower bound on its number. A default of None also admits an
-    explicit null."""
+    inclusive lower bound on its number, set only where no library call
+    checks the value. A default of None also admits an explicit null."""
 
     name: str
     read: Callable
@@ -195,7 +170,7 @@ class _Field(NamedTuple):
 
 def _read(section, fields: tuple[_Field, ...], path: str) -> dict:
     """Apply a field table: reject unknown keys, fill in defaults, check
-    types and bounds. Returns the normalized section."""
+    types and the table's bounds. Returns the normalized section."""
     where = path or "config"
     if not isinstance(section, dict):
         raise ConfigError(where, "expected an object")
@@ -220,17 +195,18 @@ def _read(section, fields: tuple[_Field, ...], path: str) -> dict:
 # Config sections: one field table per section and variant
 
 
+_KIND = _Field("kind", _as_is)
 _TOPOLOGY_EDGES = (
-    _Field("num_nodes", _integer, low=2),
+    _Field("num_nodes", _integer),
     _Field("edges", _edges),
-    _Field("block_dim", _integer, 1, low=1),
+    _Field("block_dim", _integer, 1),
 )
 _TOPOLOGY_GENERATED = (
-    _Field("kind", _choice(GRAPH_KINDS)),
-    _Field("num_nodes", _integer, low=2),
-    _Field("block_dim", _integer, 1, low=1),
+    _KIND,
+    _Field("num_nodes", _integer),
+    _Field("block_dim", _integer, 1),
     _Field("seed", _integer, 0, low=0),
-    _Field("extra_edge_prob", _probability, 0.15),
+    _Field("extra_edge_prob", _number, 0.15),
 )
 
 
@@ -257,12 +233,11 @@ def _topology(section, path: str) -> dict:
     return _read(section, _TOPOLOGY_EDGES if edges else _TOPOLOGY_GENERATED, path)
 
 
-_KIND = _Field("kind", _as_is)
 _LOGREG = (
     _KIND,
     _Field("box", _interval, [-10.0, 10.0]),
-    _Field("alpha", _number, 0.1, low=0.0),
-    _Field("epsilon", _positive, 1e-3),
+    _Field("alpha", _number, 0.1),
+    _Field("epsilon", _number, 1e-3),
 )
 # objective kind -> variant key; (kind, whether the section holds it) -> table
 _VARIANT_KEY = {"toy": None, "logreg": "data_dir", "quadratic": "hessian"}
@@ -274,9 +249,9 @@ _OBJECTIVES = {
         _Field("phase_seed", _integer, 0, low=0),
     ),
     ("logreg", False): _LOGREG + (
-        _Field("batch", _integer, 100, low=1),
+        _Field("batch", _integer, 100),
         _Field("data_seed", _integer, 0, low=0),
-        _Field("flip_prob", _probability, 0.05),
+        _Field("flip_prob", _number, 0.05),
     ),
     ("logreg", True): _LOGREG + (_Field("data_dir", lambda v, path: str(Path(_text(v, path)))),),
     ("quadratic", False): (
@@ -308,7 +283,7 @@ def _objective(section, path: str) -> dict:
 
 _NOISE = {
     "none": (_KIND,),
-    "additive_gaussian": (_KIND, _Field("std_dev", _number, low=0.0)),
+    "additive_gaussian": (_KIND, _Field("std_dev", _number)),
 }
 
 
@@ -320,24 +295,24 @@ def _noise(section, path: str) -> dict:
 
 
 _ALGORITHM = (
-    _Field("rho", _positive),
-    _Field("mu", _positive),
-    _Field("samples", _integer, low=1),
-    _Field("iters", _integer, low=1),
-    _Field("seed", _integer, low=0),
+    _Field("rho", _number),
+    _Field("mu", _number),
+    _Field("samples", _integer),
+    _Field("iters", _integer),
+    _Field("seed", _integer),
     _Field("init", _interval),
     _Field("noise", _noise, {"kind": "none"}),
-    _Field("gradient_mode", _choice(GRADIENT_MODES), "estimator"),
-    _Field("gap_gradient", _choice(GAP_GRADIENTS), "auto"),
-    _Field("potential_weight", _positive, None),
-    _Field("mc_gap_samples", _integer, 10**4, low=1),
-    _Field("retry_cap", _integer, 100, low=0),
+    _Field("gradient_mode", _as_is, "estimator"),
+    _Field("gap_gradient", _as_is, "auto"),
+    _Field("potential_weight", _number, None),
+    _Field("mc_gap_samples", _integer, 10**4),
+    _Field("retry_cap", _integer, 100),
     _Field("modes", _modes, ["centralized"]),
 )
 _BASELINE = (
     _Field("enabled", _flag, True),
-    _Field("step_scale", _positive, 1.0),
-    _Field("mu", _positive, 1e-2),
+    _Field("step_scale", _number, 1.0),
+    _Field("mu", _number, 1e-2),
     _Field("mixing", _choice(("metropolis",)), "metropolis"),
 )
 
@@ -360,18 +335,19 @@ _CONFIG = (
 
 
 # ---------------------------------------------------------------------------
-# Constructors: build the run's objects from a normalized config. A ValueError
-# from the library is reported against the section being built.
+# Constructors: build the run's objects from a normalized config, naming
+# fields relative to the section being built.
 
 
 @contextmanager
 def _errors_at(path: str):
+    """Report errors raised inside at section path: a ConfigError's field
+    is prefixed with it, so nested sections compose, and any other
+    ValueError is a rule between fields, reported at the section itself."""
     try:
         yield
-    except ConfigError:
-        raise
-    except ParamMismatch as exc:
-        raise ConfigError(f"{path}.{exc.field}", str(exc)) from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc.field}", exc.problem) from exc
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -382,67 +358,59 @@ def _build_topology(norm: dict) -> Topology:
             norm["kind"], norm["num_nodes"], extra_edge_prob=norm["extra_edge_prob"],
             seed=norm["seed"], block_dim=norm["block_dim"],
         )
-    with _errors_at("topology.edges"):
-        topo = Topology.from_dict(norm)
+    topo = Topology.from_dict(norm)
     if not check_connected(topo):
         raise ValueError("graph is not connected")
     return topo
 
 
-def _logreg_data(norm: dict, n: int, m: int, path: str):
+def _logreg_data(norm: dict, n: int, m: int):
     if "data_dir" not in norm:
         return synthesize_classification_data(
             n, norm["batch"], m, norm["data_seed"], norm["flip_prob"]
         )[0]
-    field = f"{path}.data_dir"
     ddir = Path(norm["data_dir"])
     if not ddir.is_dir():
-        raise ConfigError(field, f"directory not found: {ddir}")
+        raise ConfigError("data_dir", f"directory not found: {ddir}")
     datasets = []
     for i in range(1, n + 1):
         p = ddir / f"agent_{i:03d}.csv"
         if not p.exists():
-            raise ConfigError(field, f"missing {p.name}")
+            raise ConfigError("data_dir", f"missing {p.name}")
         try:
             datasets.append(read_classification_csv(p))
         except (OSError, ValueError) as exc:
-            raise ConfigError(field, f"{p.name}: {exc}") from exc
+            raise ConfigError("data_dir", f"{p.name}: {exc}") from exc
         if datasets[-1].dim != m:
             raise ConfigError(
-                field, f"{p.name} has feature dim {datasets[-1].dim}, topology needs {m}"
+                "data_dir", f"{p.name} has feature dim {datasets[-1].dim}, topology needs {m}"
             )
     return datasets
 
 
-def _build_objectives(norm: dict, topo: Topology, path="objective") -> list[LocalObjective]:
+def _build_objectives(norm: dict, topo: Topology) -> list[LocalObjective]:
     n, m = topo.num_nodes, topo.block_dim
     lo, hi = norm["box"]
     if norm["kind"] == "toy":
         if m != 1:
-            raise ConfigError(f"{path}.kind", "toy objective needs block_dim=1")
+            raise ConfigError("kind", "toy objective needs block_dim=1")
         spread = norm["phase_spread"]
         if spread == 0:
-            with _errors_at(f"{path}.box"):
-                return [toy_objective(box_lo=lo, box_hi=hi)] * n
+            return [toy_objective(box_lo=lo, box_hi=hi)] * n
         rng = np.random.default_rng(np.random.SeedSequence((norm["phase_seed"], n)))
         phases = rng.uniform(-spread, spread, n)
-        with _errors_at(f"{path}.box"):
-            return [toy_objective(phase=float(p), box_lo=lo, box_hi=hi) for p in phases]
+        return [toy_objective(phase=float(p), box_lo=lo, box_hi=hi) for p in phases]
     if norm["kind"] == "logreg":
         return [
             logistic_regression_objective(
                 ds, n, alpha=norm["alpha"], epsilon=norm["epsilon"], box_lo=lo, box_hi=hi
             )
-            for ds in _logreg_data(norm, n, m, path)
+            for ds in _logreg_data(norm, n, m)
         ]
     if "hessian" in norm:
-        h, b = norm["hessian"], norm["linear"]
-        if len(b) != len(h):
-            raise ConfigError(f"{path}.linear", f"has {len(b)} entries for {len(h)} hessian rows")
-        with _errors_at(f"{path}.hessian"):
-            obj = quadratic_objective(np.asarray(h), np.asarray(b), lo, hi)
+        obj = quadratic_objective(np.asarray(norm["hessian"]), np.asarray(norm["linear"]), lo, hi)
         if obj.dim != m:
-            raise ConfigError(f"{path}.hessian", f"dimension {obj.dim} does not match block_dim {m}")
+            raise ConfigError("hessian", f"dimension {obj.dim} does not match block_dim {m}")
         return [obj] * n
     seed, convex = norm["seed"], norm["convex"]
     if norm["shared"]:
@@ -452,6 +420,8 @@ def _build_objectives(norm: dict, topo: Topology, path="objective") -> list[Loca
 
 
 def _build_params(norm: dict) -> AlgoParams:
+    with _errors_at("noise"):
+        noise = NoiseModel(**norm["noise"])
     return AlgoParams(
         rho=norm["rho"],
         smoothing=SmoothingParams(mu=norm["mu"], samples=norm["samples"]),
@@ -459,7 +429,7 @@ def _build_params(norm: dict) -> AlgoParams:
         seed=norm["seed"],
         init_lo=norm["init"][0],
         init_hi=norm["init"][1],
-        noise=NoiseModel(**norm["noise"]),
+        noise=noise,
         gradient_mode=norm["gradient_mode"],
         gap_gradient=norm["gap_gradient"],
         potential_weight=norm["potential_weight"],

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NetworkMatrices
+from .graph import ConfigError, NetworkMatrices
 
 __all__ = [
     "MetricRecord",
@@ -154,7 +154,7 @@ def potential(
 def potential_lower_bound(consts: AnalysisConstants, f_lower: float, samples: int) -> float:
     """Certified floor for the potential along a run with J-sample estimates."""
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ConfigError("samples", f"must be >= 1, got {samples!r}")
     return f_lower - consts.l0 * (consts.total_dim + 4) ** 2 / (consts.sigma_min * samples**2)
 
 

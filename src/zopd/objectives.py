@@ -29,6 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
+from .graph import ConfigError
+
 __all__ = [
     "Box",
     "Family",
@@ -63,9 +65,9 @@ class Box:
         lo = np.atleast_1d(np.asarray(self.lo, dtype=float))
         hi = np.atleast_1d(np.asarray(self.hi, dtype=float))
         if lo.shape != hi.shape:
-            raise ValueError("box lo/hi shapes differ")
+            raise ConfigError("box", "lo and hi shapes differ")
         if np.any(lo > hi):
-            raise ValueError("box has lo > hi")
+            raise ConfigError("box", "has lo > hi")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -246,10 +248,6 @@ class StackedObjective:
         return float(math.sqrt(sum(o.lipschitz_l0 ** 2 for o in self.locals_)))
 
     @property
-    def lower_bound(self) -> float:
-        return float(sum(o.lower_bound for o in self.locals_))
-
-    @property
     def has_smoothed_closed_form(self) -> bool:
         return all(group[0].smoothed is not None for group in self._groups)
 
@@ -305,7 +303,7 @@ def toy_objective(
     exp(x) bounds the inner slope, and the outer |.| adds none.
     """
     if box_hi > 700.0:
-        raise ValueError("toy box must end at or below 700, where exp(x) is finite")
+        raise ConfigError("box", "must end at or below 700, where exp(x) is finite")
     closed = phase == 0.0
     phases = np.array([float(phase)])
     return LocalObjective(
@@ -404,12 +402,12 @@ def logistic_regression_objective(
     The log-l1 term is a nonconvex sparsity surrogate; the kink set of ||x||_1
     makes the objective nonsmooth.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not epsilon > 0:
+        raise ConfigError("epsilon", f"must be positive, got {epsilon!r}")
+    if not alpha >= 0:
+        raise ConfigError("alpha", f"must be nonnegative, got {alpha!r}")
     if num_agents < 1:
-        raise ValueError("num_agents must be >= 1")
+        raise ConfigError("num_agents", f"must be >= 1, got {num_agents!r}")
     n, b, m = num_agents, data.batch, data.dim
     fts = data.features
     scale = 1.0 / (n * b)
@@ -445,9 +443,9 @@ def synthesize_classification_data(
     """
     for name, size in (("num_agents", num_agents), ("batch", batch), ("dim", dim)):
         if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size}")
+            raise ConfigError(name, f"must be >= 1, got {size!r}")
     if not 0.0 <= flip_prob <= 1.0:
-        raise ValueError("flip_prob must be in [0, 1]")
+        raise ConfigError("flip_prob", f"must lie in [0, 1], got {flip_prob!r}")
     root = np.random.default_rng(np.random.SeedSequence((seed, num_agents, batch, dim)))
     nnz = math.ceil(dim / 4)
     support = root.choice(dim, size=nnz, replace=False)
@@ -518,12 +516,12 @@ def quadratic_objective(
     h = np.asarray(hessian, dtype=float)
     b = np.asarray(linear, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("hessian must be square")
+        raise ConfigError("hessian", f"must be square, got shape {h.shape}")
     if not np.array_equal(h, h.T):
-        raise ValueError("hessian must be symmetric")
+        raise ConfigError("hessian", "must be symmetric")
     m = h.shape[0]
     if b.shape != (m,):
-        raise ValueError("linear term shape mismatch")
+        raise ConfigError("linear", f"shape {b.shape} does not match the hessian's {m} rows")
     box = Box.cube(m, box_lo, box_hi)
 
     # Lipschitz bound on the box: ||Hx + b|| is convex, maximized at a corner.

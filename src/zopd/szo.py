@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from .graph import ConfigError
 from .objectives import LocalObjective, StackedObjective
 
 __all__ = [
@@ -56,9 +57,9 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.kind not in ("none", "additive_gaussian"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+            raise ConfigError("kind", f"unknown noise kind {self.kind!r}")
         if not self.std_dev >= 0:
-            raise ValueError("std_dev must be nonnegative")
+            raise ConfigError("std_dev", f"must be nonnegative, got {self.std_dev!r}")
         if self.kind == "none" and self.std_dev != 0.0:
             raise ValueError("noise kind 'none' cannot carry a std_dev")
 
@@ -72,9 +73,9 @@ class SmoothingParams:
 
     def __post_init__(self):
         if not self.mu > 0:
-            raise ValueError("mu must be positive")
+            raise ConfigError("mu", f"must be positive, got {self.mu!r}")
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise ConfigError("samples", f"must be >= 1, got {self.samples!r}")
 
 
 class SZOracle:

@@ -861,13 +861,14 @@ class TestValidation:
                 _params(rho=bad)
             with pytest.raises(ValueError, match="potential_weight"):
                 _params(potential_weight=bad)
-        with pytest.raises(ValueError, match="total_iters"):
+        # total_iters is the config's iters, and the init range its init
+        with pytest.raises(ValueError, match="^iters: must be >= 1"):
             _params(total_iters=0)
         with pytest.raises(ValueError, match="gradient_mode"):
             _params(gradient_mode="exact")
         with pytest.raises(ValueError, match="gap_gradient"):
             _params(gap_gradient="magic")
-        with pytest.raises(ValueError, match="init box"):
+        with pytest.raises(ValueError, match=r"^init: lo 1\.0 > hi -1\.0$"):
             _params(init_lo=1.0, init_hi=-1.0)
         with pytest.raises(ValueError, match="seed"):
             _params(seed=-1)

@@ -5,6 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zopd.graph import (
+    GRAPH_KINDS,
+    ConfigError,
     Topology,
     build_matrices,
     check_connected,
@@ -291,6 +293,19 @@ def test_generate_random_connected_is_deterministic_and_connected():
 def test_generate_unknown_kind():
     with pytest.raises(ValueError, match="unknown graph kind"):
         generate_graph("torus", 4)
+
+
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
+@pytest.mark.parametrize(
+    "num_nodes, prob, field",
+    [(4, 2.0, "extra_edge_prob"), (4, -0.1, "extra_edge_prob"), (1, 0.0, "num_nodes")],
+)
+def test_generate_checks_its_arguments_for_every_kind(kind, num_nodes, prob, field):
+    # checked before the kind's edges are built, so a ring is held to the
+    # same extra_edge_prob rule as random_connected, the one kind that uses it
+    with pytest.raises(ConfigError) as exc:
+        generate_graph(kind, num_nodes, extra_edge_prob=prob)
+    assert exc.value.field == field
 
 
 def test_serialization_round_trip():

@@ -336,6 +336,8 @@ class TestConfigValidation:
             (None, {"gap_gradient": "mc", "mc_gap_samples": 0}, "algorithm.mc_gap_samples"),
             (None, {"noise": {"kind": "additive_gaussian", "std_dev": 0.1, "seed": 3}}, "algorithm.noise"),
             (None, {"noise": {"kind": "none", "std_dev": 0.5}}, "algorithm.noise"),
+            (None, {"noise": {"kind": "additive_gaussian", "std_dev": -0.1}},
+             "algorithm.noise.std_dev"),
             (None, {"potential_weight": math.nan}, "algorithm.potential_weight"),
             (None, {"mu": math.inf}, "algorithm.mu"),
             (None, {"init": [-math.inf, 1.0]}, "algorithm.init[0]"),
@@ -346,7 +348,8 @@ class TestConfigValidation:
             (None, {"seed": -1}, "algorithm.seed"),
             (None, {"gap_gradient": "foo"}, "algorithm.gap_gradient"),
             (None, {"gradient_mode": "exact"}, "algorithm.gradient_mode"),
-            # bounds that the library also checks, named at their field
+            # bounds that only the library call taking the value checks,
+            # named at their field
             (None, {"rho": 0}, "algorithm.rho"),
             (None, {"mu": 0}, "algorithm.mu"),
             (None, {"potential_weight": -1}, "algorithm.potential_weight"),
@@ -375,9 +378,9 @@ class TestConfigValidation:
              "objective.linear"),
         ],
         ids=["toy-box", "toy-box-above-700", "quadratic-box", "quadratic-seed", "retry-cap", "mc-samples",
-             "noise-key", "none-std-dev", "nan-potential-weight", "infinite-mu",
-             "infinite-init", "nan-hessian", "zero-iters", "zero-samples", "negative-seed",
-             "unknown-gap-gradient", "unknown-gradient-mode", "zero-rho", "zero-mu",
+             "noise-key", "none-std-dev", "negative-std-dev", "nan-potential-weight",
+             "infinite-mu", "infinite-init", "nan-hessian", "zero-iters", "zero-samples",
+             "negative-seed", "unknown-gap-gradient", "unknown-gradient-mode", "zero-rho", "zero-mu",
              "negative-potential-weight", "zero-baseline-step-scale", "zero-baseline-mu",
              "one-node", "zero-block-dim", "edge-prob-above-one", "zero-logreg-epsilon",
              "negative-logreg-alpha", "flip-prob-above-one", "self-loop", "node-out-of-range",
@@ -433,6 +436,40 @@ class TestConfigValidation:
         b = config_from_dict(replica_b_config(str(tmp_path / "b"), trials=2))
         assert b.topology.block_dim == 10
         assert b.baseline is not None
+
+
+def _tiny_data():
+    return zopd.ClassificationData(np.eye(2), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: zopd.AlgoParams(0.0, zopd.SmoothingParams(0.1, 2), 5, 0, -1.0, 1.0), "rho"),
+        (lambda: zopd.SmoothingParams(0.0, 2), "mu"),
+        (lambda: zopd.SmoothingParams(0.1, 0), "samples"),
+        (lambda: zopd.NoiseModel("additive_gaussian", -0.1), "std_dev"),
+        (lambda: zopd.RGFParams(step_scale=0.0), "step_scale"),
+        (lambda: Topology(1, ()), "num_nodes"),
+        (lambda: Topology(3, ((1, 2), (2, 2))), "edges"),
+        (lambda: zopd.Box(np.array([1.0]), np.array([0.0])), "box"),
+        (lambda: zopd.toy_objective(box_hi=800.0), "box"),
+        (lambda: zopd.logistic_regression_objective(_tiny_data(), 2, epsilon=0.0), "epsilon"),
+        (lambda: zopd.synthesize_classification_data(2, 4, 3, 0, flip_prob=2.0), "flip_prob"),
+        (lambda: zopd.quadratic_objective(np.ones((1, 2)), np.zeros(1)), "hessian"),
+        (lambda: zopd.quadratic_objective(np.eye(2), np.zeros(3)), "linear"),
+    ],
+    ids=["algo-rho", "smoothing-mu", "smoothing-samples", "noise-std-dev", "rgf-step-scale",
+         "one-node", "self-loop", "inverted-box", "toy-box-above-700", "logreg-epsilon",
+         "data-flip-prob", "non-square-hessian", "linear-length"],
+)
+def test_library_call_names_the_field_it_checks(build, field):
+    # the call that takes a value owns its rules and names the field
+    # unprefixed; the harness adds the section's path
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert exc.value.field == field
+    assert str(exc.value) == f"{field}: {exc.value.problem}"
 
 
 class TestPickledConfig:
@@ -1024,6 +1061,9 @@ class TestCli:
     def test_gen_graph_invalid_args(self, tmp_path, capsys):
         assert cli_main(["gen-graph", "--kind", "ring", "--nodes", "2"]) == 2
         assert "config error" in capsys.readouterr().err
+        args = ["gen-graph", "--kind", "ring", "--nodes", "4", "--extra-edge-prob", "2"]
+        assert cli_main(args) == 2
+        assert "config error: gen-graph.extra_edge_prob: " in capsys.readouterr().err
 
     def test_gen_data_feeds_logreg_config(self, tmp_path):
         ddir = tmp_path / "data"
@@ -1046,7 +1086,7 @@ class TestCli:
         ddir = tmp_path / "data"
         args = [a for item in sizes.items() for a in item]
         assert cli_main(["gen-data", *args, "--seed", "1", "--out-dir", str(ddir)]) == 2
-        assert f"config error: gen-data: {name} must be >= 1" in capsys.readouterr().err
+        assert f"config error: gen-data.{name}: must be >= 1, got 0" in capsys.readouterr().err
         assert not list(ddir.glob("agent_*.csv"))
 
     def test_sweep_cli(self, tmp_path, capsys):
